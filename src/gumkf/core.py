@@ -90,17 +90,26 @@ def finite_difference_jacobian(
     x: np.ndarray,
     rel_step: float = 1e-6,
 ) -> np.ndarray:
-    """Central finite-difference Jacobian of fn at x, step rel_step*(|x_i|+1)."""
+    """Central finite-difference Jacobian of fn at x, step rel_step*(|x_i|+1).
+
+    x may carry leading trial axes, shape (..., n); fn then maps (..., n) to
+    (..., p) and the result is the stack of Jacobians, shape (..., p, n).
+    """
     x = np.asarray(x, dtype=float)
-    f0 = np.atleast_1d(np.asarray(fn(x), dtype=float))
-    jac = np.empty((f0.shape[0], x.shape[0]))
-    for i in range(x.shape[0]):
-        h = rel_step * (abs(x[i]) + 1.0)
+    lead = x.shape[:-1]
+
+    def ev(v):
+        return np.asarray(fn(v), dtype=float).reshape(lead + (-1,))
+
+    f0 = ev(x)
+    jac = np.empty(lead + (f0.shape[-1], x.shape[-1]))
+    for i in range(x.shape[-1]):
+        h = rel_step * (np.abs(x[..., i]) + 1.0)
         xp = x.copy()
         xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        jac[:, i] = (np.atleast_1d(fn(xp)) - np.atleast_1d(fn(xm))) / (2.0 * h)
+        xp[..., i] += h
+        xm[..., i] -= h
+        jac[..., i] = (ev(xp) - ev(xm)) / (2.0 * np.asarray(h)[..., np.newaxis])
     return jac
 
 
@@ -147,21 +156,28 @@ def _eval_matrix(spec: MatrixSpec, *args) -> np.ndarray:
     return np.asarray(spec, dtype=float)
 
 
+def per_trial(matrix: np.ndarray, count: int) -> np.ndarray:
+    """(count, rows, cols) view of a model matrix: a stack with a leading
+    trial axis passes through, a single matrix is shared by every trial."""
+    m = np.atleast_2d(matrix)
+    return np.broadcast_to(m, (count,) + m.shape[-2:])
+
+
 @dataclass(frozen=True)
 class LinearModel:
     """Linear state-space system x(k+1) = F x(k) + w, y(k) = C x(k) + v.
 
     `state_matrix` and `obs_matrix` may be constant arrays or callables of
     (k, theta); noise covariances may be constant arrays or callables of k.
-    Set `vectorized=True` when the matrix callables accept a batch of theta
-    vectors of shape (M, n_theta) and return (M, n, n) stacks.
+    theta is None, one parameter vector, or an (M, n_theta) batch with a
+    leading trial axis; for a batch the matrix callables return (M, ., .)
+    stacks, or one matrix that holds for every trial.
     """
 
     state_matrix: MatrixSpec
     obs_matrix: MatrixSpec
     process_noise: MatrixSpec
     obs_noise: MatrixSpec
-    vectorized: bool = False
 
     def F(self, k: int, theta=None) -> np.ndarray:
         return _eval_matrix(self.state_matrix, k, theta)
@@ -180,7 +196,11 @@ class LinearModel:
 class NonlinearModel:
     """Nonlinear system x(k+1) = f(x, theta, k) + w, y(k) = h(x, theta, k) + v.
 
-    Jacobians are optional; central finite differences are used as fallback.
+    x is one state vector or an (M, n) batch with a leading trial axis (theta
+    then None or (M, n_theta)); every callable handles both.  Jacobian
+    callables return (..., rows, n) stacks, or one matrix that holds for
+    every trial.  Jacobians are optional; central finite differences are
+    used as fallback.
     """
 
     state_fn: Callable
@@ -189,13 +209,14 @@ class NonlinearModel:
     obs_noise: MatrixSpec
     state_jacobian: Optional[Callable] = None
     obs_jacobian: Optional[Callable] = None
-    vectorized: bool = False
 
     def f(self, x: np.ndarray, theta, k: int) -> np.ndarray:
-        return np.asarray(self.state_fn(x, theta, k), dtype=float)
+        out = np.asarray(self.state_fn(x, theta, k), dtype=float)
+        return out.reshape(np.shape(x)[:-1] + (-1,))
 
     def h(self, x: np.ndarray, theta, k: int) -> np.ndarray:
-        return np.atleast_1d(np.asarray(self.obs_fn(x, theta, k), dtype=float))
+        out = np.asarray(self.obs_fn(x, theta, k), dtype=float)
+        return out.reshape(np.shape(x)[:-1] + (-1,))
 
     def F(self, x: np.ndarray, theta, k: int) -> np.ndarray:
         if self.state_jacobian is not None:
@@ -245,20 +266,6 @@ def _label_id(label: str) -> int:
     return int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "big")
 
 
-class Substream:
-    """A sequentially-consumed stream addressed by (trial, time, label)."""
-
-    def __init__(self, seed_words):
-        self._gen = Generator(Philox(SeedSequence(seed_words)))
-
-    def uniforms(self, count: int) -> np.ndarray:
-        return self._gen.random(count)
-
-    def normals(self, count: int) -> np.ndarray:
-        u = self.uniforms(count)
-        return ndtri(np.maximum(u, np.nextafter(0.0, 1.0)))
-
-
 @dataclass(frozen=True)
 class RngStreamPlan:
     """Deterministic, counter-addressable random substreams.
@@ -302,18 +309,17 @@ class RngStreamPlan:
     def uniforms(self, k: int, label: str, count: int) -> np.ndarray:
         return self.uniform_rows(k, label, 0, count)
 
-    def substream(self, m: int, k: int, label: str) -> Substream:
-        return Substream([int(self.master_seed), 2, int(k), int(m), _label_id(label)])
 
-
-def mvn_sample(mean: np.ndarray, cov: np.ndarray, stream: Substream) -> np.ndarray:
-    """One draw from N(mean, cov) using the given substream.
+def mvn_sample(mean: np.ndarray, cov: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Draws from N(mean, cov), one per row of the standard-normal block z
+    (shape (M, n), e.g. from RngStreamPlan.normal_rows); returns (M, n).
 
     Tolerates semidefinite covariances; a zero covariance returns the mean.
     """
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    if cov.shape != (mean.shape[0], mean.shape[0]):
-        raise DimensionError("mvn_sample: cov shape does not match mean")
+    z = np.atleast_2d(np.asarray(z, dtype=float))
+    if cov.shape != (mean.shape[0], mean.shape[0]) or z.shape[1] != mean.shape[0]:
+        raise DimensionError("mvn_sample: cov or z shape does not match mean")
     require_psd(cov, 1e-10, "mvn_sample")
-    return mean + psd_sqrt(cov) @ stream.normals(mean.shape[0])
+    return mean + np.einsum("ij,mj->mi", psd_sqrt(cov), z)

@@ -175,7 +175,6 @@ def augment(
         obs_noise=model.obs_noise,
         state_jacobian=state_jacobian,
         obs_jacobian=obs_jacobian,
-        vectorized=model.vectorized and state_jacobian is not None,
     )
     mean0 = np.concatenate([prior.mean, theta_knowledge.estimate])
     cov0 = scipy.linalg.block_diag(prior.cov, theta_knowledge.cov)

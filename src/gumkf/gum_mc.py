@@ -1,13 +1,20 @@
 """Monte Carlo propagation of state-of-knowledge PDFs through a Kalman-type
-estimation model, in batch and sequential form.
+estimation model (GUM Supplement 1 over the filter recursion).
 
 Every trial m carries a joint sample (x, theta) together with its own
 deterministic filter covariance recursion; the Kalman gain inside a trial is
 computed from that recursion, which depends on the trial's sampled parameters
 through the system matrices.  Draws are addressed by (trial, time, label)
-through the RngStreamPlan, so batch mode (trial-major) and sequential mode
-(time-major) perform the identical computation in a different storage order
-and produce bit-identical per-trial trajectories.
+through the RngStreamPlan, so a trial's trajectory does not depend on which
+other trials are advanced with it.
+
+One driver runs every mode.  It splits the trials into blocks [a, b) and, at
+each time step, advances every block with mc_step; the moments, stored
+samples and recorded rows are taken from the blocks joined in trial order.
+mc_sequential (time-major, online) uses one block per thread and mc_batch
+(trial-major) one block per trial, so both, threaded or not, give
+bit-identical results.  Models are evaluated on whole blocks: every model
+callable accepts one vector or a batch with a leading trial axis.
 """
 
 from __future__ import annotations
@@ -20,12 +27,15 @@ import numpy as np
 
 from .core import (
     CapacityError,
+    ConfigError,
     GaussianBelief,
     LinearModel,
     NonlinearModel,
     NumericError,
     ParameterKnowledge,
     RngStreamPlan,
+    mvn_sample,
+    per_trial,
     psd_sqrt,
     symmetrize,
 )
@@ -140,96 +150,6 @@ def finalize_stats(
 
 
 # ---------------------------------------------------------------------------
-# batched model evaluation
-
-
-def _batch_linear_matrix(fn, k, params, count, rows):
-    """Stack of (count, rows, cols) matrices from a (k, theta) callable."""
-    if params.shape[1] == 0:
-        m = np.atleast_2d(np.asarray(fn(k, None), dtype=float))
-        return np.broadcast_to(m, (count,) + m.shape)
-    return np.stack([np.atleast_2d(np.asarray(fn(k, params[i]), dtype=float)) for i in range(count)])
-
-
-def _batch_linear_matrix_vec(model, fn, k, params, count):
-    if model.vectorized and params.shape[1]:
-        out = np.asarray(fn(k, params), dtype=float)
-        if out.ndim == 3 and out.shape[0] == count:
-            return out
-    return None
-
-
-def _state_matrices(model: LinearModel, k, params, count):
-    out = _batch_linear_matrix_vec(model, model.F, k, params, count)
-    if out is None:
-        out = _batch_linear_matrix(model.F, k, params, count, None)
-    return out
-
-
-def _obs_matrices(model: LinearModel, k, params, count):
-    if model.vectorized and params.shape[1]:
-        out = np.asarray(model.C(k, params), dtype=float)
-        if out.ndim == 3 and out.shape[0] == count:
-            return out
-        if out.ndim == 2 and out.shape[0] == count:
-            return out[:, np.newaxis, :]
-    return _batch_linear_matrix(model.C, k, params, count, None)
-
-
-def _theta_arg(params):
-    return params if params.shape[1] else None
-
-
-def _batch_f(model: NonlinearModel, states, params, k):
-    th = _theta_arg(params)
-    if model.vectorized:
-        return np.asarray(model.f(states, th, k), dtype=float)
-    return np.stack(
-        [model.f(states[i], None if th is None else th[i], k) for i in range(states.shape[0])]
-    )
-
-
-def _batch_h(model: NonlinearModel, states, params, k):
-    th = _theta_arg(params)
-    if model.vectorized:
-        out = np.asarray(model.h(states, th, k), dtype=float)
-        if out.ndim == 1:
-            out = out[:, np.newaxis]
-        return out
-    return np.stack(
-        [
-            np.atleast_1d(model.h(states[i], None if th is None else th[i], k))
-            for i in range(states.shape[0])
-        ]
-    )
-
-
-def _batch_state_jac(model: NonlinearModel, states, params, k):
-    th = _theta_arg(params)
-    if model.vectorized:
-        return np.asarray(model.F(states, th, k), dtype=float)
-    return np.stack(
-        [model.F(states[i], None if th is None else th[i], k) for i in range(states.shape[0])]
-    )
-
-
-def _batch_obs_jac(model: NonlinearModel, states, params, k):
-    th = _theta_arg(params)
-    if model.vectorized and model.obs_jacobian is not None:
-        out = np.asarray(model.obs_jacobian(states, th, k), dtype=float)
-        if out.ndim == 2 and out.shape[0] == states.shape[0]:
-            return out[:, np.newaxis, :]
-        if out.ndim == 3:
-            return out
-    return np.stack(
-        [
-            np.atleast_2d(model.H(states[i], None if th is None else th[i], k))
-            for i in range(states.shape[0])
-        ]
-    )
-
-
-# ---------------------------------------------------------------------------
 # the per-step Monte Carlo propagation
 
 
@@ -270,23 +190,24 @@ def mc_step(
     )
 
     # prediction: mean push-forward and the deterministic covariance recursion
+    theta = params if params.shape[1] else None
     if isinstance(model, LinearModel):
-        F = _state_matrices(model, k, params, m_trials)
+        F = per_trial(model.F(k, theta), m_trials)
         x_pred = np.einsum("mij,mj->mi", F, states)
     else:
-        x_pred = _batch_f(model, states, params, k)
-        F = _batch_state_jac(model, states, params, k)
+        x_pred = model.f(states, theta, k)
+        F = per_trial(model.F(states, theta, k), m_trials)
     cov_pred = np.einsum("mij,mjk,mlk->mil", F, covs, F) + Q
 
     x_tilde = x_pred + z
 
     # correction at x_tilde
     if isinstance(model, LinearModel):
-        H = _obs_matrices(model, k, params, m_trials)
+        H = per_trial(model.C(k, theta), m_trials)
         h_val = np.einsum("mij,mj->mi", H, x_tilde)
     else:
-        H = _batch_obs_jac(model, x_tilde, params, k)
-        h_val = _batch_h(model, x_tilde, params, k)
+        H = per_trial(model.H(x_tilde, theta, k), m_trials)
+        h_val = model.h(x_tilde, theta, k)
     s_mat = np.einsum("mij,mjk,mlk->mil", H, cov_pred, H) + R
     try:
         gain = np.linalg.solve(s_mat, np.einsum("mij,mjk->mik", H, cov_pred))
@@ -314,14 +235,11 @@ def mc_step(
 
 
 def _init_trials(prior, theta_knowledge, plan, trials, trial_start):
-    n = prior.dim
-    lx = psd_sqrt(prior.cov)
-    z0 = plan.normal_rows(0, LABEL_INIT_STATE, trial_start, trials, n)
-    states = prior.mean + np.einsum("ij,mj->mi", lx, z0)
+    z0 = plan.normal_rows(0, LABEL_INIT_STATE, trial_start, trials, prior.dim)
+    states = mvn_sample(prior.mean, prior.cov, z0)
     if theta_knowledge is not None and theta_knowledge.dim > 0:
-        lt = psd_sqrt(theta_knowledge.cov)
         zt = plan.normal_rows(0, LABEL_INIT_PARAM, trial_start, trials, theta_knowledge.dim)
-        params = theta_knowledge.estimate + np.einsum("ij,mj->mi", lt, zt)
+        params = mvn_sample(theta_knowledge.estimate, theta_knowledge.cov, zt)
     else:
         params = np.zeros((trials, 0))
     covs = np.repeat(prior.cov[np.newaxis], trials, axis=0)
@@ -360,24 +278,30 @@ def _normalize_measurements(measurements):
     return ys
 
 
-def mc_sequential(
+def _run_blocks(
     measurements,
     model: Union[LinearModel, NonlinearModel],
     prior: GaussianBelief,
     theta_knowledge: Optional[ParameterKnowledge],
     plan: RngStreamPlan,
     trials: int,
-    *,
-    store_samples: bool = False,
-    record_at: Tuple[int, ...] = (),
-    threads: int = 1,
-    max_store_bytes: int = 1 << 30,
+    n_blocks: int,
+    threads: int,
+    store_samples: bool,
+    record_at: Tuple[int, ...],
+    max_store_bytes: int,
 ) -> McRunResult:
-    """Time-major Monte Carlo: one live ensemble, statistics per step.
+    """The Monte Carlo driver: `trials` split into `n_blocks` near-equal
+    trial blocks [a, b), time loop outer, blocks inner.
 
-    Memory use is independent of the number of time steps unless
-    store_samples is requested.
+    Every block is advanced by mc_step with trial_start=a, on `threads`
+    threads; summaries are taken from the blocks joined in trial order, so
+    the block layout does not change a single bit of the result.
     """
+    if trials < 2:
+        raise ConfigError(f"Monte Carlo needs at least 2 trials, got {trials}")
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
     ys = _normalize_measurements(measurements)
     n_steps = ys.shape[0]
     n = prior.dim
@@ -391,21 +315,21 @@ def mc_sequential(
     else:
         samples_states = samples_params = None
 
-    ensemble, covs = _init_trials(prior, theta_knowledge, plan, trials, 0)
+    bounds = np.linspace(0, trials, n_blocks + 1).astype(int)
+    spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    blocks = [_init_trials(prior, theta_knowledge, plan, b - a, a) for a, b in spans]
     state_means = np.empty((n_steps + 1, n))
     state_covs = np.empty((n_steps + 1, n, n))
     param_means = np.empty((n_steps + 1, n_t))
     param_covs = np.empty((n_steps + 1, n_t, n_t))
     records: Dict[int, np.ndarray] = {}
 
-    chunks = None
-    executor = None
-    if threads > 1 and trials >= threads:
-        bounds = np.linspace(0, trials, threads + 1).astype(int)
-        chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        executor = ThreadPoolExecutor(max_workers=threads)
-
     def summarize(k):
+        ensemble = McEnsemble(
+            np.concatenate([e.states for e, _ in blocks]),
+            np.concatenate([e.params for e, _ in blocks]),
+            k,
+        )
         state_means[k], state_covs[k] = _mean_cov(ensemble.states)
         param_means[k], param_covs[k] = _mean_cov(ensemble.params)
         if store_samples:
@@ -414,36 +338,21 @@ def mc_sequential(
         if k in record_at:
             records[k] = ensemble.joined()
 
+    executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    mapper = map if executor is None else executor.map
     try:
         summarize(0)
         for k in range(1, n_steps + 1):
-            if chunks is None:
-                ensemble, covs = mc_step(ensemble, ys[k - 1], model, covs, plan, k)
-            else:
-                parts = list(
-                    executor.map(
-                        lambda ab: mc_step(
-                            McEnsemble(
-                                ensemble.states[ab[0] : ab[1]],
-                                ensemble.params[ab[0] : ab[1]],
-                                ensemble.k,
-                            ),
-                            ys[k - 1],
-                            model,
-                            covs[ab[0] : ab[1]],
-                            plan,
-                            k,
-                            trial_start=ab[0],
-                        ),
-                        chunks,
-                    )
+            y = ys[k - 1]
+            blocks = list(
+                mapper(
+                    lambda span, block: mc_step(
+                        block[0], y, model, block[1], plan, k, trial_start=span[0]
+                    ),
+                    spans,
+                    blocks,
                 )
-                ensemble = McEnsemble(
-                    np.concatenate([e.states for e, _ in parts]),
-                    np.concatenate([e.params for e, _ in parts]),
-                    k,
-                )
-                covs = np.concatenate([c for _, c in parts])
+            )
             summarize(k)
     finally:
         if executor is not None:
@@ -461,6 +370,31 @@ def mc_sequential(
     )
 
 
+def mc_sequential(
+    measurements,
+    model: Union[LinearModel, NonlinearModel],
+    prior: GaussianBelief,
+    theta_knowledge: Optional[ParameterKnowledge],
+    plan: RngStreamPlan,
+    trials: int,
+    *,
+    store_samples: bool = False,
+    record_at: Tuple[int, ...] = (),
+    threads: int = 1,
+    max_store_bytes: int = 1 << 30,
+) -> McRunResult:
+    """Time-major Monte Carlo: the trials advance together, split into
+    `threads` near-equal blocks run on as many threads.
+
+    Memory use is independent of the number of time steps unless
+    store_samples is requested.
+    """
+    return _run_blocks(
+        measurements, model, prior, theta_knowledge, plan, trials,
+        threads, threads, store_samples, record_at, max_store_bytes,
+    )
+
+
 def mc_batch(
     measurements,
     model: Union[LinearModel, NonlinearModel],
@@ -473,56 +407,10 @@ def mc_batch(
     record_at: Tuple[int, ...] = (),
     max_store_bytes: int = 1 << 30,
 ) -> McRunResult:
-    """Trial-major Monte Carlo: the whole-sequence estimation model is run per
-    trial.  With a shared RngStreamPlan the per-trial trajectories are
-    bit-identical to the sequential mode."""
-    ys = _normalize_measurements(measurements)
-    n_steps = ys.shape[0]
-    n = prior.dim
-    n_t = theta_knowledge.dim if theta_knowledge is not None else 0
-    record_at = set(int(r) for r in record_at)
-
-    if store_samples:
-        _check_store(n_steps, trials, n + n_t, max_store_bytes)
-        samples_states = np.empty((n_steps + 1, trials, n))
-        samples_params = np.empty((n_steps + 1, trials, n_t))
-    else:
-        samples_states = samples_params = None
-
-    state_moms = [RunningMoments(n) for _ in range(n_steps + 1)]
-    param_moms = [RunningMoments(n_t) for _ in range(n_steps + 1)]
-    rec_buf = {k: np.empty((trials, n + n_t)) for k in record_at if k <= n_steps}
-
-    for m in range(trials):
-        ensemble, covs = _init_trials(prior, theta_knowledge, plan, 1, m)
-        for k in range(0, n_steps + 1):
-            if k > 0:
-                ensemble, covs = mc_step(
-                    ensemble, ys[k - 1], model, covs, plan, k, trial_start=m
-                )
-            state_moms[k].push(ensemble.states[0])
-            param_moms[k].push(ensemble.params[0])
-            if store_samples:
-                samples_states[k, m] = ensemble.states[0]
-                samples_params[k, m] = ensemble.params[0]
-            if k in rec_buf:
-                rec_buf[k][m] = ensemble.joined()[0]
-
-    state_means = np.stack([sm.mean() for sm in state_moms])
-    state_covs = np.stack([sm.cov() for sm in state_moms])
-    if n_t:
-        param_means = np.stack([pm.mean() for pm in param_moms])
-        param_covs = np.stack([pm.cov() for pm in param_moms])
-    else:
-        param_means = np.zeros((n_steps + 1, 0))
-        param_covs = np.zeros((n_steps + 1, 0, 0))
-    return McRunResult(
-        state_means,
-        state_covs,
-        param_means,
-        param_covs,
-        trials,
-        samples_states,
-        samples_params,
-        dict(rec_buf),
+    """Trial-major Monte Carlo: every trial is its own block, so each trial
+    runs the whole-sequence estimation model on its own.  With a shared
+    RngStreamPlan the result is bit-identical to mc_sequential."""
+    return _run_blocks(
+        measurements, model, prior, theta_knowledge, plan, trials,
+        trials, 1, store_samples, record_at, max_store_bytes,
     )

@@ -19,10 +19,10 @@ from .core import (
     NonlinearModel,
     NumericError,
     RngStreamPlan,
+    per_trial,
     psd_sqrt,
     symmetrize,
 )
-from .gum_mc import _batch_f, _batch_h, _obs_matrices
 
 LABEL_INIT = "pf/init"
 LABEL_PROCESS = "pf/process"
@@ -61,16 +61,9 @@ def _require_normalized(weights: np.ndarray) -> None:
 
 
 def _push_states(model, states, k):
-    params = np.zeros((states.shape[0], 0))
     if isinstance(model, LinearModel):
-        f_mats = _obs_like_state(model, k, states.shape[0])
-        return np.einsum("mij,mj->mi", f_mats, states)
-    return _batch_f(model, states, params, k)
-
-
-def _obs_like_state(model: LinearModel, k, count):
-    f = np.atleast_2d(np.asarray(model.F(k, None), dtype=float))
-    return np.broadcast_to(f, (count,) + f.shape)
+        return np.einsum("mij,mj->mi", per_trial(model.F(k, None), states.shape[0]), states)
+    return model.f(states, None, k)
 
 
 def pf_propagate(
@@ -93,11 +86,10 @@ def pf_propagate(
 
 
 def _log_likelihood(model, states, y_hat, k):
-    params = np.zeros((states.shape[0], 0))
     if isinstance(model, LinearModel):
-        h_val = np.einsum("mij,mj->mi", _obs_matrices(model, k, params, states.shape[0]), states)
+        h_val = np.einsum("mij,mj->mi", per_trial(model.C(k, None), states.shape[0]), states)
     else:
-        h_val = _batch_h(model, states, params, k)
+        h_val = model.h(states, None, k)
     r_mat = np.atleast_2d(model.R(k))
     p = r_mat.shape[0]
     resid = y_hat - h_val

@@ -21,7 +21,7 @@ from .core import (
     LinearModel,
     ParameterKnowledge,
     RngStreamPlan,
-    psd_sqrt,
+    mvn_sample,
 )
 from .ekf import AugmentedModel, augment, ekf_correct, ekf_predict
 from .gum_mc import mc_sequential
@@ -110,8 +110,8 @@ class TankConfig:
 
 
 def linear_model(config: TankConfig) -> LinearModel:
-    """Theta-parameterized linear tank model; matrix callables accept either a
-    single parameter vector or an (M, 1) batch."""
+    """Theta-parameterized linear tank model; the state-matrix callable
+    accepts either a single parameter vector or an (M, 1) batch."""
     dt = config.dt
 
     def state_matrix(k, theta):
@@ -127,20 +127,11 @@ def linear_model(config: TankConfig) -> LinearModel:
         out[..., 1, 1] = 1.0
         return out
 
-    def obs_matrix(k, theta):
-        c = np.array([[1.0, 0.0]])
-        if theta is not None:
-            th = np.asarray(theta, dtype=float)
-            if th.ndim == 2:
-                return np.broadcast_to(c, (th.shape[0], 1, 2))
-        return c
-
     return LinearModel(
         state_matrix=state_matrix,
-        obs_matrix=obs_matrix,
+        obs_matrix=np.array([[1.0, 0.0]]),
         process_noise=np.diag([0.0, config.tau**2]),
         obs_noise=np.array([[config.sigma**2]]),
-        vectorized=True,
     )
 
 
@@ -166,12 +157,8 @@ def _augmented_jacobian(config: TankConfig):
     return jac
 
 
-def _augmented_obs_jacobian(z, _theta, k):
-    z = np.asarray(z, dtype=float)
-    h = np.array([[1.0, 0.0, 0.0]])
-    if z.ndim == 2:
-        return np.broadcast_to(h, (z.shape[0], 1, 3))
-    return h
+def _augmented_obs_jacobian(_z, _theta, _k):
+    return np.array([[1.0, 0.0, 0.0]])
 
 
 def state_prior(config: TankConfig) -> GaussianBelief:
@@ -274,8 +261,25 @@ def _times_to_indices(config: TankConfig, times_s) -> Dict[int, float]:
     return out
 
 
-def _std_from_covs(covs: np.ndarray, i: int) -> np.ndarray:
-    return np.sqrt(np.maximum(covs[:, i, i], 0.0))
+def _variances(covs: np.ndarray) -> np.ndarray:
+    return np.diagonal(covs, axis1=1, axis2=2)
+
+
+def _sampled_report(name, config, record, means, variances, marginals, ess=None):
+    """Report from sample moments with columns (xL, xs, theta)."""
+    u = np.sqrt(np.maximum(variances, 0.0))
+    return EstimationReport(
+        name,
+        config,
+        record.times,
+        means[:, :2],
+        u[:, :2],
+        means[:, 2],
+        u[:, 2],
+        record,
+        marginals,
+        ess=ess,
+    )
 
 
 def scenario(
@@ -322,7 +326,6 @@ def scenario(
         est = np.empty((n + 1, 3))
         u = np.empty((n + 1, 3))
         est[0], u[0] = belief.mean, np.sqrt(np.diag(belief.cov))
-        marginals = {}
         for k in range(1, n + 1):
             predicted = ekf_predict(belief, aug.model, k)
             belief = ekf_correct(predicted, ys[k - 1 : k], aug.model, k).corrected
@@ -337,80 +340,40 @@ def scenario(
             est[:, 2],
             u[:, 2],
             record,
-            marginals,
         )
 
-    if name == "mc-lkf-uncertain":
+    if name in ("mc-lkf-uncertain", "mc-ekf"):
+        if name == "mc-ekf":
+            aug, prior = augmented_model(config)
+            model, knowledge = aug.model, None
+        else:
+            model, prior = linear_model(config), state_prior(config)
+            knowledge = frequency_knowledge(config)
         res = mc_sequential(
-            ys,
-            linear_model(config),
-            state_prior(config),
-            frequency_knowledge(config),
-            plan,
-            trials,
-            record_at=tuple(rec_idx),
-            threads=threads,
+            ys, model, prior, knowledge, plan, trials, record_at=tuple(rec_idx), threads=threads
         )
+        # columns (xL, xs, theta): the frequency is a parameter of the linear
+        # model and the third state of the augmented one
         marginals = {rec_idx[k]: (res.records[k], np.full(trials, 1.0 / trials)) for k in res.records}
-        return EstimationReport(
+        return _sampled_report(
             name,
             config,
-            record.times,
-            res.state_means,
-            np.stack([_std_from_covs(res.state_covs, 0), _std_from_covs(res.state_covs, 1)], axis=1),
-            res.param_means[:, 0],
-            _std_from_covs(res.param_covs, 0),
             record,
-            marginals,
-        )
-
-    if name == "mc-ekf":
-        aug, belief0 = augmented_model(config)
-        res = mc_sequential(
-            ys,
-            aug.model,
-            belief0,
-            None,
-            plan,
-            trials,
-            record_at=tuple(rec_idx),
-            threads=threads,
-        )
-        marginals = {rec_idx[k]: (res.records[k], np.full(trials, 1.0 / trials)) for k in res.records}
-        return EstimationReport(
-            name,
-            config,
-            record.times,
-            res.state_means[:, :2],
-            np.stack([_std_from_covs(res.state_covs, 0), _std_from_covs(res.state_covs, 1)], axis=1),
-            res.state_means[:, 2],
-            _std_from_covs(res.state_covs, 2),
-            record,
+            np.hstack([res.state_means, res.param_means]),
+            np.hstack([_variances(res.state_covs), _variances(res.param_covs)]),
             marginals,
         )
 
     # particle filter on the augmented system
     aug, belief0 = augmented_model(config)
-    mean0 = belief0.mean
-    chol0 = psd_sqrt(belief0.cov)
 
     def prior_sampler(p: RngStreamPlan, count: int) -> np.ndarray:
-        z = p.normal_rows(0, "pf/init", 0, count, 3)
-        return mean0 + np.einsum("ij,mj->mi", chol0, z)
+        return mvn_sample(belief0.mean, belief0.cov, p.normal_rows(0, "pf/init", 0, count, 3))
 
     res = pf_run(
         ys, aug.model, prior_sampler, n_particles, gamma, plan, record_at=tuple(rec_idx)
     )
     marginals = {rec_idx[k]: res.records[k] for k in res.records}
-    return EstimationReport(
-        name,
-        config,
-        record.times,
-        res.means[:, :2],
-        np.stack([_std_from_covs(res.covs, 0), _std_from_covs(res.covs, 1)], axis=1),
-        res.means[:, 2],
-        _std_from_covs(res.covs, 2),
-        record,
-        marginals,
-        ess=res.ess,
+    return _sampled_report(
+        name, config, record, res.means, _variances(res.covs), marginals, ess=res.ess
     )

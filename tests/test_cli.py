@@ -172,6 +172,15 @@ class TestExitCodes:
         bad.write_text(json.dumps({"schema_version": 1, "bogus": 3}))
         assert run(["estimate", "lkf-known", "--config", str(bad), "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize(
+        "count", [["--trials", "0"], ["--trials", "1"], ["--threads", "0"]]
+    )
+    def test_bad_trial_or_thread_count_is_config_error(self, tmp_path, count):
+        cfg = small_config(tmp_path, n_steps=5)
+        argv = ["estimate", "mc-ekf", "--config", cfg, "--out", str(tmp_path), "--trials", "8"]
+        assert run(argv + count) == 1
+        assert not (tmp_path / "mc-ekf.csv").exists()
+
     def test_numeric_failure_exit_code(self, tmp_path):
         # zero process and measurement noise make the innovation covariance
         # exactly singular

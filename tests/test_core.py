@@ -76,39 +76,35 @@ class TestMvnSample:
     def test_zero_cov_returns_mean(self):
         plan = RngStreamPlan(7)
         mean = np.array([3.0, -1.0])
-        out = mvn_sample(mean, np.zeros((2, 2)), plan.substream(0, 0, "t"))
-        np.testing.assert_array_equal(out, mean)
+        out = mvn_sample(mean, np.zeros((2, 2)), plan.normal_rows(0, "t", 0, 1, 2))
+        np.testing.assert_array_equal(out, mean[np.newaxis])
 
     def test_scalar_moments(self):
         plan = RngStreamPlan(11)
-        draws = np.array(
-            [mvn_sample([0.0], [[1.0]], plan.substream(m, 0, "t"))[0] for m in range(100_000)]
-        )
+        draws = mvn_sample([0.0], [[1.0]], plan.normal_rows(0, "t", 0, 100_000, 1))[:, 0]
         assert abs(draws.mean()) < 0.02
         assert abs(draws.var() - 1.0) < 0.03
 
     def test_bivariate_covariance(self):
         plan = RngStreamPlan(13)
         cov = np.array([[1.0, 0.5], [0.5, 1.0]])
-        draws = np.stack(
-            [mvn_sample(np.zeros(2), cov, plan.substream(m, 0, "t")) for m in range(100_000)]
-        )
+        draws = mvn_sample(np.zeros(2), cov, plan.normal_rows(0, "t", 0, 100_000, 2))
         emp = np.cov(draws.T)
         np.testing.assert_allclose(emp, cov, atol=0.02)
 
     def test_shape_mismatch_raises(self):
         plan = RngStreamPlan(1)
         with pytest.raises(DimensionError):
-            mvn_sample(np.zeros(2), np.eye(3), plan.substream(0, 0, "t"))
+            mvn_sample(np.zeros(2), np.eye(3), plan.normal_rows(0, "t", 0, 1, 2))
 
     def test_non_psd_raises(self):
         plan = RngStreamPlan(1)
         with pytest.raises(NumericError):
-            mvn_sample(np.zeros(2), np.diag([1.0, -1.0]), plan.substream(0, 0, "t"))
+            mvn_sample(np.zeros(2), np.diag([1.0, -1.0]), plan.normal_rows(0, "t", 0, 1, 2))
 
     def test_reproducible(self):
-        a = mvn_sample(np.zeros(2), np.eye(2), RngStreamPlan(5).substream(3, 9, "x"))
-        b = mvn_sample(np.zeros(2), np.eye(2), RngStreamPlan(5).substream(3, 9, "x"))
+        a = mvn_sample(np.zeros(2), np.eye(2), RngStreamPlan(5).normal_rows(9, "x", 3, 1, 2))
+        b = mvn_sample(np.zeros(2), np.eye(2), RngStreamPlan(5).normal_rows(9, "x", 3, 1, 2))
         np.testing.assert_array_equal(a, b)
 
 
@@ -146,6 +142,16 @@ class TestFiniteDifferenceJacobian:
         fn = lambda x: np.array([x[0] ** 2 + x[1], 3.0 * x[1]])
         jac = finite_difference_jacobian(fn, np.array([2.0, -1.0]))
         np.testing.assert_allclose(jac, [[4.0, 1.0], [0.0, 3.0]], rtol=1e-8)
+
+    def test_batch_equals_single_vector_calls(self, rng):
+        fn = lambda x: np.stack(
+            [np.sin(x[..., 0]) + x[..., 1], x[..., 1] ** 2, x[..., 0] * x[..., 1]], axis=-1
+        )
+        xs = rng.standard_normal((7, 2)) * 10.0
+        batch = finite_difference_jacobian(fn, xs)
+        assert batch.shape == (7, 3, 2)
+        for m in range(7):
+            np.testing.assert_array_equal(batch[m], finite_difference_jacobian(fn, xs[m]))
 
     def test_nonlinear_model_fallback_matches_analytic(self):
         model = NonlinearModel(

@@ -8,9 +8,11 @@ import pytest
 
 from gumkf import (
     CapacityError,
+    ConfigError,
     GaussianBelief,
     LinearModel,
     McEnsemble,
+    NonlinearModel,
     NumericError,
     RngStreamPlan,
     RunningMoments,
@@ -139,6 +141,28 @@ class TestMcStep:
             belief = kf_correct(pred, ys[k - 1 : k], zero_model, None, k).corrected
             np.testing.assert_allclose(ens.states[0], belief.mean, rtol=1e-12)
 
+    def test_jacobian_free_nonlinear_model_matches_linear(self):
+        # f and h broadcast over the trial axis and have no Jacobians, so
+        # mc_step differentiates whole blocks by finite differences
+        F = np.array([[1.0, 0.1], [-0.2, 0.95]])
+        C = np.array([[1.0, 0.5]])
+        Q = np.diag([0.01, 0.02])
+        R = np.array([[0.3]])
+        linear = LinearModel(F, C, Q, R)
+        nonlinear = NonlinearModel(
+            state_fn=lambda x, th, k: x @ F.T,
+            obs_fn=lambda x, th, k: x @ C.T,
+            process_noise=Q,
+            obs_noise=R,
+        )
+        prior = GaussianBelief([1.0, -0.5], np.diag([0.2, 0.1]))
+        ys = np.sin(np.arange(20) / 3.0)
+        plan = RngStreamPlan(8)
+        a = mc_sequential(ys, linear, prior, None, plan, 200)
+        b = mc_sequential(ys, nonlinear, prior, None, plan, 200)
+        assert rel_err(b.state_means, a.state_means) < 1e-9
+        assert rel_err(b.state_covs, a.state_covs) < 1e-9
+
     def test_non_finite_propagation_named(self):
         model = LinearModel(
             state_matrix=np.array([[1e200]]),
@@ -241,21 +265,36 @@ class TestBatchSequentialEquivalence:
         np.testing.assert_array_equal(bat.samples_states[1], seq.samples_states[1])
 
     def test_threaded_equals_serial(self):
+        # The block layout (one block, one per thread, one per trial) must not
+        # change any bit of any result, for the linear model with uncertain
+        # theta and for the augmented nonlinear one; 7 does not divide 20.
         cfg = TankConfig(n_steps=20)
         plan = RngStreamPlan(42)
         record = simulate(cfg, plan)
-        args = (
-            record.measurements,
-            linear_model(cfg),
-            state_prior(cfg),
-            frequency_knowledge(cfg),
-            plan,
-            60,
+        aug, belief0 = augmented_model(cfg)
+        setups = (
+            (linear_model(cfg), state_prior(cfg), frequency_knowledge(cfg)),
+            (aug.model, belief0, None),
         )
-        serial = mc_sequential(*args, store_samples=True)
-        threaded = mc_sequential(*args, store_samples=True, threads=3)
-        np.testing.assert_array_equal(serial.samples_states, threaded.samples_states)
-        np.testing.assert_array_equal(serial.state_means, threaded.state_means)
+        for model, prior, knowledge in setups:
+            args = (record.measurements, model, prior, knowledge, plan, 20)
+            kwargs = dict(store_samples=True, record_at=(0, 7, cfg.n_steps))
+            serial = mc_sequential(*args, **kwargs)
+            for other in (
+                mc_batch(*args, **kwargs),
+                mc_sequential(*args, threads=3, **kwargs),
+                mc_sequential(*args, threads=7, **kwargs),
+            ):
+                for name in (
+                    "state_means", "state_covs", "param_means", "param_covs",
+                    "samples_states", "samples_params",
+                ):
+                    np.testing.assert_array_equal(
+                        getattr(serial, name), getattr(other, name), err_msg=name
+                    )
+                assert serial.records.keys() == other.records.keys()
+                for k in serial.records:
+                    np.testing.assert_array_equal(serial.records[k], other.records[k])
 
 
 class TestCapacityAndMemory:
@@ -298,6 +337,24 @@ class TestCapacityAndMemory:
 
 
 class TestMcSequentialContracts:
+    @pytest.mark.parametrize("trials, threads", [(0, 1), (1, 1), (10, 0), (10, -2)])
+    def test_bad_trial_or_thread_count_rejected(self, trials, threads):
+        cfg = TankConfig(n_steps=5)
+        plan = RngStreamPlan(1)
+        args = (
+            simulate(cfg, plan).measurements,
+            linear_model(cfg),
+            state_prior(cfg),
+            frequency_knowledge(cfg),
+            plan,
+            trials,
+        )
+        with pytest.raises(ConfigError):
+            mc_sequential(*args, threads=threads)
+        if threads == 1:
+            with pytest.raises(ConfigError):
+                mc_batch(*args)
+
     def test_no_measurements_raises(self):
         cfg = TankConfig()
         with pytest.raises(NumericError):

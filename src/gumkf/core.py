@@ -303,8 +303,8 @@ class RngStreamPlan:
         at `start_trial`; row m equals the draw of absolute trial start+m."""
         stride = ((width + 3) // 4) * 4  # counter-aligned per-trial stride
         u = self.uniform_rows(k, label, start_trial * stride, trials * stride)
-        u = np.maximum(u, np.nextafter(0.0, 1.0))
-        return ndtri(u).reshape(trials, stride)[:, :width]
+        u = u.reshape(trials, stride)[:, :width]
+        return ndtri(np.maximum(u, np.nextafter(0.0, 1.0)))
 
     def uniforms(self, k: int, label: str, count: int) -> np.ndarray:
         return self.uniform_rows(k, label, 0, count)

@@ -35,7 +35,6 @@ from .core import (
     ParameterKnowledge,
     RngStreamPlan,
     mvn_sample,
-    per_trial,
     psd_sqrt,
     symmetrize,
 )
@@ -151,6 +150,39 @@ def finalize_stats(
 
 # ---------------------------------------------------------------------------
 # the per-step Monte Carlo propagation
+#
+# Inside mc_step every per-trial quantity is a structure-of-arrays stack with
+# the trial axis last: matrices (r, c, M), vectors (n, M).  A matrix shared by
+# every trial is (r, c, 1) and broadcasts.  Each product is a short loop of
+# elementwise multiply-adds, so a trial's bits never depend on the other
+# trials of its block.
+
+
+def _soa(matrix: np.ndarray) -> np.ndarray:
+    """(r, c, M) stack of a (M, r, c) per-trial stack, or (r, c, 1) for one
+    matrix shared by every trial."""
+    a = np.atleast_2d(np.asarray(matrix, dtype=float))
+    if a.ndim == 2:
+        return a[:, :, np.newaxis]
+    return np.ascontiguousarray(np.moveaxis(a, 0, -1))
+
+
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-trial product of an (i, l, .) and an (l, j, .) stack."""
+    out = a[:, :1] * b[:1]
+    for l in range(1, a.shape[1]):
+        out += a[:, l : l + 1] * b[l : l + 1]
+    return out
+
+
+def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per-trial product of an (i, l, .) stack and an (l, M) vector stack."""
+    return _mm(a, v[:, np.newaxis])[:, 0]
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    """Per-trial transpose of an (r, c, .) stack."""
+    return a.transpose(1, 0, 2)
 
 
 def mc_step(
@@ -169,69 +201,85 @@ def mc_step(
     add the process noise ("x tilde", carrying the state-covariance
     contribution) and apply the correction with the gain from the trial's own
     deterministic covariance recursion.  `filter_state` holds the per-trial
-    predicted-covariance recursion, shape (M, n, n).
+    predicted-covariance recursion, shape (M, n, n), going in and out.
+
+    Internally the trials are the last axis: covariances are (n, n, M)
+    stacks and vectors (n, M), so every product is elementwise over the
+    trials.  With one measurement (p = 1) the gain is H P / s, a division;
+    with p > 1 it comes from a batched solve.
     """
     states = ensemble.states
     params = ensemble.params
-    covs = np.asarray(filter_state, dtype=float)
     m_trials, n = states.shape
     y_hat = np.atleast_1d(np.asarray(y_hat, dtype=float))
     p = y_hat.shape[0]
 
     Q = np.atleast_2d(model.Q(k))
     R = np.atleast_2d(model.R(k))
-    lq = psd_sqrt(Q)
-    lr = psd_sqrt(R)
-    z = np.einsum(
-        "ij,mj->mi", lq, plan.normal_rows(k, LABEL_PROCESS, trial_start, m_trials, n)
+    z = _mv(
+        _soa(psd_sqrt(Q)),
+        plan.normal_rows(k, LABEL_PROCESS, trial_start, m_trials, n).T,
     )
-    y_samples = y_hat + np.einsum(
-        "ij,mj->mi", lr, plan.normal_rows(k, LABEL_OBS, trial_start, m_trials, p)
+    y_samples = y_hat[:, np.newaxis] + _mv(
+        _soa(psd_sqrt(R)),
+        plan.normal_rows(k, LABEL_OBS, trial_start, m_trials, p).T,
     )
 
     # prediction: mean push-forward and the deterministic covariance recursion
     theta = params if params.shape[1] else None
     if isinstance(model, LinearModel):
-        F = per_trial(model.F(k, theta), m_trials)
-        x_pred = np.einsum("mij,mj->mi", F, states)
+        F = _soa(model.F(k, theta))
+        x_pred = _mv(F, states.T)
     else:
-        x_pred = model.f(states, theta, k)
-        F = per_trial(model.F(states, theta, k), m_trials)
-    cov_pred = np.einsum("mij,mjk,mlk->mil", F, covs, F) + Q
+        x_pred = model.f(states, theta, k).T
+        F = _soa(model.F(states, theta, k))
+    cov_pred = _mm(_mm(F, _soa(filter_state)), _t(F)) + _soa(Q)
 
     x_tilde = x_pred + z
 
     # correction at x_tilde
     if isinstance(model, LinearModel):
-        H = per_trial(model.C(k, theta), m_trials)
-        h_val = np.einsum("mij,mj->mi", H, x_tilde)
+        H = _soa(model.C(k, theta))
+        h_val = _mv(H, x_tilde)
     else:
-        H = per_trial(model.H(x_tilde, theta, k), m_trials)
-        h_val = model.h(x_tilde, theta, k)
-    s_mat = np.einsum("mij,mjk,mlk->mil", H, cov_pred, H) + R
-    try:
-        gain = np.linalg.solve(s_mat, np.einsum("mij,mjk->mik", H, cov_pred))
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            f"singular innovation covariance at time index {k}: {exc}"
-        ) from exc
-    gain = gain.transpose(0, 2, 1)  # (M, n, p)
+        x_rows = np.ascontiguousarray(x_tilde.T)
+        H = _soa(model.H(x_rows, theta, k))
+        h_val = model.h(x_rows, theta, k).T
+    hp = _mm(H, cov_pred)  # H P, (p, n, M)
+    s_mat = _mm(hp, _t(H)) + _soa(R)
+    if p == 1:
+        s = s_mat[0, 0]
+        bad = ~(np.isfinite(s) & (s > 0.0))
+        if bad.any():
+            first = int(np.argmax(bad))
+            raise NumericError(
+                f"innovation variance {s[first]:g} is not finite and positive "
+                f"in trial {trial_start + first} at time index {k}"
+            )
+        gain = _t(hp / s)  # (n, 1, M)
+    else:
+        try:
+            gain = np.linalg.solve(s_mat.transpose(2, 0, 1), hp.transpose(2, 0, 1))
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(
+                f"singular innovation covariance at time index {k}: {exc}"
+            ) from exc
+        gain = gain.transpose(2, 1, 0)  # (M, p, n) -> (n, p, M)
 
     innovation = y_samples - h_val
-    x_new = x_tilde + np.einsum("mij,mj->mi", gain, innovation)
-    a_mat = np.eye(n) - np.einsum("mip,mpj->mij", gain, H)
-    cov_new = np.einsum("mij,mjk,mlk->mil", a_mat, cov_pred, a_mat) + np.einsum(
-        "mip,pq,mjq->mij", gain, R, gain
-    )
-    cov_new = (cov_new + cov_new.transpose(0, 2, 1)) / 2.0
+    x_new = x_tilde + _mv(gain, innovation)
+    a_mat = np.eye(n)[:, :, np.newaxis] - _mm(gain, H)
+    cov_new = _mm(_mm(a_mat, cov_pred), _t(a_mat)) + _mm(_mm(gain, _soa(R)), _t(gain))
+    cov_new = (cov_new + _t(cov_new)) / 2.0
 
-    bad = ~np.all(np.isfinite(x_new), axis=1)
+    bad = ~np.all(np.isfinite(x_new), axis=0)
     if bad.any():
         first = int(np.argmax(bad))
         raise NumericError(
             f"non-finite sample in trial {trial_start + first} at time index {k}"
         )
-    return McEnsemble(x_new, params, k), cov_new
+    states_new = np.ascontiguousarray(x_new.T)
+    return McEnsemble(states_new, params, k), np.moveaxis(cov_new, -1, 0)
 
 
 def _init_trials(prior, theta_knowledge, plan, trials, trial_start):

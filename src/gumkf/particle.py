@@ -14,6 +14,7 @@ from typing import Callable, Dict, Optional, Tuple, Union
 import numpy as np
 
 from .core import (
+    ConfigError,
     GaussianBelief,
     LinearModel,
     NonlinearModel,
@@ -139,7 +140,7 @@ def pf_resample(
 ) -> ParticleSet:
     """Multinomial resampling, triggered when ESS < gamma * N_s."""
     if not 0.0 < gamma <= 1.0:
-        raise ValueError("resampling tolerance factor must lie in (0, 1]")
+        raise ConfigError(f"resampling tolerance factor must lie in (0, 1], got {gamma}")
     if pf_ess(particles) >= gamma * particles.size:
         return particles
     u = plan.uniforms(particles.k, LABEL_RESAMPLE, particles.size)
@@ -190,7 +191,7 @@ def pf_run(
     sequence.  `record_at` collects (states, weights) snapshots at the given
     time indices for marginal-PDF inspection."""
     if n_particles < 2:
-        raise ValueError("need at least 2 particles")
+        raise ConfigError(f"need at least 2 particles, got {n_particles}")
     ys = np.asarray(measurements, dtype=float)
     if ys.ndim == 1:
         ys = ys[:, np.newaxis]

@@ -181,6 +181,14 @@ class TestExitCodes:
         assert run(argv + count) == 1
         assert not (tmp_path / "mc-ekf.csv").exists()
 
+    @pytest.mark.parametrize("option", [["--particles", "1"], ["--gamma", "0"]])
+    def test_bad_particle_count_or_gamma_is_config_error(self, tmp_path, capsys, option):
+        cfg = small_config(tmp_path, n_steps=5)
+        argv = ["estimate", "pf", "--config", cfg, "--out", str(tmp_path), "--particles", "50"]
+        assert run(argv + option) == 1
+        assert "gumkf: config error" in capsys.readouterr().err
+        assert not (tmp_path / "pf.csv").exists()
+
     def test_numeric_failure_exit_code(self, tmp_path):
         # zero process and measurement noise make the innovation covariance
         # exactly singular

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from gumkf import (
     ConfigError,
@@ -195,6 +196,16 @@ class TestRngStreamPlan:
         for m in range(8):
             row = plan.normal_rows(2, "lbl", m, 1, width)[0]
             np.testing.assert_array_equal(block[m], row)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+    def test_normal_rows_are_inverse_cdf_of_the_returned_uniform_columns(self, width):
+        # only the first `width` uniforms of each counter-aligned trial row
+        # are transformed; the padding columns are drawn but never returned
+        plan = RngStreamPlan(4242)
+        stride = ((width + 3) // 4) * 4
+        u = plan.uniform_rows(2, "lbl", 8 * stride, 6 * stride).reshape(6, stride)
+        expected = ndtri(np.maximum(u[:, :width], np.nextafter(0.0, 1.0)))
+        np.testing.assert_array_equal(plan.normal_rows(2, "lbl", 8, 6, width), expected)
 
     def test_unaligned_uniform_offset_raises(self):
         with pytest.raises(ConfigError):

@@ -25,12 +25,14 @@ from gumkf import (
     mc_batch,
     mc_sequential,
     mc_step,
+    mvn_sample,
+    psd_sqrt,
     simulate,
     state_prior,
     augmented_model,
 )
 
-from conftest import rel_err
+from conftest import rand_psd, rel_err
 
 
 def noiseless_scalar_model():
@@ -40,6 +42,47 @@ def noiseless_scalar_model():
         process_noise=np.array([[0.0]]),
         obs_noise=np.array([[1.0]]),
     )
+
+
+def einsum_step(ensemble, y_hat, model, covs, plan, k, trial_start=0):
+    """Reference for mc_step: the same recursion written with one (M, ., .)
+    einsum per product and a batched solve for the gain."""
+    states, params = ensemble.states, ensemble.params
+    m, n = states.shape
+    y_hat = np.atleast_1d(y_hat)
+    p = y_hat.shape[0]
+    Q, R = np.atleast_2d(model.Q(k)), np.atleast_2d(model.R(k))
+
+    def stack(a):
+        a = np.atleast_2d(a)
+        return np.broadcast_to(a, (m,) + a.shape[-2:])
+
+    z = plan.normal_rows(k, "mc/process", trial_start, m, n) @ psd_sqrt(Q).T
+    y = y_hat + plan.normal_rows(k, "mc/obs", trial_start, m, p) @ psd_sqrt(R).T
+    theta = params if params.shape[1] else None
+    if isinstance(model, LinearModel):
+        F = stack(model.F(k, theta))
+        x_pred = np.einsum("mij,mj->mi", F, states)
+    else:
+        x_pred = model.f(states, theta, k)
+        F = stack(model.F(states, theta, k))
+    cov_pred = np.einsum("mij,mjk,mlk->mil", F, covs, F) + Q
+    x_tilde = x_pred + z
+    if isinstance(model, LinearModel):
+        H = stack(model.C(k, theta))
+        h_val = np.einsum("mij,mj->mi", H, x_tilde)
+    else:
+        H = stack(model.H(x_tilde, theta, k))
+        h_val = model.h(x_tilde, theta, k)
+    s_mat = np.einsum("mij,mjk,mlk->mil", H, cov_pred, H) + R
+    gain = np.linalg.solve(s_mat, np.einsum("mij,mjk->mik", H, cov_pred))
+    gain = gain.transpose(0, 2, 1)
+    x_new = x_tilde + np.einsum("mij,mj->mi", gain, y - h_val)
+    a_mat = np.eye(n) - np.einsum("mip,mpj->mij", gain, H)
+    cov_new = np.einsum("mij,mjk,mlk->mil", a_mat, cov_pred, a_mat) + np.einsum(
+        "mip,pq,mjq->mij", gain, R, gain
+    )
+    return x_new, (cov_new + cov_new.transpose(0, 2, 1)) / 2.0
 
 
 class TestRunningMoments:
@@ -162,6 +205,72 @@ class TestMcStep:
         b = mc_sequential(ys, nonlinear, prior, None, plan, 200)
         assert rel_err(b.state_means, a.state_means) < 1e-9
         assert rel_err(b.state_covs, a.state_covs) < 1e-9
+
+    @pytest.mark.parametrize("augmented", [False, True])
+    def test_step_equals_einsum_reference(self, rng, augmented):
+        # per-trial state-matrix (Jacobian) stacks, per-trial covariances and
+        # an offset trial block
+        cfg = TankConfig(n_steps=10)
+        plan = RngStreamPlan(42)
+        record = simulate(cfg, plan)
+        if augmented:
+            aug, prior = augmented_model(cfg)
+            model, knowledge = aug.model, None
+        else:
+            model, prior, knowledge = linear_model(cfg), state_prior(cfg), frequency_knowledge(cfg)
+        m, n, k = 64, prior.dim, 6
+        states = mvn_sample(prior.mean, prior.cov, rng.standard_normal((m, n)))
+        if knowledge is None:
+            params = np.zeros((m, 0))
+        else:
+            params = mvn_sample(knowledge.estimate, knowledge.cov, rng.standard_normal((m, 1)))
+        covs = np.stack([prior.cov + rand_psd(rng, n, 1e-4) for _ in range(m)])
+        ens = McEnsemble(states, params, k - 1)
+        y = record.measurements[k - 1]
+        got, got_covs = mc_step(ens, y, model, covs, plan, k, trial_start=128)
+        want, want_covs = einsum_step(ens, y, model, covs, plan, k, trial_start=128)
+        assert got_covs.shape == (m, n, n)
+        assert rel_err(got.states, want) < 1e-13
+        assert rel_err(got_covs, want_covs) < 1e-13
+
+    def test_two_measurements_track_filter_covariance(self):
+        # p = 2 takes the batched-solve gain; every trial's covariance
+        # recursion must equal the Kalman filter's, and the samples the
+        # einsum reference
+        model = LinearModel(
+            state_matrix=np.array([[1.0, 0.1, 0.0], [0.0, 0.9, 0.2], [0.0, 0.0, 1.0]]),
+            obs_matrix=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]),
+            process_noise=np.diag([0.01, 0.02, 0.005]),
+            obs_noise=np.array([[0.5, 0.1], [0.1, 0.3]]),
+        )
+        plan = RngStreamPlan(5)
+        ys = np.array([[0.4, 1.0], [-0.2, 0.8], [0.7, 0.5]])
+        belief = GaussianBelief([1.0, -0.5, 0.2], np.diag([0.5, 0.3, 0.1]))
+        m = 5
+        ens = McEnsemble(np.tile(belief.mean, (m, 1)), np.zeros((m, 0)), 0)
+        covs = np.repeat(belief.cov[np.newaxis], m, axis=0)
+        for k in range(1, 4):
+            want, _ = einsum_step(ens, ys[k - 1], model, covs, plan, k)
+            ens, covs = mc_step(ens, ys[k - 1], model, covs, plan, k)
+            assert rel_err(ens.states, want) < 1e-13
+            pred = kf_predict(belief, model, None, k)
+            belief = kf_correct(pred, ys[k - 1], model, None, k).corrected
+            for trial_cov in covs:
+                assert rel_err(trial_cov, belief.cov) < 1e-12
+
+    def test_zero_innovation_variance_named(self):
+        # zero Q, zero R and, for trials 2 and 3, a zero covariance make the
+        # scalar innovation variance s = 0
+        model = LinearModel(
+            state_matrix=np.array([[1.0]]),
+            obs_matrix=np.array([[1.0]]),
+            process_noise=np.array([[0.0]]),
+            obs_noise=np.array([[0.0]]),
+        )
+        ens = McEnsemble(np.ones((4, 1)), np.zeros((4, 0)), 1)
+        covs = np.array([1.0, 1.0, 0.0, 0.0]).reshape(4, 1, 1)
+        with pytest.raises(NumericError, match="innovation variance 0 .* trial 10 at time index 2"):
+            mc_step(ens, [1.0], model, covs, RngStreamPlan(5), 2, trial_start=8)
 
     def test_non_finite_propagation_named(self):
         model = LinearModel(

@@ -156,13 +156,6 @@ def _eval_matrix(spec: MatrixSpec, *args) -> np.ndarray:
     return np.asarray(spec, dtype=float)
 
 
-def per_trial(matrix: np.ndarray, count: int) -> np.ndarray:
-    """(count, rows, cols) view of a model matrix: a stack with a leading
-    trial axis passes through, a single matrix is shared by every trial."""
-    m = np.atleast_2d(matrix)
-    return np.broadcast_to(m, (count,) + m.shape[-2:])
-
-
 @dataclass(frozen=True)
 class LinearModel:
     """Linear state-space system x(k+1) = F x(k) + w, y(k) = C x(k) + v.
@@ -171,7 +164,8 @@ class LinearModel:
     (k, theta); noise covariances may be constant arrays or callables of k.
     theta is None, one parameter vector, or an (M, n_theta) batch with a
     leading trial axis; for a batch the matrix callables return (M, ., .)
-    stacks, or one matrix that holds for every trial.
+    stacks, or one matrix that holds for every trial.  f and h evaluate the
+    system like NonlinearModel's: on one state vector or an (M, n) batch.
     """
 
     state_matrix: MatrixSpec
@@ -184,6 +178,12 @@ class LinearModel:
 
     def C(self, k: int, theta=None) -> np.ndarray:
         return _eval_matrix(self.obs_matrix, k, theta)
+
+    def f(self, x: np.ndarray, theta, k: int) -> np.ndarray:
+        return np.einsum("...ij,...j->...i", self.F(k, theta), x)
+
+    def h(self, x: np.ndarray, theta, k: int) -> np.ndarray:
+        return np.einsum("...ij,...j->...i", np.atleast_2d(self.C(k, theta)), x)
 
     def Q(self, k: int) -> np.ndarray:
         return _eval_matrix(self.process_noise, k)

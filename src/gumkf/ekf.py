@@ -20,13 +20,13 @@ from .core import (
     GaussianBelief,
     LinearModel,
     NonlinearModel,
-    NumericError,
     ParameterKnowledge,
     finite_difference_jacobian,
     require_psd,
     symmetrize,
 )
-from .kalman import KalmanStep, joseph_update, kf_gain
+from .kalman import KalmanStep, _belief, _correct, _gain, _predict, joseph_update
+from .kalman import kf_gain  # noqa: F401  ekf.kf_gain is read by perfbench's tracer test
 
 
 def ekf_predict(
@@ -34,15 +34,9 @@ def ekf_predict(
 ) -> GaussianBelief:
     """Prediction through the nonlinear dynamics with Jacobian-propagated
     covariance."""
-    mean = model.f(prev.mean, theta, k)
-    F = model.F(prev.mean, theta, k)
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(F))):
-        raise NumericError(f"non-finite dynamics evaluation at time index {k}")
-    if F.shape != (prev.dim, prev.dim):
-        raise DimensionError(f"state Jacobian shape {F.shape} != ({prev.dim},)*2")
-    cov = symmetrize(F @ prev.cov @ F.T + model.Q(k))
-    require_psd(cov, 1e-10, f"ekf_predict at k={k}")
-    return GaussianBelief(mean, cov)
+    x = prev.mean
+    F, mean = model.F(x, theta, k), model.f(x, theta, k)
+    return _predict(prev, F, model.Q(k), f"ekf_predict at k={k}", mean=mean)
 
 
 def ekf_correct(
@@ -54,20 +48,9 @@ def ekf_correct(
 ) -> KalmanStep:
     """Correction with the observation Jacobian H evaluated at the predicted
     estimate; Joseph-form covariance."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    H = model.H(predicted.mean, theta, k)
-    R = np.atleast_2d(model.R(k))
-    if not np.all(np.isfinite(H)):
-        raise NumericError(f"non-finite observation Jacobian at time index {k}")
-    try:
-        K = kf_gain(predicted.cov, H, R)
-    except NumericError as exc:
-        raise NumericError(f"{exc} at time index {k}") from exc
-    innovation = y - model.h(predicted.mean, theta, k)
-    mean = predicted.mean + K @ innovation
-    cov = joseph_update(predicted.cov, K, H, R)
-    require_psd(cov, 1e-10, f"ekf_correct at k={k}")
-    return KalmanStep(predicted, K, GaussianBelief(mean, cov), innovation)
+    x = predicted.mean
+    H, h_pred = model.H(x, theta, k), model.h(x, theta, k)
+    return _correct(predicted, y, H, model.R(k), k, f"ekf_correct at k={k}", h_pred=h_pred)
 
 
 def propagate_nonlinear_gum_linearized(
@@ -82,14 +65,10 @@ def propagate_nonlinear_gum_linearized(
     when y.cov equals the model's measurement noise covariance."""
     predicted = ekf_predict(prev, model, k, theta)
     H = model.H(predicted.mean, theta, k)
-    try:
-        K = kf_gain(predicted.cov, H, y.cov)
-    except NumericError as exc:
-        raise NumericError(f"{exc} at time index {k}") from exc
+    K = _gain(predicted.cov, H, y.cov, k)
     mean = predicted.mean + K @ (y.mean - model.h(predicted.mean, theta, k))
     cov = joseph_update(predicted.cov, K, H, y.cov)
-    require_psd(cov, 1e-10, f"propagate_nonlinear_gum_linearized at k={k}")
-    return GaussianBelief(mean, cov)
+    return _belief(mean, cov, f"propagate_nonlinear_gum_linearized at k={k}")
 
 
 # ---------------------------------------------------------------------------
@@ -108,22 +87,6 @@ class AugmentedModel:
     model: NonlinearModel
     n_x: int
     n_theta: int
-
-
-def _apply_base_dynamics(base, x, th, k):
-    if isinstance(base, LinearModel):
-        F = base.F(k, th)
-        return np.einsum("...ij,...j->...i", F, x)
-    return base.f(x, th, k)
-
-
-def _apply_base_obs(base, x, th, k):
-    if isinstance(base, LinearModel):
-        C = np.asarray(base.C(k, th), dtype=float)
-        if C.ndim == 1:
-            C = C[np.newaxis, :]
-        return np.einsum("...ij,...j->...i", C, x)
-    return base.h(x, th, k)
 
 
 def augment(
@@ -152,14 +115,12 @@ def augment(
     def f_aug(z, _theta, k):
         z = np.asarray(z, dtype=float)
         x, th = z[..., :n_x], z[..., n_x:]
-        return np.concatenate(
-            [_apply_base_dynamics(model, x, th, k), th], axis=-1
-        )
+        return np.concatenate([model.f(x, th, k), th], axis=-1)
 
     def h_aug(z, _theta, k):
         z = np.asarray(z, dtype=float)
         x, th = z[..., :n_x], z[..., n_x:]
-        return _apply_base_obs(model, x, th, k)
+        return model.h(x, th, k)
 
     def q_aug(k):
         Q = np.atleast_2d(model.Q(k))
@@ -254,10 +215,7 @@ def split_update(
     H_theta = np.hstack([C, D])
     R = np.atleast_2d(aug.base.R(k))
     S = symmetrize(H_theta @ P @ H_theta.T + R)
-    try:
-        K_full = kf_gain(P, H_theta, R)
-    except NumericError as exc:
-        raise NumericError(f"{exc} at time index {k}") from exc
+    K_full = _gain(P, H_theta, R, k)
     K1 = K_full[:n_x]
     K2 = K_full[n_x:]
 

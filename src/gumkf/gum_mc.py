@@ -185,6 +185,10 @@ def _t(a: np.ndarray) -> np.ndarray:
     return a.transpose(1, 0, 2)
 
 
+# Overflow and invalid results end as non-finite values: any in the covariance
+# reaches s (p = 1) or the gain and so the samples (p > 1), and those checks
+# raise a NumericError naming the trial and the time index.
+@np.errstate(over="ignore", invalid="ignore")
 def mc_step(
     ensemble: McEnsemble,
     y_hat: np.ndarray,
@@ -373,18 +377,16 @@ def _run_blocks(
     records: Dict[int, np.ndarray] = {}
 
     def summarize(k):
-        ensemble = McEnsemble(
-            np.concatenate([e.states for e, _ in blocks]),
-            np.concatenate([e.params for e, _ in blocks]),
-            k,
-        )
-        state_means[k], state_covs[k] = _mean_cov(ensemble.states)
-        param_means[k], param_covs[k] = _mean_cov(ensemble.params)
+        # the blocks are McEnsembles that mc_step or _init_trials validated
+        states = np.concatenate([e.states for e, _ in blocks])
+        params = np.concatenate([e.params for e, _ in blocks])
+        state_means[k], state_covs[k] = _mean_cov(states)
+        param_means[k], param_covs[k] = _mean_cov(params)
         if store_samples:
-            samples_states[k] = ensemble.states
-            samples_params[k] = ensemble.params
+            samples_states[k] = states
+            samples_params[k] = params
         if k in record_at:
-            records[k] = ensemble.joined()
+            records[k] = np.hstack([states, params])
 
     executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     mapper = map if executor is None else executor.map

@@ -1,5 +1,10 @@
 """Linear Kalman filter and the analytic uncertainty propagation it equals.
 
+The LKF and the EKF are one recursion, held by the private kernels `_predict`
+and `_correct`: kf_* (here) fetch F or C from their model, ekf_* (in `ekf`)
+the Jacobian and the predicted value f(x) or h(x).  Every belief a step returns
+passes one PSD gate, GaussianBelief's own; a failure names the step and k.
+
 The correction covariance is computed in Joseph form, which is algebraically
 equal to (I - K C) P at the optimal gain but remains PSD under rounding.  The
 innovation covariance is handled through a symmetric positive-definite solve,
@@ -18,7 +23,6 @@ from .core import (
     GaussianBelief,
     LinearModel,
     NumericError,
-    require_psd,
     symmetrize,
 )
 
@@ -34,21 +38,59 @@ class KalmanStep:
     innovation: np.ndarray
 
 
+def _belief(mean, cov, where: str) -> GaussianBelief:
+    """GaussianBelief, the step's one PSD gate, failing with `where` named."""
+    try:
+        return GaussianBelief(mean, cov)
+    except NumericError as exc:
+        raise NumericError(f"covariance is not positive semidefinite ({where})") from exc
+
+
+def _gain(P: np.ndarray, H: np.ndarray, R: np.ndarray, k: int) -> np.ndarray:
+    """kf_gain with the time index added to its error."""
+    try:
+        return kf_gain(P, H, R)
+    except NumericError as exc:
+        raise NumericError(f"{exc} at time index {k}") from exc
+
+
+def _predict(prev: GaussianBelief, F, Q, where: str, mean=None) -> GaussianBelief:
+    """Covariance F P F' + Q; the mean is `mean`, or F x when it is None."""
+    n = prev.dim
+    if F.shape != (n, n):
+        raise DimensionError(f"state matrix shape {F.shape} != ({n}, {n}) ({where})")
+    if Q.shape != (n, n):
+        raise DimensionError(f"process noise shape {Q.shape} != ({n}, {n}) ({where})")
+    mean = F @ prev.mean if mean is None else mean
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(F))):
+        raise NumericError(f"non-finite dynamics evaluation ({where})")
+    return _belief(mean, symmetrize(F @ prev.cov @ F.T + Q), where)
+
+
+def _correct(predicted: GaussianBelief, y, H, R, k: int, where: str, h_pred=None) -> KalmanStep:
+    """Joseph-form correction; the predicted observation is `h_pred`, or H x
+    when it is None."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    H, R = np.atleast_2d(H), np.atleast_2d(R)
+    if H.shape != (y.shape[0], predicted.dim):
+        raise DimensionError(
+            f"obs matrix shape {H.shape} != ({y.shape[0]}, {predicted.dim}) ({where})"
+        )
+    h_pred = H @ predicted.mean if h_pred is None else h_pred
+    if not (np.all(np.isfinite(H)) and np.all(np.isfinite(h_pred))):
+        raise NumericError(f"non-finite observation evaluation ({where})")
+    K = _gain(predicted.cov, H, R, k)
+    innovation = y - h_pred
+    mean = predicted.mean + K @ innovation
+    cov = joseph_update(predicted.cov, K, H, R)
+    return KalmanStep(predicted, K, _belief(mean, cov, where), innovation)
+
+
 def kf_predict(
     prev: GaussianBelief, model: LinearModel, theta=None, k: int = 0
 ) -> GaussianBelief:
     """Prediction step: mean F x, covariance F P F' + Q."""
-    F = model.F(k, theta)
-    Q = model.Q(k)
-    n = prev.dim
-    if F.shape != (n, n):
-        raise DimensionError(f"state matrix shape {F.shape} != ({n}, {n})")
-    if Q.shape != (n, n):
-        raise DimensionError(f"process noise shape {Q.shape} != ({n}, {n})")
-    mean = F @ prev.mean
-    cov = symmetrize(F @ prev.cov @ F.T + Q)
-    require_psd(cov, 1e-10, f"kf_predict at k={k}")
-    return GaussianBelief(mean, cov)
+    return _predict(prev, model.F(k, theta), model.Q(k), f"kf_predict at k={k}")
 
 
 def kf_gain(predicted_cov: np.ndarray, C: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -87,22 +129,7 @@ def kf_correct(
 ) -> KalmanStep:
     """Correction step: mean shifted by gain times innovation, Joseph-form
     covariance."""
-    C = np.atleast_2d(model.C(k, theta))
-    R = np.atleast_2d(model.R(k))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if C.shape != (y.shape[0], predicted.dim):
-        raise DimensionError(
-            f"obs matrix shape {C.shape} != ({y.shape[0]}, {predicted.dim})"
-        )
-    try:
-        K = kf_gain(predicted.cov, C, R)
-    except NumericError as exc:
-        raise NumericError(f"{exc} at time index {k}") from exc
-    innovation = y - C @ predicted.mean
-    mean = predicted.mean + K @ innovation
-    cov = joseph_update(predicted.cov, K, C, R)
-    require_psd(cov, 1e-10, f"kf_correct at k={k}")
-    return KalmanStep(predicted, K, GaussianBelief(mean, cov), innovation)
+    return _correct(predicted, y, model.C(k, theta), model.R(k), k, f"kf_correct at k={k}")
 
 
 def propagate_linear_gum(
@@ -124,12 +151,8 @@ def propagate_linear_gum(
     C = np.atleast_2d(model.C(k, theta))
     R = y.cov
     P_pred = symmetrize(F @ prev.cov @ F.T + Q)
-    try:
-        K = kf_gain(P_pred, C, R)
-    except NumericError as exc:
-        raise NumericError(f"{exc} at time index {k}") from exc
+    K = _gain(P_pred, C, R, k)
     A = np.eye(prev.dim) - K @ C
     mean = A @ (F @ prev.mean) + K @ y.mean
     cov = symmetrize(A @ P_pred @ A.T + K @ R @ K.T)
-    require_psd(cov, 1e-10, f"propagate_linear_gum at k={k}")
-    return GaussianBelief(mean, cov)
+    return _belief(mean, cov, f"propagate_linear_gum at k={k}")

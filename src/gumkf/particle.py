@@ -9,18 +9,16 @@ count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Tuple, Union
 
 import numpy as np
 
 from .core import (
     ConfigError,
-    GaussianBelief,
     LinearModel,
     NonlinearModel,
     NumericError,
     RngStreamPlan,
-    per_trial,
     psd_sqrt,
     symmetrize,
 )
@@ -61,12 +59,6 @@ def _require_normalized(weights: np.ndarray) -> None:
         raise ValueError("particle weights are not normalized")
 
 
-def _push_states(model, states, k):
-    if isinstance(model, LinearModel):
-        return np.einsum("mij,mj->mi", per_trial(model.F(k, None), states.shape[0]), states)
-    return model.f(states, None, k)
-
-
 def pf_propagate(
     particles: ParticleSet,
     model: Union[LinearModel, NonlinearModel],
@@ -82,18 +74,14 @@ def pf_propagate(
         lq,
         plan.normal_rows(k, LABEL_PROCESS, 0, particles.size, particles.states.shape[1]),
     )
-    new_states = _push_states(model, particles.states, k) + noise
+    new_states = model.f(particles.states, None, k) + noise
     return ParticleSet(new_states, particles.weights, k)
 
 
 def _log_likelihood(model, states, y_hat, k):
-    if isinstance(model, LinearModel):
-        h_val = np.einsum("mij,mj->mi", per_trial(model.C(k, None), states.shape[0]), states)
-    else:
-        h_val = model.h(states, None, k)
     r_mat = np.atleast_2d(model.R(k))
     p = r_mat.shape[0]
-    resid = y_hat - h_val
+    resid = y_hat - model.h(states, None, k)
     try:
         r_inv_resid = np.linalg.solve(r_mat, resid.T).T
     except np.linalg.LinAlgError as exc:

@@ -265,19 +265,21 @@ def _variances(covs: np.ndarray) -> np.ndarray:
     return np.diagonal(covs, axis1=1, axis2=2)
 
 
-def _sampled_report(name, config, record, means, variances, marginals, ess=None):
-    """Report from sample moments with columns (xL, xs, theta)."""
+def _report(name, config, record, means, variances, marginals=None, ess=None):
+    """Report from per-step means and variances with columns (xL, xs) or
+    (xL, xs, theta)."""
     u = np.sqrt(np.maximum(variances, 0.0))
+    has_theta = means.shape[1] > 2
     return EstimationReport(
         name,
         config,
         record.times,
         means[:, :2],
         u[:, :2],
-        means[:, 2],
-        u[:, 2],
+        means[:, 2] if has_theta else None,
+        u[:, 2] if has_theta else None,
         record,
-        marginals,
+        marginals or {},
         ess=ess,
     )
 
@@ -305,42 +307,23 @@ def scenario(
     n = config.n_steps
     rec_idx = _times_to_indices(config, record_at_times)
 
-    if name == "lkf-known":
-        model = linear_model(config)
-        theta_true = np.array([config.theta])
-        belief = state_prior(config)
-        est = np.empty((n + 1, 2))
-        u = np.empty((n + 1, 2))
-        est[0], u[0] = belief.mean, np.sqrt(np.diag(belief.cov))
+    if name in ("lkf-known", "ekf-augmented"):
+        if name == "lkf-known":
+            model, belief = linear_model(config), state_prior(config)
+            theta = np.array([config.theta])
+            predict, correct = kf_predict, kf_correct
+        else:
+            aug, belief = augmented_model(config)
+            model, theta = aug.model, None
+            predict, correct = ekf_predict, ekf_correct
+        means = np.empty((n + 1, belief.dim))
+        variances = np.empty((n + 1, belief.dim))
+        means[0], variances[0] = belief.mean, np.diag(belief.cov)
         for k in range(1, n + 1):
-            predicted = kf_predict(belief, model, theta_true, k)
-            belief = kf_correct(predicted, ys[k - 1 : k], model, theta_true, k).corrected
-            est[k] = belief.mean
-            u[k] = np.sqrt(np.diag(belief.cov))
-        return EstimationReport(
-            name, config, record.times, est, u, None, None, record
-        )
-
-    if name == "ekf-augmented":
-        aug, belief = augmented_model(config)
-        est = np.empty((n + 1, 3))
-        u = np.empty((n + 1, 3))
-        est[0], u[0] = belief.mean, np.sqrt(np.diag(belief.cov))
-        for k in range(1, n + 1):
-            predicted = ekf_predict(belief, aug.model, k)
-            belief = ekf_correct(predicted, ys[k - 1 : k], aug.model, k).corrected
-            est[k] = belief.mean
-            u[k] = np.sqrt(np.diag(belief.cov))
-        return EstimationReport(
-            name,
-            config,
-            record.times,
-            est[:, :2],
-            u[:, :2],
-            est[:, 2],
-            u[:, 2],
-            record,
-        )
+            predicted = predict(belief, model, theta=theta, k=k)
+            belief = correct(predicted, ys[k - 1 : k], model, theta=theta, k=k).corrected
+            means[k], variances[k] = belief.mean, np.diag(belief.cov)
+        return _report(name, config, record, means, variances)
 
     if name in ("mc-lkf-uncertain", "mc-ekf"):
         if name == "mc-ekf":
@@ -355,7 +338,7 @@ def scenario(
         # columns (xL, xs, theta): the frequency is a parameter of the linear
         # model and the third state of the augmented one
         marginals = {rec_idx[k]: (res.records[k], np.full(trials, 1.0 / trials)) for k in res.records}
-        return _sampled_report(
+        return _report(
             name,
             config,
             record,
@@ -374,6 +357,6 @@ def scenario(
         ys, aug.model, prior_sampler, n_particles, gamma, plan, record_at=tuple(rec_idx)
     )
     marginals = {rec_idx[k]: res.records[k] for k in res.records}
-    return _sampled_report(
+    return _report(
         name, config, record, res.means, _variances(res.covs), marginals, ess=res.ess
     )

@@ -9,6 +9,7 @@ from gumkf import (
     GaussianBelief,
     LinearModel,
     NonlinearModel,
+    NumericError,
     ParameterKnowledge,
     RngStreamPlan,
     TankConfig,
@@ -119,6 +120,32 @@ class TestEkfCorrect:
         step = ekf_correct(pred, [100.5], aug.model, 1)
         s_val = pred.cov[0, 0] + cfg.sigma**2
         np.testing.assert_allclose(step.gain[:, 0], pred.cov[:, 0] / s_val, rtol=1e-12)
+
+
+class TestPsdGate:
+    """A step whose covariance leaves the PSD cone fails at its one gate,
+    naming the step and the time index."""
+
+    RUNS = {
+        "kf_predict": lambda lin, nl, b: kf_predict(b, lin, None, 3),
+        "ekf_predict": lambda lin, nl, b: ekf_predict(b, nl, 3),
+        "kf_correct": lambda lin, nl, b: kf_correct(b, [0.0], lin, None, 3),
+        "ekf_correct": lambda lin, nl, b: ekf_correct(b, [0.0], nl, 3),
+    }
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_failure_names_step_and_time_index(self, name):
+        if name.endswith("predict"):  # indefinite Q
+            Q, R, cov = np.diag([-1.0, 0.0]), [[1.0]], 0.1 * np.eye(2)
+        else:  # S = 0.5 passes the gain; the Joseph covariance is diag(-1, 1)
+            Q, R, cov = np.zeros((2, 2)), [[-0.5]], np.eye(2)
+        C = [[1.0, 0.0]]
+        lin = LinearModel(np.eye(2), np.array(C), Q, np.array(R))
+        nl = linear_as_nonlinear(np.eye(2), C, Q, R)
+        with pytest.raises(
+            NumericError, match=rf"^covariance is not positive semidefinite \({name} at k=3\)$"
+        ):
+            self.RUNS[name](lin, nl, GaussianBelief(np.zeros(2), cov))
 
 
 class TestAugment:

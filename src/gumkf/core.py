@@ -119,7 +119,7 @@ def finite_difference_jacobian(
 
 @dataclass(frozen=True)
 class GaussianBelief:
-    """A state estimate: mean vector with symmetric PSD covariance."""
+    """A state estimate: finite mean vector with symmetric PSD covariance."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -134,6 +134,8 @@ class GaussianBelief:
                 f"cov shape {cov.shape} does not match mean dimension {mean.shape[0]}"
             )
         scale = np.abs(cov).max() if cov.size else 0.0
+        if not (np.isfinite(scale) and np.isfinite(mean).all()):  # a NaN makes scale NaN
+            raise NumericError("mean or covariance is not finite (GaussianBelief)")
         if scale > 0 and np.abs(cov - cov.T).max() > 1e-12 * scale:
             raise DimensionError("covariance is asymmetric beyond 1e-12 relative")
         require_psd(cov, 1e-10, "GaussianBelief")

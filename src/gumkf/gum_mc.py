@@ -2,11 +2,12 @@
 estimation model (GUM Supplement 1 over the filter recursion).
 
 Every trial m carries a joint sample (x, theta) together with its own
-deterministic filter covariance recursion; the Kalman gain inside a trial is
-computed from that recursion, which depends on the trial's sampled parameters
-through the system matrices.  Draws are addressed by (trial, time, label)
-through the RngStreamPlan, so a trial's trajectory does not depend on which
-other trials are advanced with it.
+deterministic filter covariance recursion, which depends on the trial's
+sampled parameters through the system matrices.  That recursion is the
+filters' Kalman step from `kalman`, run with the trials as the last axis of
+its stacks, so a trial's covariance is the LKF's or EKF's bit for bit.
+Draws are addressed by (trial, time, label) through the RngStreamPlan, so a
+trial's trajectory does not depend on which other trials are advanced with it.
 
 One driver runs every mode.  It splits the trials into blocks [a, b) and, at
 each time step, advances every block with mc_step; the moments, stored
@@ -38,6 +39,7 @@ from .core import (
     psd_sqrt,
     symmetrize,
 )
+from .kalman import _mm, _mv, _soa, _t, _update
 
 LABEL_INIT_STATE = "mc/init-state"
 LABEL_INIT_PARAM = "mc/init-param"
@@ -150,44 +152,10 @@ def finalize_stats(
 
 # ---------------------------------------------------------------------------
 # the per-step Monte Carlo propagation
-#
-# Inside mc_step every per-trial quantity is a structure-of-arrays stack with
-# the trial axis last: matrices (r, c, M), vectors (n, M).  A matrix shared by
-# every trial is (r, c, 1) and broadcasts.  Each product is a short loop of
-# elementwise multiply-adds, so a trial's bits never depend on the other
-# trials of its block.
 
 
-def _soa(matrix: np.ndarray) -> np.ndarray:
-    """(r, c, M) stack of a (M, r, c) per-trial stack, or (r, c, 1) for one
-    matrix shared by every trial."""
-    a = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if a.ndim == 2:
-        return a[:, :, np.newaxis]
-    return np.ascontiguousarray(np.moveaxis(a, 0, -1))
-
-
-def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-trial product of an (i, l, .) and an (l, j, .) stack."""
-    out = a[:, :1] * b[:1]
-    for l in range(1, a.shape[1]):
-        out += a[:, l : l + 1] * b[l : l + 1]
-    return out
-
-
-def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Per-trial product of an (i, l, .) stack and an (l, M) vector stack."""
-    return _mm(a, v[:, np.newaxis])[:, 0]
-
-
-def _t(a: np.ndarray) -> np.ndarray:
-    """Per-trial transpose of an (r, c, .) stack."""
-    return a.transpose(1, 0, 2)
-
-
-# Overflow and invalid results end as non-finite values: any in the covariance
-# reaches s (p = 1) or the gain and so the samples (p > 1), and those checks
-# raise a NumericError naming the trial and the time index.
+# Overflow and invalid results end as non-finite values, which the checks of
+# s, S and the samples reject with a NumericError naming the time index.
 @np.errstate(over="ignore", invalid="ignore")
 def mc_step(
     ensemble: McEnsemble,
@@ -207,13 +175,12 @@ def mc_step(
     deterministic covariance recursion.  `filter_state` holds the per-trial
     predicted-covariance recursion, shape (M, n, n), going in and out.
 
-    Internally the trials are the last axis: covariances are (n, n, M)
-    stacks and vectors (n, M), so every product is elementwise over the
-    trials.  With one measurement (p = 1) the gain is H P / s, a division;
-    with p > 1 it comes from a batched solve.
+    The trials are the last axis of `kalman`'s structure-of-arrays stacks,
+    and the prediction F P F' + Q and the correction `kalman._update` are the
+    filters' own step: each trial's covariance equals the LKF's or EKF's bit
+    for bit when it sees the same matrices.
     """
-    states = ensemble.states
-    params = ensemble.params
+    states, params = ensemble.states, ensemble.params
     m_trials, n = states.shape
     y_hat = np.atleast_1d(np.asarray(y_hat, dtype=float))
     p = y_hat.shape[0]
@@ -249,32 +216,7 @@ def mc_step(
         x_rows = np.ascontiguousarray(x_tilde.T)
         H = _soa(model.H(x_rows, theta, k))
         h_val = model.h(x_rows, theta, k).T
-    hp = _mm(H, cov_pred)  # H P, (p, n, M)
-    s_mat = _mm(hp, _t(H)) + _soa(R)
-    if p == 1:
-        s = s_mat[0, 0]
-        bad = ~(np.isfinite(s) & (s > 0.0))
-        if bad.any():
-            first = int(np.argmax(bad))
-            raise NumericError(
-                f"innovation variance {s[first]:g} is not finite and positive "
-                f"in trial {trial_start + first} at time index {k}"
-            )
-        gain = _t(hp / s)  # (n, 1, M)
-    else:
-        try:
-            gain = np.linalg.solve(s_mat.transpose(2, 0, 1), hp.transpose(2, 0, 1))
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(
-                f"singular innovation covariance at time index {k}: {exc}"
-            ) from exc
-        gain = gain.transpose(2, 1, 0)  # (M, p, n) -> (n, p, M)
-
-    innovation = y_samples - h_val
-    x_new = x_tilde + _mv(gain, innovation)
-    a_mat = np.eye(n)[:, :, np.newaxis] - _mm(gain, H)
-    cov_new = _mm(_mm(a_mat, cov_pred), _t(a_mat)) + _mm(_mm(gain, _soa(R)), _t(gain))
-    cov_new = (cov_new + _t(cov_new)) / 2.0
+    x_new, cov_new, _, _ = _update(x_tilde, cov_pred, y_samples, h_val, H, _soa(R), k, trial_start)
 
     bad = ~np.all(np.isfinite(x_new), axis=0)
     if bad.any():
@@ -282,8 +224,7 @@ def mc_step(
         raise NumericError(
             f"non-finite sample in trial {trial_start + first} at time index {k}"
         )
-    states_new = np.ascontiguousarray(x_new.T)
-    return McEnsemble(states_new, params, k), np.moveaxis(cov_new, -1, 0)
+    return McEnsemble(np.ascontiguousarray(x_new.T), params, k), np.moveaxis(cov_new, -1, 0)
 
 
 def _init_trials(prior, theta_knowledge, plan, trials, trial_start):

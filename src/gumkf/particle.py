@@ -19,7 +19,7 @@ from .core import (
     NonlinearModel,
     NumericError,
     RngStreamPlan,
-    psd_sqrt,
+    mvn_sample,
     symmetrize,
 )
 
@@ -67,14 +67,10 @@ def pf_propagate(
 ) -> ParticleSet:
     """Advance every particle through the dynamics plus process noise;
     weights unchanged."""
-    q_mat = np.atleast_2d(model.Q(k))
-    lq = psd_sqrt(q_mat)
-    noise = np.einsum(
-        "ij,mj->mi",
-        lq,
-        plan.normal_rows(k, LABEL_PROCESS, 0, particles.size, particles.states.shape[1]),
-    )
-    new_states = model.f(particles.states, None, k) + noise
+    n = particles.states.shape[1]
+    z = plan.normal_rows(k, LABEL_PROCESS, 0, particles.size, n)
+    new_states = mvn_sample(np.zeros(n), model.Q(k), z)  # the process noise
+    new_states += model.f(particles.states, None, k)  # in place: one (M, n) array fewer
     return ParticleSet(new_states, particles.weights, k)
 
 

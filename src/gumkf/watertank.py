@@ -10,7 +10,7 @@ uncertainty, which is what the different scenarios exercise.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -64,18 +64,7 @@ class TankConfig:
             raise ConfigError("n_steps must be at least 1")
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "L0": self.L0,
-            "xs": self.xs,
-            "theta": self.theta,
-            "tau": self.tau,
-            "sigma": self.sigma,
-            "dt": self.dt,
-            "n_steps": self.n_steps,
-            "u_theta": self.u_theta,
-            "alpha": self.alpha,
-        }
+        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "TankConfig":
@@ -85,8 +74,7 @@ class TankConfig:
             raise ConfigError(
                 f"unsupported config schema_version {version!r}, expected {SCHEMA_VERSION}"
             )
-        allowed = {"L0", "xs", "theta", "tau", "sigma", "dt", "n_steps", "u_theta", "alpha"}
-        unknown = set(data) - allowed
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:

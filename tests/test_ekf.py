@@ -148,6 +148,37 @@ class TestPsdGate:
             self.RUNS[name](lin, nl, GaussianBelief(np.zeros(2), cov))
 
 
+class TestNonFiniteGate:
+    """A non-finite mean or covariance fails the same gate: a NaN measurement
+    or an overflow never reaches an estimate."""
+
+    RUNS = {
+        "kf_predict": lambda lin, nl, b: kf_predict(b, lin, None, 3),
+        "ekf_predict": lambda lin, nl, b: ekf_predict(b, nl, 3),
+        "kf_correct": lambda lin, nl, b: kf_correct(b, [np.nan], lin, None, 3),
+        "ekf_correct": lambda lin, nl, b: ekf_correct(b, [np.nan], nl, 3),
+    }
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_failure_names_step_and_time_index(self, name):
+        # the predictions overflow F P F'; the corrections see y = NaN
+        F = 1e200 * np.eye(2) if name.endswith("predict") else np.eye(2)
+        C, Q, R = [[1.0, 0.0]], np.zeros((2, 2)), [[1.0]]
+        lin = LinearModel(F, np.array(C), Q, np.array(R))
+        nl = linear_as_nonlinear(F, C, Q, R)
+        with pytest.raises(
+            NumericError, match=rf"^mean or covariance is not finite \({name} at k=3\)$"
+        ):
+            self.RUNS[name](lin, nl, GaussianBelief(np.zeros(2), np.eye(2)))
+
+    def test_nan_measurement_belief_rejected(self):
+        model = LinearModel(np.eye(1), np.eye(1), np.zeros((1, 1)), np.eye(1))
+        with pytest.raises(NumericError, match=r"^mean or covariance is not finite"):
+            propagate_linear_gum(
+                GaussianBelief([0.0], [[1.0]]), GaussianBelief([np.nan], [[1.0]]), model, None, 3
+            )
+
+
 class TestAugment:
     def test_tank_dimensions_and_blocks(self):
         cfg = TankConfig()

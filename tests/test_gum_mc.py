@@ -258,6 +258,49 @@ class TestMcStep:
             for trial_cov in covs:
                 assert rel_err(trial_cov, belief.cov) < 1e-12
 
+    @pytest.mark.parametrize("case", ["tank", "two_measurements"])
+    def test_trial_covariance_is_filter_covariance_bit_for_bit(self, case):
+        # a trial and the LKF run one Kalman step, so with the same matrices
+        # their covariance recursions agree in every bit
+        plan = RngStreamPlan(42)
+        if case == "tank":
+            cfg = TankConfig(n_steps=30)
+            model, belief = linear_model(cfg), state_prior(cfg)
+            ys = simulate(cfg, plan).measurements
+        else:
+            # the p = 2 model of test_two_measurements_track_filter_covariance
+            model = LinearModel(
+                state_matrix=np.array([[1.0, 0.1, 0.0], [0.0, 0.9, 0.2], [0.0, 0.0, 1.0]]),
+                obs_matrix=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]),
+                process_noise=np.diag([0.01, 0.02, 0.005]),
+                obs_noise=np.array([[0.5, 0.1], [0.1, 0.3]]),
+            )
+            belief = GaussianBelief([1.0, -0.5, 0.2], np.diag([0.5, 0.3, 0.1]))
+            ys = np.array([[0.4, 1.0], [-0.2, 0.8], [0.7, 0.5]])
+        ens = McEnsemble(belief.mean[np.newaxis], np.zeros((1, 0)), 0)
+        covs = belief.cov[np.newaxis]
+        for k in range(1, len(ys) + 1):
+            ens, covs = mc_step(ens, ys[k - 1], model, covs, plan, k)
+            pred = kf_predict(belief, model, None, k)
+            belief = kf_correct(pred, ys[k - 1], model, None, k).corrected
+            assert np.array_equal(covs[0], belief.cov), f"time index {k}"
+
+    @pytest.mark.parametrize("R", [[[-1.0]], [[1.0, 3.0], [3.0, 1.0]]], ids=["p1", "p2"])
+    def test_indefinite_innovation_covariance_named(self, R):
+        # with P = 0.5 I, S = P + R is -0.5 (p = 1) or has the eigenvalues 4.5
+        # and -1.5 (p = 2): the filter and every trial refuse it at one check
+        p = len(R)
+        model = LinearModel(np.eye(p), np.eye(p), np.zeros((p, p)), np.array(R))
+        belief = GaussianBelief(np.zeros(p), 0.5 * np.eye(p))
+        match = r"^innovation (variance -0.5 is not finite and positive|covariance is not "
+        match += r"positive definite) (in trial 5 )?at time index 3$"
+        with pytest.raises(NumericError, match=match):
+            kf_correct(belief, np.zeros(p), model, None, 3)
+        ens = McEnsemble(np.zeros((4, p)), np.zeros((4, 0)), 2)
+        covs = np.repeat(belief.cov[np.newaxis], 4, axis=0)
+        with pytest.raises(NumericError, match=match):
+            mc_step(ens, np.zeros(p), model, covs, RngStreamPlan(5), 3, trial_start=5)
+
     def test_zero_innovation_variance_named(self):
         # zero Q, zero R and, for trials 2 and 3, a zero covariance make the
         # scalar innovation variance s = 0

@@ -33,6 +33,15 @@ class ConfigError(ValueError):
     """Invalid configuration input."""
 
 
+def _named(where: str, fn: Callable, *args):
+    """fn(*args), with a NumericError from its gate re-raised naming `where`
+    (e.g. "kf_correct at k=3") in place of fn's own name."""
+    try:
+        return fn(*args)
+    except NumericError as exc:
+        raise NumericError(str(exc).replace(fn.__name__, where)) from exc
+
+
 # ---------------------------------------------------------------------------
 # covariance utilities
 
@@ -54,13 +63,17 @@ def assert_psd(cov: np.ndarray, tol: float = 1e-10) -> bool:
     a = np.asarray(cov, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    scale = np.abs(a).max()
+    scale = np.abs(a).max() if a.size else 0.0
     if scale > 0 and np.abs(a - a.T).max() > 1e-8 * scale:
         raise DimensionError("matrix is asymmetric beyond tolerance")
-    if a.size == 0:
-        return True
-    w = np.linalg.eigvalsh(symmetrize(a))
-    return bool(w.min() >= -tol * max(scale, 1e-300))
+    return _psd(a, scale, tol)
+
+
+def _psd(a: np.ndarray, scale: float, tol: float) -> bool:
+    """The eigenvalue test of assert_psd, for a square matrix already checked
+    for symmetry whose largest absolute entry is `scale`."""
+    w = np.linalg.eigvalsh((a + a.T) / 2.0)
+    return a.size == 0 or bool(w.min() >= -tol * max(scale, 1e-300))
 
 
 def require_psd(cov: np.ndarray, tol: float = 1e-10, context: str = "") -> np.ndarray:
@@ -138,7 +151,8 @@ class GaussianBelief:
             raise NumericError("mean or covariance is not finite (GaussianBelief)")
         if scale > 0 and np.abs(cov - cov.T).max() > 1e-12 * scale:
             raise DimensionError("covariance is asymmetric beyond 1e-12 relative")
-        require_psd(cov, 1e-10, "GaussianBelief")
+        if not _psd(cov, scale, 1e-10):
+            raise NumericError("covariance is not positive semidefinite (GaussianBelief)")
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
@@ -312,11 +326,43 @@ class RngStreamPlan:
         return self.uniform_rows(k, label, 0, count)
 
 
+# ---------------------------------------------------------------------------
+# structure-of-arrays stacks, trial axis last
+
+
+def _soa(matrix: np.ndarray) -> np.ndarray:
+    """(r, c, M) stack of a (M, r, c) per-trial stack, or (r, c, 1) for one
+    matrix shared by every trial."""
+    a = np.atleast_2d(np.asarray(matrix, dtype=float))
+    if a.ndim == 2:
+        return a[:, :, np.newaxis]
+    return np.ascontiguousarray(np.moveaxis(a, 0, -1))
+
+
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-trial product of an (i, l, .) and an (l, j, .) stack."""
+    out = a[:, :1] * b[:1]
+    for l in range(1, a.shape[1]):
+        out += a[:, l : l + 1] * b[l : l + 1]
+    return out
+
+
+def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per-trial product of an (i, l, .) stack and an (l, M) vector stack."""
+    return _mm(a, v[:, np.newaxis])[:, 0]
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    """Per-trial transpose of an (r, c, .) stack."""
+    return a.transpose(1, 0, 2)
+
+
 def mvn_sample(mean: np.ndarray, cov: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Draws from N(mean, cov), one per row of the standard-normal block z
     (shape (M, n), e.g. from RngStreamPlan.normal_rows); returns (M, n).
 
-    Tolerates semidefinite covariances; a zero covariance returns the mean.
+    Gates cov as PSD, tolerating semidefinite ones (a zero cov returns the
+    mean); row m depends on row m of z only, bit for bit.
     """
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
@@ -324,4 +370,14 @@ def mvn_sample(mean: np.ndarray, cov: np.ndarray, z: np.ndarray) -> np.ndarray:
     if cov.shape != (mean.shape[0], mean.shape[0]) or z.shape[1] != mean.shape[0]:
         raise DimensionError("mvn_sample: cov or z shape does not match mean")
     require_psd(cov, 1e-10, "mvn_sample")
-    return mean + np.einsum("ij,mj->mi", psd_sqrt(cov), z)
+    return (mean[:, np.newaxis] + _mv(_soa(psd_sqrt(cov)), z.T)).T
+
+
+def _normalize_measurements(measurements) -> np.ndarray:
+    """The measurement record as (steps, p) rows; refuses an empty record."""
+    ys = np.asarray(measurements, dtype=float)
+    if ys.ndim == 1:
+        ys = ys[:, np.newaxis]
+    if ys.shape[0] < 1:
+        raise NumericError("need at least one measurement")
+    return ys

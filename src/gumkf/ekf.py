@@ -25,8 +25,8 @@ from .core import (
     require_psd,
     symmetrize,
 )
-from .kalman import KalmanStep, _belief, _correct, _gain, _predict, joseph_update
-from .kalman import kf_gain  # noqa: F401  ekf.kf_gain is read by perfbench's tracer test
+from .core import _named
+from .kalman import KalmanStep, _correct, _predict, joseph_update, kf_gain
 
 
 def ekf_predict(
@@ -65,10 +65,10 @@ def propagate_nonlinear_gum_linearized(
     when y.cov equals the model's measurement noise covariance."""
     predicted = ekf_predict(prev, model, k, theta)
     H = model.H(predicted.mean, theta, k)
-    K = _gain(predicted.cov, H, y.cov, k)
+    K = _named(f"propagate_nonlinear_gum_linearized at k={k}", kf_gain, predicted.cov, H, y.cov)
     mean = predicted.mean + K @ (y.mean - model.h(predicted.mean, theta, k))
     cov = joseph_update(predicted.cov, K, H, y.cov)
-    return _belief(mean, cov, f"propagate_nonlinear_gum_linearized at k={k}")
+    return _named(f"propagate_nonlinear_gum_linearized at k={k}", GaussianBelief, mean, cov)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +215,7 @@ def split_update(
     H_theta = np.hstack([C, D])
     R = np.atleast_2d(aug.base.R(k))
     S = symmetrize(H_theta @ P @ H_theta.T + R)
-    K_full = _gain(P, H_theta, R, k)
+    K_full = _named(f"split_update at k={k}", kf_gain, P, H_theta, R)
     K1 = K_full[:n_x]
     K2 = K_full[n_x:]
 

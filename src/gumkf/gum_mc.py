@@ -36,10 +36,10 @@ from .core import (
     ParameterKnowledge,
     RngStreamPlan,
     mvn_sample,
-    psd_sqrt,
     symmetrize,
 )
-from .kalman import _mm, _mv, _soa, _t, _update
+from .core import _mm, _mv, _named, _normalize_measurements, _soa, _t
+from .kalman import _update
 
 LABEL_INIT_STATE = "mc/init-state"
 LABEL_INIT_PARAM = "mc/init-param"
@@ -168,9 +168,10 @@ def mc_step(
 ) -> Tuple[McEnsemble, np.ndarray]:
     """Advance every trial from k-1 to k.
 
-    For each trial: draw a measurement sample around y_hat with covariance R
-    and a process-noise sample from N(0, Q); propagate through the dynamics,
-    add the process noise ("x tilde", carrying the state-covariance
+    For each trial: draw a measurement sample from N(y_hat, R) and a
+    process-noise sample from N(0, Q) through mvn_sample, whose PSD gate
+    refuses an indefinite Q or R naming mc_step and k; propagate through the
+    dynamics, add the process noise ("x tilde", carrying the state-covariance
     contribution) and apply the correction with the gain from the trial's own
     deterministic covariance recursion.  `filter_state` holds the per-trial
     predicted-covariance recursion, shape (M, n, n), going in and out.
@@ -182,19 +183,12 @@ def mc_step(
     """
     states, params = ensemble.states, ensemble.params
     m_trials, n = states.shape
-    y_hat = np.atleast_1d(np.asarray(y_hat, dtype=float))
-    p = y_hat.shape[0]
-
-    Q = np.atleast_2d(model.Q(k))
-    R = np.atleast_2d(model.R(k))
-    z = _mv(
-        _soa(psd_sqrt(Q)),
-        plan.normal_rows(k, LABEL_PROCESS, trial_start, m_trials, n).T,
-    )
-    y_samples = y_hat[:, np.newaxis] + _mv(
-        _soa(psd_sqrt(R)),
-        plan.normal_rows(k, LABEL_OBS, trial_start, m_trials, p).T,
-    )
+    p = np.size(y_hat)
+    Q, R = model.Q(k), model.R(k)
+    z = plan.normal_rows(k, LABEL_PROCESS, trial_start, m_trials, n)
+    z = _named(f"mc_step at k={k}", mvn_sample, np.zeros(n), Q, z).T
+    y_samples = plan.normal_rows(k, LABEL_OBS, trial_start, m_trials, p)
+    y_samples = _named(f"mc_step at k={k}", mvn_sample, y_hat, R, y_samples).T
 
     # prediction: mean push-forward and the deterministic covariance recursion
     theta = params if params.shape[1] else None
@@ -260,15 +254,6 @@ def _check_store(n_steps, trials, width, max_store_bytes):
             f"full sample store needs {need} bytes, exceeding the budget of "
             f"{max_store_bytes}; raise max_store_bytes or disable store_samples"
         )
-
-
-def _normalize_measurements(measurements):
-    ys = np.asarray(measurements, dtype=float)
-    if ys.ndim == 1:
-        ys = ys[:, np.newaxis]
-    if ys.shape[0] < 1:
-        raise NumericError("need at least one measurement")
-    return ys
 
 
 def _run_blocks(

@@ -1,16 +1,15 @@
 """Linear Kalman filter and the analytic uncertainty propagation it equals.
 
 One Kalman step serves the LKF, the EKF and every Monte Carlo trial.  It runs
-on structure-of-arrays stacks, trial axis last: matrices (r, c, M) or, shared
-by every trial, (r, c, 1), and vectors (n, M).  Each product is a short loop
-of elementwise multiply-adds, so a trial's bits never depend on the other
-trials, and a filter (M = 1) and a trial given the same matrices agree bit for
-bit.  `_update` is the correction, with a Joseph-form covariance that stays
-PSD under rounding.  `_predict` and `_correct` run the step on one belief,
-whose one gate is GaussianBelief's own, and name the step and k on failure:
-kf_* fetch F or C from their model, ekf_* (in `ekf`) the Jacobian and f(x) or
-h(x).  `kf_gain` and `joseph_update` keep the matrix formulas for the analytic
-propagations, the filters' independent references.
+on `core`'s structure-of-arrays stacks, trial axis last, whose products keep a
+trial's bits independent of the other trials, so a filter (M = 1) and a trial
+given the same matrices agree bit for bit.  `_update` is the correction, with
+a Joseph-form covariance that stays PSD under rounding.  `_predict` and
+`_correct` run the step on one belief, whose one gate is GaussianBelief's own,
+and name the step and k on failure: kf_* fetch F or C from their model, ekf_*
+(in `ekf`) the Jacobian and f(x) or h(x).  `kf_gain` and `joseph_update` keep
+the matrix formulas for the analytic propagations, the filters' independent
+references.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from .core import (
     NumericError,
     symmetrize,
 )
+from .core import _mm, _mv, _named, _soa, _t
 
 
 @dataclass(frozen=True)
@@ -38,33 +38,6 @@ class KalmanStep:
     gain: np.ndarray
     corrected: GaussianBelief
     innovation: np.ndarray
-
-
-def _soa(matrix: np.ndarray) -> np.ndarray:
-    """(r, c, M) stack of a (M, r, c) per-trial stack, or (r, c, 1) for one
-    matrix shared by every trial."""
-    a = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if a.ndim == 2:
-        return a[:, :, np.newaxis]
-    return np.ascontiguousarray(np.moveaxis(a, 0, -1))
-
-
-def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-trial product of an (i, l, .) and an (l, j, .) stack."""
-    out = a[:, :1] * b[:1]
-    for l in range(1, a.shape[1]):
-        out += a[:, l : l + 1] * b[l : l + 1]
-    return out
-
-
-def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Per-trial product of an (i, l, .) stack and an (l, M) vector stack."""
-    return _mm(a, v[:, np.newaxis])[:, 0]
-
-
-def _t(a: np.ndarray) -> np.ndarray:
-    """Per-trial transpose of an (r, c, .) stack."""
-    return a.transpose(1, 0, 2)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -105,22 +78,6 @@ def _update(x, P, y, h, H, R, k: int, trial_start=None):
     return x + _mv(gain, innovation), (cov + _t(cov)) / 2.0, gain, innovation
 
 
-def _belief(mean, cov, where: str) -> GaussianBelief:
-    """GaussianBelief, the step's one gate, failing with `where` named."""
-    try:
-        return GaussianBelief(mean, cov)
-    except NumericError as exc:
-        raise NumericError(str(exc).replace("GaussianBelief", where)) from exc
-
-
-def _gain(P: np.ndarray, H: np.ndarray, R: np.ndarray, k: int) -> np.ndarray:
-    """kf_gain with the time index added to its error."""
-    try:
-        return kf_gain(P, H, R)
-    except NumericError as exc:
-        raise NumericError(f"{exc} at time index {k}") from exc
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _predict(prev: GaussianBelief, F, Q, where: str, mean=None) -> GaussianBelief:
     """Covariance F P F' + Q; the mean is `mean`, or F x when it is None."""
@@ -133,7 +90,8 @@ def _predict(prev: GaussianBelief, F, Q, where: str, mean=None) -> GaussianBelie
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(F))):
         raise NumericError(f"non-finite dynamics evaluation ({where})")
     F = _soa(F)
-    return _belief(mean, (_mm(_mm(F, _soa(prev.cov)), _t(F)) + _soa(Q))[:, :, 0], where)
+    cov = (_mm(_mm(F, _soa(prev.cov)), _t(F)) + _soa(Q))[:, :, 0]
+    return _named(where, GaussianBelief, mean, cov)
 
 
 def _correct(predicted: GaussianBelief, y, H, R, k: int, where: str, h_pred=None) -> KalmanStep:
@@ -151,7 +109,8 @@ def _correct(predicted: GaussianBelief, y, H, R, k: int, where: str, h_pred=None
         predicted.mean[:, np.newaxis], _soa(predicted.cov), y[:, np.newaxis],
         h_pred[:, np.newaxis], _soa(H), _soa(R), k,
     )
-    return KalmanStep(predicted, K[:, :, 0], _belief(x[:, 0], P[:, :, 0], where), innovation[:, 0])
+    corrected = _named(where, GaussianBelief, x[:, 0], P[:, :, 0])
+    return KalmanStep(predicted, K[:, :, 0], corrected, innovation[:, 0])
 
 
 def kf_predict(
@@ -173,7 +132,7 @@ def kf_gain(predicted_cov: np.ndarray, C: np.ndarray, R: np.ndarray) -> np.ndarr
         # K' = S^-1 C P, using symmetry of P and S
         return scipy.linalg.solve(S, C @ P, assume_a="pos").T
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise NumericError(f"singular innovation covariance: {exc}") from exc
+        raise NumericError(f"singular innovation covariance (kf_gain): {exc}") from exc
 
 
 def joseph_update(
@@ -219,8 +178,8 @@ def propagate_linear_gum(
     C = np.atleast_2d(model.C(k, theta))
     R = y.cov
     P_pred = symmetrize(F @ prev.cov @ F.T + Q)
-    K = _gain(P_pred, C, R, k)
+    K = _named(f"propagate_linear_gum at k={k}", kf_gain, P_pred, C, R)
     A = np.eye(prev.dim) - K @ C
     mean = A @ (F @ prev.mean) + K @ y.mean
     cov = symmetrize(A @ P_pred @ A.T + K @ R @ K.T)
-    return _belief(mean, cov, f"propagate_linear_gum at k={k}")
+    return _named(f"propagate_linear_gum at k={k}", GaussianBelief, mean, cov)

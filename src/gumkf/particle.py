@@ -22,6 +22,7 @@ from .core import (
     mvn_sample,
     symmetrize,
 )
+from .core import _named, _normalize_measurements
 
 LABEL_INIT = "pf/init"
 LABEL_PROCESS = "pf/process"
@@ -37,7 +38,8 @@ class ParticleSet:
     k: int
 
     def __post_init__(self):
-        states = np.atleast_2d(np.asarray(self.states, dtype=float))
+        # C order: the moments' summation order follows the layout
+        states = np.atleast_2d(np.ascontiguousarray(self.states, dtype=float))
         weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if weights.shape[0] != states.shape[0]:
             raise NumericError("weight/state particle counts differ")
@@ -69,9 +71,8 @@ def pf_propagate(
     weights unchanged."""
     n = particles.states.shape[1]
     z = plan.normal_rows(k, LABEL_PROCESS, 0, particles.size, n)
-    new_states = mvn_sample(np.zeros(n), model.Q(k), z)  # the process noise
-    new_states += model.f(particles.states, None, k)  # in place: one (M, n) array fewer
-    return ParticleSet(new_states, particles.weights, k)
+    noise = _named(f"pf_propagate at k={k}", mvn_sample, np.zeros(n), model.Q(k), z)
+    return ParticleSet(model.f(particles.states, None, k) + noise, particles.weights, k)
 
 
 def _log_likelihood(model, states, y_hat, k):
@@ -176,9 +177,7 @@ def pf_run(
     time indices for marginal-PDF inspection."""
     if n_particles < 2:
         raise ConfigError(f"need at least 2 particles, got {n_particles}")
-    ys = np.asarray(measurements, dtype=float)
-    if ys.ndim == 1:
-        ys = ys[:, np.newaxis]
+    ys = _normalize_measurements(measurements)
     n_steps = ys.shape[0]
     record_at = set(int(r) for r in record_at)
 

@@ -179,6 +179,28 @@ class TestNonFiniteGate:
             )
 
 
+class TestReferenceGainGate:
+    """The analytic references name themselves and k when S is singular."""
+
+    RUNS = {
+        "propagate_linear_gum": lambda lin, nl, b, y: propagate_linear_gum(b, y, lin, None, 3),
+        "propagate_nonlinear_gum_linearized":
+            lambda lin, nl, b, y: propagate_nonlinear_gum_linearized(b, y, nl, 3),
+    }
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_singular_innovation_names_step_and_time_index(self, name):
+        # zero P, Q and measurement covariance make S = 0
+        zero = np.zeros((1, 1))
+        lin = LinearModel(np.eye(1), np.eye(1), zero, zero)
+        nl = linear_as_nonlinear(np.eye(1), [[1.0]], zero, zero)
+        belief, y = GaussianBelief([0.0], zero), GaussianBelief([1.0], zero)
+        with pytest.raises(
+            NumericError, match=rf"^singular innovation covariance \({name} at k=3\): "
+        ):
+            self.RUNS[name](lin, nl, belief, y)
+
+
 class TestAugment:
     def test_tank_dimensions_and_blocks(self):
         cfg = TankConfig()

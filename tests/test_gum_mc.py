@@ -285,10 +285,19 @@ class TestMcStep:
             belief = kf_correct(pred, ys[k - 1], model, None, k).corrected
             assert np.array_equal(covs[0], belief.cov), f"time index {k}"
 
-    @pytest.mark.parametrize("R", [[[-1.0]], [[1.0, 3.0], [3.0, 1.0]]], ids=["p1", "p2"])
-    def test_indefinite_innovation_covariance_named(self, R):
+    @pytest.mark.parametrize(
+        "R, trial_R, trial_P",
+        [
+            ([[-1.0]], [[0.0]], [[-0.5]]),
+            ([[1.0, 3.0], [3.0, 1.0]], 0.5 * np.eye(2), np.diag([-1.0, 1.0])),
+        ],
+        ids=["p1", "p2"],
+    )
+    def test_indefinite_innovation_covariance_named(self, R, trial_R, trial_P):
         # with P = 0.5 I, S = P + R is -0.5 (p = 1) or has the eigenvalues 4.5
-        # and -1.5 (p = 2): the filter and every trial refuse it at one check
+        # and -1.5 (p = 2): the filter refuses it at its one check.  mc_step
+        # refuses an indefinite R before that, at its draw, so its trials get
+        # a PSD R and an indefinite covariance, and S is -0.5 or diag(-0.5, 1.5)
         p = len(R)
         model = LinearModel(np.eye(p), np.eye(p), np.zeros((p, p)), np.array(R))
         belief = GaussianBelief(np.zeros(p), 0.5 * np.eye(p))
@@ -296,10 +305,27 @@ class TestMcStep:
         match += r"positive definite) (in trial 5 )?at time index 3$"
         with pytest.raises(NumericError, match=match):
             kf_correct(belief, np.zeros(p), model, None, 3)
+        model = LinearModel(np.eye(p), np.eye(p), np.zeros((p, p)), np.array(trial_R))
         ens = McEnsemble(np.zeros((4, p)), np.zeros((4, 0)), 2)
-        covs = np.repeat(belief.cov[np.newaxis], 4, axis=0)
+        covs = np.repeat(np.array(trial_P)[np.newaxis], 4, axis=0)
         with pytest.raises(NumericError, match=match):
             mc_step(ens, np.zeros(p), model, covs, RngStreamPlan(5), 3, trial_start=5)
+
+    @pytest.mark.parametrize(
+        "Q, R", [([[0.0]], [[-0.5]]), (np.diag([1.0, -1.0]), np.eye(2))], ids=["R", "Q"]
+    )
+    def test_indefinite_noise_covariance_named(self, Q, R):
+        # F = H = 1, Q = 0, R = -0.5 and P = 1 would give a trial covariance
+        # of -1; the draws refuse an indefinite Q or R as kf_* refuse the
+        # covariance it leads to
+        n = len(Q)
+        model = LinearModel(np.eye(n), np.eye(n), np.array(Q), np.array(R))
+        ens = McEnsemble(np.zeros((4, n)), np.zeros((4, 0)), 0)
+        covs = np.repeat(np.eye(n)[np.newaxis], 4, axis=0)
+        with pytest.raises(
+            NumericError, match=r"^covariance is not positive semidefinite \(mc_step at k=1\)$"
+        ):
+            mc_step(ens, np.zeros(n), model, covs, RngStreamPlan(5), 1)
 
     def test_zero_innovation_variance_named(self):
         # zero Q, zero R and, for trials 2 and 3, a zero covariance make the
@@ -447,6 +473,30 @@ class TestBatchSequentialEquivalence:
                 assert serial.records.keys() == other.records.keys()
                 for k in serial.records:
                     np.testing.assert_array_equal(serial.records[k], other.records[k])
+
+    def test_dense_covariances_bit_identical(self):
+        # criterion 07 with every covariance dense (3x3 prior, Q) and p = 2:
+        # each draw and product then sums several nonzero terms, so the
+        # block layout must not change their order
+        model = LinearModel(
+            state_matrix=np.array([[1.0, 0.1, 0.0], [-0.2, 0.9, 0.1], [0.05, 0.0, 1.0]]),
+            obs_matrix=np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 1.0]]),
+            process_noise=np.array(
+                [[0.02, 0.01, 0.004], [0.01, 0.03, 0.006], [0.004, 0.006, 0.01]]
+            ),
+            obs_noise=np.array([[0.5, 0.2], [0.2, 0.3]]),
+        )
+        prior = GaussianBelief(
+            [1.0, -0.5, 0.2], [[0.5, 0.2, 0.1], [0.2, 0.4, -0.05], [0.1, -0.05, 0.3]]
+        )
+        ys = np.random.default_rng(3).standard_normal((12, 2))
+        args = (ys, model, prior, None, RngStreamPlan(42), 30)
+        serial = mc_sequential(*args, store_samples=True)
+        for other in (
+            mc_batch(*args, store_samples=True),
+            mc_sequential(*args, threads=3, store_samples=True),
+        ):
+            np.testing.assert_array_equal(serial.samples_states, other.samples_states)
 
 
 class TestCapacityAndMemory:

@@ -85,6 +85,12 @@ class TestPfPropagate:
         assert np.all(np.abs(dtheta) < 10 * cfg.alpha)
         assert np.std(dtheta) == pytest.approx(cfg.alpha, rel=0.2)
 
+    def test_indefinite_process_noise_names_step_and_time_index(self):
+        model = LinearModel(np.eye(2), np.eye(2), np.diag([1.0, -1.0]), np.eye(2))
+        match = r"^covariance is not positive semidefinite \(pf_propagate at k=2\)$"
+        with pytest.raises(NumericError, match=match):
+            pf_propagate(uniform_particles(np.zeros((4, 2))), model, RngStreamPlan(1), 2)
+
 
 class TestPfWeight:
     def test_identical_states_uniform(self):
@@ -251,3 +257,9 @@ class TestPfRun:
         model, prior, ys = self._linear_instance()
         with pytest.raises(ValueError):
             pf_run(ys[:2], model, self._sampler(prior), 1, 0.9, RngStreamPlan(3))
+
+    def test_empty_measurement_record_rejected(self):
+        # as mc_sequential does; a one-row result would hold the prior only
+        model, prior, _ = self._linear_instance()
+        with pytest.raises(NumericError, match="need at least one measurement"):
+            pf_run(np.zeros(0), model, self._sampler(prior), 10, 0.9, RngStreamPlan(3))

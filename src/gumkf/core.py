@@ -61,19 +61,25 @@ def assert_psd(cov: np.ndarray, tol: float = 1e-10) -> bool:
     Raises DimensionError for non-square or significantly asymmetric input.
     """
     a = np.asarray(cov, dtype=float)
+    scale = _scale(a)
+    return _psd(np.linalg.eigvalsh((a + a.T) / 2.0), scale, tol)
+
+
+def _scale(a: np.ndarray) -> float:
+    """Largest absolute entry of a, refusing a non-square or significantly
+    asymmetric matrix as assert_psd does."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     scale = np.abs(a).max() if a.size else 0.0
     if scale > 0 and np.abs(a - a.T).max() > 1e-8 * scale:
         raise DimensionError("matrix is asymmetric beyond tolerance")
-    return _psd(a, scale, tol)
+    return scale
 
 
-def _psd(a: np.ndarray, scale: float, tol: float) -> bool:
-    """The eigenvalue test of assert_psd, for a square matrix already checked
-    for symmetry whose largest absolute entry is `scale`."""
-    w = np.linalg.eigvalsh((a + a.T) / 2.0)
-    return a.size == 0 or bool(w.min() >= -tol * max(scale, 1e-300))
+def _psd(w: np.ndarray, scale: float, tol: float) -> bool:
+    """The eigenvalue test of every PSD gate: w, the eigenvalues of a matrix
+    whose largest absolute entry is `scale`, are >= -tol * scale."""
+    return w.size == 0 or bool(w.min() >= -tol * max(scale, 1e-300))
 
 
 def require_psd(cov: np.ndarray, tol: float = 1e-10, context: str = "") -> np.ndarray:
@@ -87,15 +93,16 @@ def require_psd(cov: np.ndarray, tol: float = 1e-10, context: str = "") -> np.nd
 def psd_sqrt(cov: np.ndarray) -> np.ndarray:
     """Square-root factor L with L @ L.T == cov for PSD cov.
 
-    Uses an eigendecomposition with negative eigenvalues clamped to zero, so
-    exactly singular covariances (zero rows/columns) are handled.
+    One eigendecomposition serves the factor and require_psd's gate (1e-10,
+    NumericError naming psd_sqrt); the eigenvalues that pass it below zero
+    are clamped, so exactly singular covariances (zero rows/columns) work.
     """
-    a = symmetrize(cov)
-    if a.shape[0] == 0:
-        return a
-    w, v = np.linalg.eigh(a)
-    w = np.clip(w, 0.0, None)
-    return v * np.sqrt(w)
+    a = np.asarray(cov, dtype=float)
+    scale = _scale(a)
+    w, v = np.linalg.eigh((a + a.T) / 2.0)
+    if not _psd(w, scale, 1e-10):
+        raise NumericError("covariance is not positive semidefinite (psd_sqrt)")
+    return v * np.sqrt(np.maximum(w, 0.0))  # np.clip's own ufunc, without its wrapper
 
 
 def finite_difference_jacobian(
@@ -151,7 +158,7 @@ class GaussianBelief:
             raise NumericError("mean or covariance is not finite (GaussianBelief)")
         if scale > 0 and np.abs(cov - cov.T).max() > 1e-12 * scale:
             raise DimensionError("covariance is asymmetric beyond 1e-12 relative")
-        if not _psd(cov, scale, 1e-10):
+        if not _psd(np.linalg.eigvalsh((cov + cov.T) / 2.0), scale, 1e-10):
             raise NumericError("covariance is not positive semidefinite (GaussianBelief)")
         mean.setflags(write=False)
         cov.setflags(write=False)
@@ -336,7 +343,7 @@ def _soa(matrix: np.ndarray) -> np.ndarray:
     a = np.atleast_2d(np.asarray(matrix, dtype=float))
     if a.ndim == 2:
         return a[:, :, np.newaxis]
-    return np.ascontiguousarray(np.moveaxis(a, 0, -1))
+    return np.ascontiguousarray(a.transpose(1, 2, 0))  # np.moveaxis's view, without its overhead
 
 
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -349,7 +356,7 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Per-trial product of an (i, l, .) stack and an (l, M) vector stack."""
-    return _mm(a, v[:, np.newaxis])[:, 0]
+    return _mm(a, v[:, np.newaxis]).reshape(a.shape[0], v.shape[1])  # also for l = 0
 
 
 def _t(a: np.ndarray) -> np.ndarray:
@@ -361,16 +368,16 @@ def mvn_sample(mean: np.ndarray, cov: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Draws from N(mean, cov), one per row of the standard-normal block z
     (shape (M, n), e.g. from RngStreamPlan.normal_rows); returns (M, n).
 
-    Gates cov as PSD, tolerating semidefinite ones (a zero cov returns the
-    mean); row m depends on row m of z only, bit for bit.
+    Gated by psd_sqrt, which lets semidefinite covs pass (a zero cov returns
+    the mean); C-ordered, row m depending on row m of z only, bit for bit.
     """
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     z = np.atleast_2d(np.asarray(z, dtype=float))
     if cov.shape != (mean.shape[0], mean.shape[0]) or z.shape[1] != mean.shape[0]:
         raise DimensionError("mvn_sample: cov or z shape does not match mean")
-    require_psd(cov, 1e-10, "mvn_sample")
-    return (mean[:, np.newaxis] + _mv(_soa(psd_sqrt(cov)), z.T)).T
+    factor = _named("mvn_sample", psd_sqrt, cov)
+    return np.add(_mv(_soa(factor), z.T).T, mean, order="C")
 
 
 def _normalize_measurements(measurements) -> np.ndarray:

@@ -218,7 +218,7 @@ def mc_step(
         raise NumericError(
             f"non-finite sample in trial {trial_start + first} at time index {k}"
         )
-    return McEnsemble(np.ascontiguousarray(x_new.T), params, k), np.moveaxis(cov_new, -1, 0)
+    return McEnsemble(np.ascontiguousarray(x_new.T), params, k), cov_new.transpose(2, 0, 1)
 
 
 def _init_trials(prior, theta_knowledge, plan, trials, trial_start):

@@ -38,8 +38,7 @@ class ParticleSet:
     k: int
 
     def __post_init__(self):
-        # C order: the moments' summation order follows the layout
-        states = np.atleast_2d(np.ascontiguousarray(self.states, dtype=float))
+        states = np.atleast_2d(np.asarray(self.states, dtype=float))
         weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if weights.shape[0] != states.shape[0]:
             raise NumericError("weight/state particle counts differ")
@@ -71,8 +70,9 @@ def pf_propagate(
     weights unchanged."""
     n = particles.states.shape[1]
     z = plan.normal_rows(k, LABEL_PROCESS, 0, particles.size, n)
-    noise = _named(f"pf_propagate at k={k}", mvn_sample, np.zeros(n), model.Q(k), z)
-    return ParticleSet(model.f(particles.states, None, k) + noise, particles.weights, k)
+    new_states = _named(f"pf_propagate at k={k}", mvn_sample, np.zeros(n), model.Q(k), z)
+    new_states += model.f(particles.states, None, k)  # in place: one (M, n) array fewer
+    return ParticleSet(new_states, particles.weights, k)
 
 
 def _log_likelihood(model, states, y_hat, k):

@@ -72,6 +72,14 @@ class TestPsdSqrt:
         l_fac = psd_sqrt(cov)
         np.testing.assert_allclose(l_fac @ l_fac.T, cov, atol=1e-15)
 
+    def test_gates_like_require_psd(self):
+        # the factor's own eigenvalues are the gate: no clamped indefinite cov
+        with pytest.raises(NumericError, match=r"not positive semidefinite \(psd_sqrt\)"):
+            psd_sqrt(np.diag([1.0, -1.0]))
+        with pytest.raises(DimensionError, match="asymmetric"):
+            psd_sqrt(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        psd_sqrt(np.diag([1.0, -1e-12]))  # within the 1e-10 relative tolerance
+
 
 class TestMvnSample:
     def test_zero_cov_returns_mean(self):
@@ -102,6 +110,13 @@ class TestMvnSample:
         plan = RngStreamPlan(1)
         with pytest.raises(NumericError):
             mvn_sample(np.zeros(2), np.diag([1.0, -1.0]), plan.normal_rows(0, "t", 0, 1, 2))
+
+    def test_c_ordered_rows(self):
+        draws = mvn_sample(np.zeros(3), np.eye(3), RngStreamPlan(2).normal_rows(0, "t", 0, 5, 3))
+        assert draws.flags["C_CONTIGUOUS"]
+
+    def test_zero_dimensional_draw(self):
+        assert mvn_sample(np.zeros(0), np.zeros((0, 0)), np.zeros((4, 0))).shape == (4, 0)
 
     def test_reproducible(self):
         a = mvn_sample(np.zeros(2), np.eye(2), RngStreamPlan(5).normal_rows(9, "x", 3, 1, 2))

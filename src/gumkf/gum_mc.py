@@ -10,12 +10,18 @@ Draws are addressed by (trial, time, label) through the RngStreamPlan, so a
 trial's trajectory does not depend on which other trials are advanced with it.
 
 One driver runs every mode.  It splits the trials into blocks [a, b) and, at
-each time step, advances every block with mc_step; the moments, stored
-samples and recorded rows are taken from the blocks joined in trial order.
-mc_sequential (time-major, online) uses one block per thread and mc_batch
-(trial-major) one block per trial, so both, threaded or not, give
-bit-identical results.  Models are evaluated on whole blocks: every model
-callable accepts one vector or a batch with a leading trial axis.
+each time step, advances every block with mc_step.  The ensembles stay
+trial-axis-last: mc_step's states are an (M, n) view of its (n, M) stack.
+The per-step mean and covariance are reduced over fixed chunks of trials,
+the absolute ranges [c * _CHUNK, (c + 1) * _CHUNK), each summed pairwise on
+the thread that advanced it, and the chunks are combined in trial order by
+the pairwise update of Chan, Golub & LeVeque; stored samples and recorded
+rows are the blocks joined in trial order.  mc_sequential (time-major,
+online) uses one chunk-aligned block per thread and mc_batch (trial-major)
+one block per trial, gathered into the same chunks, so both, threaded or
+not, give bit-identical results.  Models are evaluated on whole blocks:
+every model callable accepts one vector or a batch with a leading trial
+axis.
 """
 
 from __future__ import annotations
@@ -85,7 +91,10 @@ class RunningMoments:
     """Streaming mean/covariance with shifted extended-precision accumulation.
 
     After feeding all samples the results agree with the two-pass formulas to
-    better than 1e-10 relative, independent of feed order.
+    better than 1e-10 relative, independent of feed order.  No gumkf code
+    uses it: the Monte Carlo moments are _chunk_moments and _mean_cov.  It
+    is kept only because the benchmark's tracer patches
+    RunningMoments.push_block by name.
     """
 
     def __init__(self, dim: int):
@@ -121,17 +130,50 @@ class RunningMoments:
         return symmetrize(np.asarray(s2 / (self.count - 1), dtype=float))
 
 
-def _mean_cov(samples: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Mean and unbiased covariance via extended-precision accumulation."""
-    m = samples.shape[0]
-    if samples.shape[1] == 0:
-        return np.zeros(0), np.zeros((0, 0))
-    mean = np.asarray(samples.sum(axis=0, dtype=np.longdouble) / m, dtype=float)
-    if m < 2:
-        return mean, np.zeros((samples.shape[1],) * 2)
-    dev = samples - mean
-    cov = np.einsum("mi,mj->ij", dev, dev, dtype=np.longdouble) / (m - 1)
-    return mean, symmetrize(np.asarray(cov, dtype=float))
+# The trials are reduced in fixed chunks covering the absolute trial ranges
+# [c * _CHUNK, (c + 1) * _CHUNK), combined in trial order, so the moments do
+# not depend on how the trials are split into blocks or threads.
+_CHUNK = 4096
+
+
+def _chunk_moments(x: np.ndarray) -> list:
+    """Moments of each chunk of the trial-last samples x, shape (d, m), whose
+    first column is a chunk boundary: (count, shift, offset, sums) with the
+    chunk mean shift + offset and sums its centred cross-product sums.
+
+    A chunk is summed as C-ordered (d, m) rows by np.add.reduce (pairwise
+    summation), so an F-ordered x gives the same bits.  The first-pass mean
+    `shift` is corrected once by the mean deviation `offset`, and the
+    cross-products are summed per pair of coordinates.
+    """
+    parts = []
+    for a in range(0, x.shape[1], _CHUNK):
+        rows = np.ascontiguousarray(x[:, a : a + _CHUNK])
+        d, m = rows.shape
+        shift = np.add.reduce(rows, axis=1) / m
+        dev = rows - shift[:, np.newaxis]
+        offset = np.add.reduce(dev, axis=1) / m
+        sums = np.empty((d, d))
+        for i in range(d):
+            sums[i, i:] = sums[i:, i] = np.add.reduce(dev[i] * dev[i:], axis=1)
+        parts.append((m, shift, offset, sums - m * np.outer(offset, offset)))
+    return parts
+
+
+def _mean_cov(parts: list) -> Tuple[np.ndarray, np.ndarray]:
+    """Mean and unbiased covariance of at least two trials from the chunk
+    moments of _chunk_moments, combined in trial order by the pairwise update of Chan, Golub & LeVeque
+    (1983).  Chunk means enter relative to the first chunk's shift, so an
+    offset far above the spread costs no precision."""
+    base = parts[0][1]
+    count, mean, sums = 0, np.zeros_like(base), np.zeros((base.size,) * 2)
+    for m, shift, offset, chunk_sums in parts:
+        delta = (shift - base) + offset - mean
+        total = count + m
+        mean = mean + delta * (m / total)
+        sums = sums + chunk_sums + np.outer(delta, delta) * (count * m / total)
+        count = total
+    return base + mean, sums / (count - 1)
 
 
 def finalize_stats(
@@ -142,7 +184,7 @@ def finalize_stats(
     if ensemble.trial_count < 2:
         raise NumericError("finalize_stats requires at least 2 samples")
     joined = ensemble.joined()
-    mean, cov = _mean_cov(joined)
+    mean, cov = _mean_cov(_chunk_moments(joined.T))
     m = joined.shape[0]
     srt = np.sort(joined, axis=0)
     idx = [min(max(int(np.ceil(p * m)), 1), m) - 1 for p in probs]
@@ -179,7 +221,8 @@ def mc_step(
     The trials are the last axis of `kalman`'s structure-of-arrays stacks,
     and the prediction F P F' + Q and the correction `kalman._update` are the
     filters' own step: each trial's covariance equals the LKF's or EKF's bit
-    for bit when it sees the same matrices.
+    for bit when it sees the same matrices.  The returned states are the
+    (M, n) transposed view of the (n, M) result stack, not a copy.
     """
     states, params = ensemble.states, ensemble.params
     m_trials, n = states.shape
@@ -218,7 +261,7 @@ def mc_step(
         raise NumericError(
             f"non-finite sample in trial {trial_start + first} at time index {k}"
         )
-    return McEnsemble(np.ascontiguousarray(x_new.T), params, k), cov_new.transpose(2, 0, 1)
+    return McEnsemble(x_new.T, params, k), cov_new.transpose(2, 0, 1)
 
 
 def _init_trials(prior, theta_knowledge, plan, trials, trial_start):
@@ -256,6 +299,13 @@ def _check_store(n_steps, trials, width, max_store_bytes):
         )
 
 
+def _trial_last(arrays):
+    """The (M, d) arrays of consecutive blocks joined as one (d, M) array."""
+    if len(arrays) == 1:
+        return arrays[0].T
+    return np.concatenate([x.T for x in arrays], axis=1)
+
+
 def _run_blocks(
     measurements,
     model: Union[LinearModel, NonlinearModel],
@@ -263,18 +313,24 @@ def _run_blocks(
     theta_knowledge: Optional[ParameterKnowledge],
     plan: RngStreamPlan,
     trials: int,
-    n_blocks: int,
     threads: int,
+    per_trial: bool,
     store_samples: bool,
     record_at: Tuple[int, ...],
     max_store_bytes: int,
 ) -> McRunResult:
-    """The Monte Carlo driver: `trials` split into `n_blocks` near-equal
-    trial blocks [a, b), time loop outer, blocks inner.
+    """The Monte Carlo driver: time loop outer, trial blocks [a, b) inner.
 
-    Every block is advanced by mc_step with trial_start=a, on `threads`
-    threads; summaries are taken from the blocks joined in trial order, so
-    the block layout does not change a single bit of the result.
+    mc_batch (`per_trial`) runs one block per trial; mc_sequential splits
+    the trials into `threads` near-equal blocks whose bounds are chunk
+    boundaries (multiples of _CHUNK), so each chunk is a view into one block.
+    Consecutive blocks are grouped into tasks that cover whole chunks: one
+    block for mc_sequential, the one-trial blocks of a chunk for mc_batch.
+    At each time step the tasks run on `threads` threads; each advances its
+    blocks by mc_step with trial_start=a and reduces its chunks
+    (_chunk_moments); the calling thread combines the chunks in trial order
+    (_mean_cov).  The chunks and their order are the same for every block
+    layout, so the layout does not change a single bit of the result.
     """
     if trials < 2:
         raise ConfigError(f"Monte Carlo needs at least 2 trials, got {trials}")
@@ -293,42 +349,61 @@ def _run_blocks(
     else:
         samples_states = samples_params = None
 
-    bounds = np.linspace(0, trials, n_blocks + 1).astype(int)
-    spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    blocks = [_init_trials(prior, theta_knowledge, plan, b - a, a) for a, b in spans]
+    # each task covers whole chunks: a chunk-aligned block of mc_sequential,
+    # or the one-trial blocks of one chunk for mc_batch
+    if per_trial:
+        cuts = np.append(np.arange(0, trials, _CHUNK), trials)
+    else:
+        near_equal = np.linspace(0, trials, threads + 1)
+        cuts = np.minimum(np.rint(near_equal / _CHUNK) * _CHUNK, trials).astype(int)
+        cuts[-1] = trials
+    task_spans = [
+        [(m, m + 1) for m in range(a, b)] if per_trial else [(a, b)]
+        for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist())
+        if b > a
+    ]
     state_means = np.empty((n_steps + 1, n))
     state_covs = np.empty((n_steps + 1, n, n))
     param_means = np.empty((n_steps + 1, n_t))
     param_covs = np.empty((n_steps + 1, n_t, n_t))
     records: Dict[int, np.ndarray] = {}
 
-    def summarize(k):
+    # a task is ([(a, ensemble, covs) per block], state chunks, param chunks)
+    def reduced(blocks):
         # the blocks are McEnsembles that mc_step or _init_trials validated
-        states = np.concatenate([e.states for e, _ in blocks])
-        params = np.concatenate([e.params for e, _ in blocks])
-        state_means[k], state_covs[k] = _mean_cov(states)
-        param_means[k], param_covs[k] = _mean_cov(params)
+        states = _trial_last([e.states for _, e, _ in blocks])
+        params = _trial_last([e.params for _, e, _ in blocks])
+        return blocks, _chunk_moments(states), _chunk_moments(params)
+
+    def advance(task, k):
+        return reduced([
+            (a, *mc_step(e, ys[k - 1], model, covs, plan, k, trial_start=a))
+            for a, e, covs in task[0]
+        ])
+
+    def summarize(k):
+        state_means[k], state_covs[k] = _mean_cov([c for t in tasks for c in t[1]])
+        param_means[k], param_covs[k] = _mean_cov([c for t in tasks for c in t[2]])
+        if store_samples or k in record_at:
+            states = np.concatenate([e.states for t in tasks for _, e, _ in t[0]])
+            params = np.concatenate([e.params for t in tasks for _, e, _ in t[0]])
         if store_samples:
             samples_states[k] = states
             samples_params[k] = params
         if k in record_at:
             records[k] = np.hstack([states, params])
 
-    executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    tasks = [
+        reduced([(a, *_init_trials(prior, theta_knowledge, plan, b - a, a)) for a, b in spans])
+        for spans in task_spans
+    ]
+    workers = min(threads, len(tasks))
+    executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     mapper = map if executor is None else executor.map
     try:
         summarize(0)
         for k in range(1, n_steps + 1):
-            y = ys[k - 1]
-            blocks = list(
-                mapper(
-                    lambda span, block: mc_step(
-                        block[0], y, model, block[1], plan, k, trial_start=span[0]
-                    ),
-                    spans,
-                    blocks,
-                )
-            )
+            tasks = list(mapper(lambda task: advance(task, k), tasks))
             summarize(k)
     finally:
         if executor is not None:
@@ -360,14 +435,16 @@ def mc_sequential(
     max_store_bytes: int = 1 << 30,
 ) -> McRunResult:
     """Time-major Monte Carlo: the trials advance together, split into
-    `threads` near-equal blocks run on as many threads.
+    `threads` near-equal blocks that start and end on chunk boundaries
+    (so fewer blocks when the trials span fewer chunks), run on as many
+    threads.
 
     Memory use is independent of the number of time steps unless
     store_samples is requested.
     """
     return _run_blocks(
         measurements, model, prior, theta_knowledge, plan, trials,
-        threads, threads, store_samples, record_at, max_store_bytes,
+        threads, False, store_samples, record_at, max_store_bytes,
     )
 
 
@@ -384,9 +461,10 @@ def mc_batch(
     max_store_bytes: int = 1 << 30,
 ) -> McRunResult:
     """Trial-major Monte Carlo: every trial is its own block, so each trial
-    runs the whole-sequence estimation model on its own.  With a shared
+    runs the whole-sequence estimation model on its own; the moments are
+    reduced over the same chunks as mc_sequential's.  With a shared
     RngStreamPlan the result is bit-identical to mc_sequential."""
     return _run_blocks(
         measurements, model, prior, theta_knowledge, plan, trials,
-        trials, 1, store_samples, record_at, max_store_bytes,
+        1, True, store_samples, record_at, max_store_bytes,
     )

@@ -31,6 +31,7 @@ from gumkf import (
     state_prior,
     augmented_model,
 )
+from gumkf import gum_mc
 
 from conftest import rand_psd, rel_err
 
@@ -107,6 +108,45 @@ class TestRunningMoments:
     def test_empty_raises(self):
         with pytest.raises(NumericError):
             RunningMoments(2).mean()
+
+
+def chunked_mean_cov(x):
+    return gum_mc._mean_cov(gum_mc._chunk_moments(x))
+
+
+def two_pass_reference(x):
+    """Mean and unbiased covariance of trial-last x in long double."""
+    xl = x.astype(np.longdouble)
+    mean = xl.sum(axis=1) / x.shape[1]
+    dev = xl - mean[:, np.newaxis]
+    return mean, dev @ dev.T / (x.shape[1] - 1)
+
+
+class TestChunkedMoments:
+    @pytest.mark.parametrize(
+        "trials, offset, spread",
+        [(10_000, 1e8, 1e-3), (3 * gum_mc._CHUNK + 5, -3.0, 2.0), (2, 5.0, 1.0)],
+        ids=["offset", "partial-last-chunk", "two-trials"],
+    )
+    def test_matches_long_double_two_pass(self, rng, trials, offset, spread):
+        x = offset + spread * rng.standard_normal((3, trials)) * [[1.0], [0.1], [10.0]]
+        x[2] += 0.5 * x[0]  # correlated coordinates
+        mean, cov = chunked_mean_cov(x)
+        ref_mean, ref_cov = two_pass_reference(x)
+        assert rel_err(mean, np.asarray(ref_mean, dtype=float)) < 1e-10
+        assert rel_err(cov, np.asarray(ref_cov, dtype=float)) < 1e-10
+        np.testing.assert_array_equal(cov, cov.T)
+
+    def test_no_coordinates(self):
+        mean, cov = chunked_mean_cov(np.zeros((0, 5)))
+        assert mean.shape == (0,) and cov.shape == (0, 0)
+
+    def test_memory_order_does_not_change_a_bit(self, rng):
+        x = 1e3 + rng.standard_normal((3, 2 * gum_mc._CHUNK + 17))
+        f_ordered = np.asfortranarray(x)
+        assert f_ordered.flags.f_contiguous and not f_ordered.flags.c_contiguous
+        for got, want in zip(chunked_mean_cov(f_ordered), chunked_mean_cov(x)):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestFinalizeStats:
@@ -443,9 +483,29 @@ class TestBatchSequentialEquivalence:
         np.testing.assert_array_equal(bat.samples_states[1], seq.samples_states[1])
 
     def test_threaded_equals_serial(self):
-        # The block layout (one block, one per thread, one per trial) must not
-        # change any bit of any result, for the linear model with uncertain
-        # theta and for the augmented nonlinear one; 7 does not divide 20.
+        # One block, one per thread and one per trial must give the same
+        # bits, for the linear model with uncertain theta and for the
+        # augmented nonlinear one; 7 does not divide 20.
+        self.assert_layouts_bit_identical()
+
+    def test_chunk_spanning_layouts_bit_identical(self, monkeypatch):
+        # With chunks of 8 the 20 trials span three chunks: threads=3 and
+        # threads=7 run the blocks [0, 8), [8, 16), [16, 20), threads=1 one
+        # block, and mc_batch 20 blocks gathered into the three chunks.
+        monkeypatch.setattr(gum_mc, "_CHUNK", 8)
+        starts = set()
+
+        def spy(ensemble, *args, trial_start=0):
+            if args[4] == 1:
+                starts.add((ensemble.trial_count, trial_start))
+            return mc_step(ensemble, *args, trial_start=trial_start)
+
+        monkeypatch.setattr(gum_mc, "mc_step", spy)
+        self.assert_layouts_bit_identical()
+        assert {(8, 0), (8, 8), (4, 16), (20, 0), (1, 19)} <= starts
+
+    @staticmethod
+    def assert_layouts_bit_identical():
         cfg = TankConfig(n_steps=20)
         plan = RngStreamPlan(42)
         record = simulate(cfg, plan)

@@ -181,14 +181,15 @@ def _eval_matrix(spec: MatrixSpec, *args) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearModel:
-    """Linear state-space system x(k+1) = F x(k) + w, y(k) = C x(k) + v.
+    """Linear state-space system x(k+1) = F x(k) + w, y(k) = H x(k) + v.
 
+    It answers NonlinearModel's contract, f, h, F and H of (x, theta, k):
+    F and H are the system matrices, exact Jacobians that ignore x.
     `state_matrix` and `obs_matrix` may be constant arrays or callables of
     (k, theta); noise covariances may be constant arrays or callables of k.
     theta is None, one parameter vector, or an (M, n_theta) batch with a
     leading trial axis; for a batch the matrix callables return (M, ., .)
-    stacks, or one matrix that holds for every trial.  f and h evaluate the
-    system like NonlinearModel's: on one state vector or an (M, n) batch.
+    stacks, or one matrix that holds for every trial.
     """
 
     state_matrix: MatrixSpec
@@ -196,17 +197,17 @@ class LinearModel:
     process_noise: MatrixSpec
     obs_noise: MatrixSpec
 
-    def F(self, k: int, theta=None) -> np.ndarray:
+    def F(self, x: np.ndarray, theta, k: int) -> np.ndarray:
         return _eval_matrix(self.state_matrix, k, theta)
 
-    def C(self, k: int, theta=None) -> np.ndarray:
-        return _eval_matrix(self.obs_matrix, k, theta)
+    def H(self, x: np.ndarray, theta, k: int) -> np.ndarray:
+        return np.atleast_2d(_eval_matrix(self.obs_matrix, k, theta))
 
     def f(self, x: np.ndarray, theta, k: int) -> np.ndarray:
-        return np.einsum("...ij,...j->...i", self.F(k, theta), x)
+        return np.einsum("...ij,...j->...i", self.F(x, theta, k), x)
 
     def h(self, x: np.ndarray, theta, k: int) -> np.ndarray:
-        return np.einsum("...ij,...j->...i", np.atleast_2d(self.C(k, theta)), x)
+        return np.einsum("...ij,...j->...i", self.H(x, theta, k), x)
 
     def Q(self, k: int) -> np.ndarray:
         return _eval_matrix(self.process_noise, k)

@@ -30,27 +30,23 @@ from .kalman import KalmanStep, _correct, _predict, joseph_update, kf_gain
 
 
 def ekf_predict(
-    prev: GaussianBelief, model: NonlinearModel, k: int = 0, theta=None
+    prev: GaussianBelief, model: Union[LinearModel, NonlinearModel], k: int = 0, theta=None
 ) -> GaussianBelief:
     """Prediction through the nonlinear dynamics with Jacobian-propagated
     covariance."""
-    x = prev.mean
-    F, mean = model.F(x, theta, k), model.f(x, theta, k)
-    return _predict(prev, F, model.Q(k), f"ekf_predict at k={k}", mean=mean)
+    return _predict(prev, model, theta, k, f"ekf_predict at k={k}")
 
 
 def ekf_correct(
     predicted: GaussianBelief,
     y: np.ndarray,
-    model: NonlinearModel,
+    model: Union[LinearModel, NonlinearModel],
     k: int = 0,
     theta=None,
 ) -> KalmanStep:
     """Correction with the observation Jacobian H evaluated at the predicted
     estimate; Joseph-form covariance."""
-    x = predicted.mean
-    H, h_pred = model.H(x, theta, k), model.h(x, theta, k)
-    return _correct(predicted, y, H, model.R(k), k, f"ekf_correct at k={k}", h_pred=h_pred)
+    return _correct(predicted, y, model, theta, k, f"ekf_correct at k={k}")
 
 
 def propagate_nonlinear_gum_linearized(
@@ -193,7 +189,7 @@ def split_update(
 
     Equals the monolithic augmented correction, re-partitioned.  The base
     system must be linear in the original state so the observation splits as
-    (C(theta), d(C(theta) x)/d theta).
+    (H(theta), d(H(theta) x)/d theta).
     """
     if not isinstance(aug.base, LinearModel):
         raise DimensionError("split_update requires a linear base model")
@@ -208,18 +204,16 @@ def split_update(
     Pxt = P[:n_x, n_x:]
     Pt = P[n_x:, n_x:]
 
-    C = np.atleast_2d(aug.base.C(k, th_pred))
-    D = finite_difference_jacobian(
-        lambda th: np.atleast_2d(aug.base.C(k, th)) @ x_pred, th_pred
-    )
-    H_theta = np.hstack([C, D])
+    H = aug.base.H(x_pred, th_pred, k)
+    D = finite_difference_jacobian(lambda th: aug.base.H(x_pred, th, k) @ x_pred, th_pred)
+    H_theta = np.hstack([H, D])
     R = np.atleast_2d(aug.base.R(k))
     S = symmetrize(H_theta @ P @ H_theta.T + R)
     K_full = _named(f"split_update at k={k}", kf_gain, P, H_theta, R)
     K1 = K_full[:n_x]
     K2 = K_full[n_x:]
 
-    innovation = y - C @ x_pred
+    innovation = y - H @ x_pred
     state_mean = x_pred + K1 @ innovation
     param_mean = th_pred + K2 @ innovation
     state_cov = symmetrize(Px - K1 @ S @ K1.T)

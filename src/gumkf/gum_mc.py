@@ -44,7 +44,7 @@ from .core import (
     mvn_sample,
     symmetrize,
 )
-from .core import _mm, _mv, _named, _normalize_measurements, _soa, _t
+from .core import _mm, _named, _normalize_measurements, _soa, _t
 from .kalman import _update
 
 LABEL_INIT_STATE = "mc/init-state"
@@ -216,7 +216,8 @@ def mc_step(
     dynamics, add the process noise ("x tilde", carrying the state-covariance
     contribution) and apply the correction with the gain from the trial's own
     deterministic covariance recursion.  `filter_state` holds the per-trial
-    predicted-covariance recursion, shape (M, n, n), going in and out.
+    predicted-covariance recursion, shape (M, n, n), going in and out.  Either
+    model type serves: f and F are taken at the states, h and H at x tilde.
 
     The trials are the last axis of `kalman`'s structure-of-arrays stacks,
     and the prediction F P F' + Q and the correction `kalman._update` are the
@@ -235,24 +236,16 @@ def mc_step(
 
     # prediction: mean push-forward and the deterministic covariance recursion
     theta = params if params.shape[1] else None
-    if isinstance(model, LinearModel):
-        F = _soa(model.F(k, theta))
-        x_pred = _mv(F, states.T)
-    else:
-        x_pred = model.f(states, theta, k).T
-        F = _soa(model.F(states, theta, k))
+    x_pred = model.f(states, theta, k).T
+    F = _soa(model.F(states, theta, k))
     cov_pred = _mm(_mm(F, _soa(filter_state)), _t(F)) + _soa(Q)
 
     x_tilde = x_pred + z
 
     # correction at x_tilde
-    if isinstance(model, LinearModel):
-        H = _soa(model.C(k, theta))
-        h_val = _mv(H, x_tilde)
-    else:
-        x_rows = np.ascontiguousarray(x_tilde.T)
-        H = _soa(model.H(x_rows, theta, k))
-        h_val = model.h(x_rows, theta, k).T
+    x_rows = np.ascontiguousarray(x_tilde.T)
+    H = _soa(model.H(x_rows, theta, k))
+    h_val = model.h(x_rows, theta, k).T
     x_new, cov_new, _, _ = _update(x_tilde, cov_pred, y_samples, h_val, H, _soa(R), k, trial_start)
 
     bad = ~np.all(np.isfinite(x_new), axis=0)

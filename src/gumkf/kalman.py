@@ -6,10 +6,11 @@ trial's bits independent of the other trials, so a filter (M = 1) and a trial
 given the same matrices agree bit for bit.  `_update` is the correction, with
 a Joseph-form covariance that stays PSD under rounding.  `_predict` and
 `_correct` run the step on one belief, whose one gate is GaussianBelief's own,
-and name the step and k on failure: kf_* fetch F or C from their model, ekf_*
-(in `ekf`) the Jacobian and f(x) or h(x).  `kf_gain` and `joseph_update` keep
-the matrix formulas for the analytic propagations, the filters' independent
-references.
+and name the step and k on failure.  They fetch f, F, Q and h, H, R at
+(x, theta, k), the contract of both model types, so kf_* and ekf_* (in `ekf`)
+differ only in argument order and step name.  `kf_gain` and `joseph_update`
+keep the matrix formulas for the analytic propagations, the filters'
+independent references.
 """
 
 from __future__ import annotations
@@ -79,14 +80,15 @@ def _update(x, P, y, h, H, R, k: int, trial_start=None):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _predict(prev: GaussianBelief, F, Q, where: str, mean=None) -> GaussianBelief:
-    """Covariance F P F' + Q; the mean is `mean`, or F x when it is None."""
+def _predict(prev: GaussianBelief, model, theta, k: int, where: str) -> GaussianBelief:
+    """Mean f(x), covariance F P F' + Q, with F the model's at x."""
     n = prev.dim
+    F, Q = model.F(prev.mean, theta, k), model.Q(k)
     if F.shape != (n, n):
         raise DimensionError(f"state matrix shape {F.shape} != ({n}, {n}) ({where})")
     if Q.shape != (n, n):
         raise DimensionError(f"process noise shape {Q.shape} != ({n}, {n}) ({where})")
-    mean = F @ prev.mean if mean is None else mean
+    mean = model.f(prev.mean, theta, k)
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(F))):
         raise NumericError(f"non-finite dynamics evaluation ({where})")
     F = _soa(F)
@@ -94,15 +96,14 @@ def _predict(prev: GaussianBelief, F, Q, where: str, mean=None) -> GaussianBelie
     return _named(where, GaussianBelief, mean, cov)
 
 
-def _correct(predicted: GaussianBelief, y, H, R, k: int, where: str, h_pred=None) -> KalmanStep:
-    """`_update` of one belief; the predicted observation is `h_pred`, or H x
-    when it is None."""
+def _correct(predicted: GaussianBelief, y, model, theta, k: int, where: str) -> KalmanStep:
+    """`_update` of one belief by y, with h and H the model's at its mean."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    H, R = np.atleast_2d(H), np.atleast_2d(R)
+    H, R = model.H(predicted.mean, theta, k), np.atleast_2d(model.R(k))
     p, n = y.shape[0], predicted.dim
     if H.shape != (p, n) or R.shape != (p, p):
         raise DimensionError(f"obs matrix {H.shape} or noise {R.shape} != p={p}, n={n} ({where})")
-    h_pred = H @ predicted.mean if h_pred is None else h_pred
+    h_pred = model.h(predicted.mean, theta, k)
     if not (np.all(np.isfinite(H)) and np.all(np.isfinite(h_pred))):
         raise NumericError(f"non-finite observation evaluation ({where})")
     x, P, K, innovation = _update(
@@ -117,7 +118,7 @@ def kf_predict(
     prev: GaussianBelief, model: LinearModel, theta=None, k: int = 0
 ) -> GaussianBelief:
     """Prediction step: mean F x, covariance F P F' + Q."""
-    return _predict(prev, model.F(k, theta), model.Q(k), f"kf_predict at k={k}")
+    return _predict(prev, model, theta, k, f"kf_predict at k={k}")
 
 
 def kf_gain(predicted_cov: np.ndarray, C: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -156,7 +157,7 @@ def kf_correct(
 ) -> KalmanStep:
     """Correction step: mean shifted by gain times innovation, Joseph-form
     covariance."""
-    return _correct(predicted, y, model.C(k, theta), model.R(k), k, f"kf_correct at k={k}")
+    return _correct(predicted, y, model, theta, k, f"kf_correct at k={k}")
 
 
 def propagate_linear_gum(
@@ -173,13 +174,13 @@ def propagate_linear_gum(
     result coincides with kf_predict followed by kf_correct when y.cov equals
     the model's measurement noise covariance.
     """
-    F = model.F(k, theta)
+    F = model.F(prev.mean, theta, k)
     Q = model.Q(k)
-    C = np.atleast_2d(model.C(k, theta))
+    H = model.H(prev.mean, theta, k)
     R = y.cov
     P_pred = symmetrize(F @ prev.cov @ F.T + Q)
-    K = _named(f"propagate_linear_gum at k={k}", kf_gain, P_pred, C, R)
-    A = np.eye(prev.dim) - K @ C
+    K = _named(f"propagate_linear_gum at k={k}", kf_gain, P_pred, H, R)
+    A = np.eye(prev.dim) - K @ H
     mean = A @ (F @ prev.mean) + K @ y.mean
     cov = symmetrize(A @ P_pred @ A.T + K @ R @ K.T)
     return _named(f"propagate_linear_gum at k={k}", GaussianBelief, mean, cov)

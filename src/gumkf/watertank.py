@@ -10,6 +10,8 @@ uncertainty, which is what the different scenarios exercise.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, Optional, Tuple
 
@@ -26,7 +28,7 @@ from .core import (
 from .ekf import AugmentedModel, augment, ekf_correct, ekf_predict
 from .gum_mc import mc_sequential
 from .kalman import kf_correct, kf_predict
-from .particle import pf_run
+from .particle import LABEL_INIT, pf_run
 
 SCHEMA_VERSION = 1
 SCENARIOS = ("lkf-known", "mc-lkf-uncertain", "ekf-augmented", "mc-ekf", "pf")
@@ -52,6 +54,11 @@ class TankConfig:
     alpha: Optional[float] = None
 
     def __post_init__(self):
+        for name in (f.name for f in fields(self) if f.name != "n_steps"):
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if value is not None and not (real and math.isfinite(value)):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.u_theta is None:
             object.__setattr__(self, "u_theta", 0.01 * self.theta)
         if self.alpha is None:
@@ -60,8 +67,9 @@ class TankConfig:
             raise ConfigError("noise standard deviations must be non-negative")
         if self.dt <= 0:
             raise ConfigError("sampling interval dt must be positive")
-        if self.n_steps < 1:
-            raise ConfigError("n_steps must be at least 1")
+        n = self.n_steps
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ConfigError(f"n_steps must be an integer of at least 1, got {n!r}")
 
     def to_dict(self) -> dict:
         return {"schema_version": SCHEMA_VERSION, **asdict(self)}
@@ -238,14 +246,15 @@ class EstimationReport:
 
 def _times_to_indices(config: TankConfig, times_s) -> Dict[int, float]:
     out = {}
-    for t in times_s:
-        k = int(round(float(t) / config.dt))
+    for t in map(float, times_s):
+        k = round(t / config.dt) if math.isfinite(t / config.dt) else -1
         if not 0 <= k <= config.n_steps:
             raise ConfigError(
                 f"requested time {t} s is outside the simulated horizon "
                 f"[0, {config.n_steps * config.dt}] s"
             )
-        out[k] = float(t)
+        if out.setdefault(k, t) != t:
+            raise ConfigError(f"requested times {out[k]} s and {t} s fall on the same step {k}")
     return out
 
 
@@ -339,7 +348,7 @@ def scenario(
     aug, belief0 = augmented_model(config)
 
     def prior_sampler(p: RngStreamPlan, count: int) -> np.ndarray:
-        return mvn_sample(belief0.mean, belief0.cov, p.normal_rows(0, "pf/init", 0, count, 3))
+        return mvn_sample(belief0.mean, belief0.cov, p.normal_rows(0, LABEL_INIT, 0, count, 3))
 
     res = pf_run(
         ys, aug.model, prior_sampler, n_particles, gamma, plan, record_at=tuple(rec_idx)

@@ -103,7 +103,7 @@ def test_criterion_03_joseph_form_equals_standard_form():
     for _ in range(100):
         model, prev, _ = random_linear_instance(rng)
         P = kf_predict(prev, model).cov
-        C = model.C(0, None)
+        C = model.H(prev.mean, None, 0)
         R = model.R(0)
         K = kf_gain(P, C, R)
         joseph = joseph_update(P, K, C, R)

@@ -155,12 +155,15 @@ class TestPdfMarginal:
         total = np.sum((data[:, 1] - data[:, 0]) * data[:, 2])
         assert total == pytest.approx(1.0, rel=1e-9)
 
-    def test_bad_time_list_is_config_error(self, tmp_path):
+    # a malformed list, two times on one step, a non-finite time
+    @pytest.mark.parametrize("at", ["2;8", "0.1,0.101", "nan"])
+    def test_bad_time_list_is_config_error(self, tmp_path, capsys, at):
         cfg = small_config(tmp_path)
         code = run(
-            ["pdf-marginal", "--at", "2;8", "--config", cfg, "--out", str(tmp_path)]
+            ["pdf-marginal", "--at", at, "--config", cfg, "--out", str(tmp_path)]
         )
         assert code == 1
+        assert "gumkf: config error" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -171,6 +174,15 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema_version": 1, "bogus": 3}))
         assert run(["estimate", "lkf-known", "--config", str(bad), "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize(
+        "entry", [{"n_steps": 20.5}, {"n_steps": True}, {"dt": float("nan")}]
+    )
+    def test_bad_config_value_is_config_error(self, tmp_path, capsys, entry):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"schema_version": 1, **entry}))
+        assert run(["estimate", "lkf-known", "--config", str(bad), "--out", str(tmp_path)]) == 1
+        assert "gumkf: config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "count", [["--trials", "0"], ["--trials", "1"], ["--threads", "0"]]

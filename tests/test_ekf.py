@@ -20,10 +20,12 @@ from gumkf import (
     ekf_predict,
     kf_correct,
     kf_predict,
+    linear_model,
     propagate_linear_gum,
     propagate_nonlinear_gum_linearized,
     simulate,
     split_update,
+    state_prior,
 )
 
 from conftest import rand_pd, rand_psd, rel_err
@@ -120,6 +122,22 @@ class TestEkfCorrect:
         step = ekf_correct(pred, [100.5], aug.model, 1)
         s_val = pred.cov[0, 0] + cfg.sigma**2
         np.testing.assert_allclose(step.gain[:, 0], pred.cov[:, 0] / s_val, rtol=1e-12)
+
+
+def test_ekf_of_linear_tank_is_its_kalman_filter():
+    # the paper's linear case: with theta known the Jacobians are the system
+    # matrices, so the EKF and the KF give the same beliefs, bit for bit
+    cfg = TankConfig(n_steps=50)
+    model, theta = linear_model(cfg), np.array([cfg.theta])
+    ys = simulate(cfg, RngStreamPlan(11)).measurements
+    kf = ekf = state_prior(cfg)
+    for k in range(1, cfg.n_steps + 1):
+        kf_pred, ekf_pred = kf_predict(kf, model, theta, k), ekf_predict(ekf, model, k, theta)
+        kf = kf_correct(kf_pred, ys[k - 1 : k], model, theta, k).corrected
+        ekf = ekf_correct(ekf_pred, ys[k - 1 : k], model, k, theta).corrected
+        for a, b in ((kf_pred, ekf_pred), (kf, ekf)):
+            np.testing.assert_array_equal(a.mean, b.mean)
+            np.testing.assert_array_equal(a.cov, b.cov)
 
 
 class TestPsdGate:

@@ -61,20 +61,12 @@ def einsum_step(ensemble, y_hat, model, covs, plan, k, trial_start=0):
     z = plan.normal_rows(k, "mc/process", trial_start, m, n) @ psd_sqrt(Q).T
     y = y_hat + plan.normal_rows(k, "mc/obs", trial_start, m, p) @ psd_sqrt(R).T
     theta = params if params.shape[1] else None
-    if isinstance(model, LinearModel):
-        F = stack(model.F(k, theta))
-        x_pred = np.einsum("mij,mj->mi", F, states)
-    else:
-        x_pred = model.f(states, theta, k)
-        F = stack(model.F(states, theta, k))
+    x_pred = model.f(states, theta, k)
+    F = stack(model.F(states, theta, k))
     cov_pred = np.einsum("mij,mjk,mlk->mil", F, covs, F) + Q
     x_tilde = x_pred + z
-    if isinstance(model, LinearModel):
-        H = stack(model.C(k, theta))
-        h_val = np.einsum("mij,mj->mi", H, x_tilde)
-    else:
-        H = stack(model.H(x_tilde, theta, k))
-        h_val = model.h(x_tilde, theta, k)
+    H = stack(model.H(x_tilde, theta, k))
+    h_val = model.h(x_tilde, theta, k)
     s_mat = np.einsum("mij,mjk,mlk->mil", H, cov_pred, H) + R
     gain = np.linalg.solve(s_mat, np.einsum("mij,mjk->mik", H, cov_pred))
     gain = gain.transpose(0, 2, 1)

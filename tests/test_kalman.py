@@ -85,7 +85,7 @@ class TestKfCorrect:
     def test_zero_innovation_keeps_mean(self, rng):
         model, prev, _ = random_instance(rng, 3, 2)
         pred = kf_predict(prev, model)
-        y = np.atleast_2d(model.C(0, None)) @ pred.mean
+        y = model.H(pred.mean, None, 0) @ pred.mean
         step = kf_correct(pred, y, model)
         np.testing.assert_allclose(step.corrected.mean, pred.mean, rtol=1e-12)
 
@@ -97,11 +97,11 @@ class TestKfCorrect:
         assert rel_err(step.corrected.cov, pred.cov) < 1e-9
 
     def test_joseph_equals_simple_form(self, rng):
-        # KalmanStep invariant: corrected.cov = (I - K C) predicted.cov
+        # KalmanStep invariant: corrected.cov = (I - K H) predicted.cov
         model, prev, y = random_instance(rng, 3, 2)
         pred = kf_predict(prev, model)
         step = kf_correct(pred, y, model)
-        simple = (np.eye(3) - step.gain @ model.C(0, None)) @ pred.cov
+        simple = (np.eye(3) - step.gain @ model.H(pred.mean, None, 0)) @ pred.cov
         assert rel_err(step.corrected.cov, simple) < 1e-12
 
     def test_covariance_never_grows(self, rng):

@@ -45,7 +45,11 @@ class TestTankConfig:
             TankConfig.from_dict(d)
 
     @pytest.mark.parametrize(
-        "kwargs", [dict(tau=-0.1), dict(sigma=-1.0), dict(dt=0.0), dict(n_steps=0)]
+        "kwargs",
+        [
+            dict(tau=-0.1), dict(sigma=-1.0), dict(dt=0.0), dict(n_steps=0),
+            dict(theta=float("inf")), dict(u_theta="0.1"),
+        ],
     )
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -55,13 +59,13 @@ class TestTankConfig:
 class TestLinearModel:
     def test_state_matrix_at_first_step(self):
         cfg = TankConfig()
-        F = linear_model(cfg).F(1, None)
+        F = linear_model(cfg).F(None, None, 1)
         np.testing.assert_allclose(F, [[1.0, TWO_PI * 0.8], [0.0, 1.0]], rtol=1e-15)
 
     def test_observation_and_noise(self):
         cfg = TankConfig()
         model = linear_model(cfg)
-        np.testing.assert_array_equal(model.C(1, None), [[1.0, 0.0]])
+        np.testing.assert_array_equal(model.H(None, None, 1), [[1.0, 0.0]])
         np.testing.assert_array_equal(model.Q(1), np.diag([0.0, cfg.tau**2]))
         np.testing.assert_array_equal(model.R(1), [[cfg.sigma**2]])
 
@@ -69,10 +73,10 @@ class TestLinearModel:
         cfg = TankConfig()
         model = linear_model(cfg)
         thetas = np.array([[0.7], [0.8], [0.9]])
-        F = model.F(5, thetas)
+        F = model.F(None, thetas, 5)
         assert F.shape == (3, 2, 2)
         for i, th in enumerate(thetas[:, 0]):
-            np.testing.assert_allclose(F[i], model.F(5, np.array([th])), rtol=1e-15)
+            np.testing.assert_allclose(F[i], model.F(None, np.array([th]), 5), rtol=1e-15)
 
     def test_prior_and_knowledge(self):
         cfg = TankConfig()

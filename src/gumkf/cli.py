@@ -200,6 +200,8 @@ def _cmd_estimate(args) -> int:
         extra["trials"] = args.trials
     if args.scenario == "pf":
         extra["particles"] = args.particles
+        extra["ess_min"] = float(report.ess.min())
+        extra["resample_events"] = int(report.resampled.sum())
     _write_manifest(
         outdir / f"{args.scenario}_manifest.json",
         _manifest_payload(args, "estimate", config, [csv_name], started, extra),

@@ -3,7 +3,9 @@
 Bootstrap proposal (the state transition density), Gaussian likelihood
 weighting in the log domain, effective-sample-size monitoring and multinomial
 resampling when the ESS drops below a tolerance fraction of the particle
-count.
+count.  Resampling draws one uniform per particle and looks the uniforms up
+in the cumulative weights in sorted order, so each search starts where the
+previous one ended; the ancestors are those of the uniforms in draw order.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .core import (
     NumericError,
     RngStreamPlan,
     mvn_sample,
-    symmetrize,
 )
 from .core import _named, _normalize_measurements
 
@@ -78,15 +79,15 @@ def pf_propagate(
 def _log_likelihood(model, states, y_hat, k):
     r_mat = np.atleast_2d(model.R(k))
     p = r_mat.shape[0]
-    resid = y_hat - model.h(states, None, k)
     try:
-        r_inv_resid = np.linalg.solve(r_mat, resid.T).T
+        chol = np.linalg.cholesky(r_mat)  # the one gate: R positive definite
     except np.linalg.LinAlgError as exc:
-        raise NumericError(f"observation noise covariance is singular: {exc}") from exc
-    sign, logdet = np.linalg.slogdet(r_mat)
-    if sign <= 0:
-        raise NumericError("observation noise covariance is not positive definite")
-    quad = np.einsum("mi,mi->m", resid, r_inv_resid)
+        raise NumericError(
+            f"observation noise covariance is not positive definite (pf_weight at k={k})"
+        ) from exc
+    white = (y_hat - model.h(states, None, k)) @ np.linalg.inv(chol).T
+    quad = np.einsum("mi,mi->m", white, white)
+    logdet = 2.0 * np.log(np.diagonal(chol)).sum()
     return -0.5 * (quad + logdet + p * np.log(2.0 * np.pi))
 
 
@@ -123,7 +124,12 @@ def pf_ess(particles: ParticleSet) -> float:
 def pf_resample(
     particles: ParticleSet, gamma: float, plan: RngStreamPlan
 ) -> ParticleSet:
-    """Multinomial resampling, triggered when ESS < gamma * N_s."""
+    """Multinomial resampling, triggered when ESS < gamma * N_s; returns
+    `particles` itself when it does not resample.
+
+    Particle i's ancestor is searchsorted(cum, u[i], side="right") for the
+    cumulative weights cum (cum[-1] = 1) and the uniforms u; the uniforms
+    are looked up in sorted order and the indices scattered back."""
     if not 0.0 < gamma <= 1.0:
         raise ConfigError(f"resampling tolerance factor must lie in (0, 1], got {gamma}")
     if pf_ess(particles) >= gamma * particles.size:
@@ -131,10 +137,13 @@ def pf_resample(
     u = plan.uniforms(particles.k, LABEL_RESAMPLE, particles.size)
     cum = np.cumsum(particles.weights)
     cum[-1] = 1.0
-    idx = np.searchsorted(cum, u, side="right")
-    idx = np.minimum(idx, particles.size - 1)
+    order = np.argsort(u)
+    idx = np.empty_like(order)
+    idx[order] = np.searchsorted(cum, u[order], side="right")  # < size, as u < 1
     return ParticleSet(
-        particles.states[idx], np.full(particles.size, 1.0 / particles.size), particles.k
+        np.take(particles.states, idx, axis=0),
+        np.full(particles.size, 1.0 / particles.size),
+        particles.k,
     )
 
 
@@ -150,9 +159,18 @@ class PfRunResult:
 
 
 def weighted_moments(states: np.ndarray, weights: np.ndarray):
+    """Weighted mean and covariance of the (M, n) states.
+
+    Each upper-triangle covariance entry is one pairwise np.add.reduce over
+    contiguous, particle-axis-last rows of the weighted deviations, mirrored
+    below the diagonal, so the covariance is exactly symmetric."""
     mean = weights @ states
-    dev = states - mean
-    cov = symmetrize(np.einsum("m,mi,mj->ij", weights, dev, dev))
+    dev = np.ascontiguousarray(states.T) - mean[:, np.newaxis]
+    wdev = weights * dev
+    n = dev.shape[0]
+    cov = np.empty((n, n))
+    for i in range(n):
+        cov[i, i:] = cov[i:, i] = np.add.reduce(wdev[i] * dev[i:], axis=1)
     return mean, cov
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -230,7 +230,8 @@ class EstimationReport:
     """Uniform per-scenario result: estimates and standard uncertainties for
     the physical states, the frequency trajectory where applicable, and
     optional marginal sample snapshots keyed by time in seconds (sample
-    columns ordered xL, xs, theta)."""
+    columns ordered xL, xs, theta).  The particle filter also reports its
+    per-step effective sample size after resampling and resampling flags."""
 
     scenario: str
     config: TankConfig
@@ -242,6 +243,7 @@ class EstimationReport:
     record: SimulationRecord
     marginals: Dict[float, Tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     ess: Optional[np.ndarray] = None
+    resampled: Optional[np.ndarray] = None
 
 
 def _times_to_indices(config: TankConfig, times_s) -> Dict[int, float]:
@@ -262,7 +264,7 @@ def _variances(covs: np.ndarray) -> np.ndarray:
     return np.diagonal(covs, axis1=1, axis2=2)
 
 
-def _report(name, config, record, means, variances, marginals=None, ess=None):
+def _report(name, config, record, means, variances, marginals=None):
     """Report from per-step means and variances with columns (xL, xs) or
     (xL, xs, theta)."""
     u = np.sqrt(np.maximum(variances, 0.0))
@@ -277,7 +279,6 @@ def _report(name, config, record, means, variances, marginals=None, ess=None):
         u[:, 2] if has_theta else None,
         record,
         marginals or {},
-        ess=ess,
     )
 
 
@@ -354,6 +355,5 @@ def scenario(
         ys, aug.model, prior_sampler, n_particles, gamma, plan, record_at=tuple(rec_idx)
     )
     marginals = {rec_idx[k]: res.records[k] for k in res.records}
-    return _report(
-        name, config, record, res.means, _variances(res.covs), marginals, ess=res.ess
-    )
+    report = _report(name, config, record, res.means, _variances(res.covs), marginals)
+    return replace(report, ess=res.ess, resampled=res.resampled)

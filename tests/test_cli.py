@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from gumkf import TankConfig
+from gumkf import RngStreamPlan, TankConfig, scenario
 from gumkf.cli import run
 
 
@@ -60,6 +60,20 @@ class TestEstimate:
         manifest = json.loads((tmp_path / "mc-ekf_manifest.json").read_text())
         assert manifest["trials"] == 64
         assert manifest["scenario"] == "mc-ekf"
+
+    def test_pf_manifest_records_filter_health(self, tmp_path):
+        cfg = small_config(tmp_path)
+        argv = ["estimate", "pf", "--config", cfg, "--out", str(tmp_path), "--particles", "128"]
+        assert run(argv) == 0
+        manifest = json.loads((tmp_path / "pf_manifest.json").read_text())
+        report = scenario("pf", TankConfig(n_steps=20), RngStreamPlan(42), n_particles=128)
+        assert report.resampled.shape == (21,) and not report.resampled[0]
+        assert manifest["ess_min"] == report.ess.min()
+        assert manifest["resample_events"] == report.resampled.sum()
+        # the ESS after each step's resampling decision: a step left below
+        # gamma * particles would have resampled
+        assert 0.9 * 128 <= manifest["ess_min"] < 128
+        assert 0 < manifest["resample_events"] <= 20
 
     def test_seventeen_digit_roundtrip(self, tmp_path):
         cfg = small_config(tmp_path)

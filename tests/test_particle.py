@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import multivariate_normal
 
 from gumkf import (
     GaussianBelief,
@@ -118,6 +119,26 @@ class TestPfWeight:
         with pytest.raises(NumericError, match="vanished"):
             pf_weight(p, [0.0], identity_model(), 1)
 
+    # a singular and an indefinite observation noise covariance
+    @pytest.mark.parametrize("r", [0.0, -0.5])
+    def test_bad_obs_noise_names_step_and_time_index(self, r):
+        p = uniform_particles([[0.0], [1.0]])
+        match = r"^observation noise covariance is not positive definite \(pf_weight at k=3\)$"
+        with pytest.raises(NumericError, match=match):
+            pf_weight(p, [0.0], identity_model(r=r), 3)
+
+    def test_two_dimensional_likelihood_matches_scipy(self, rng):
+        R = np.array([[0.8, 0.3], [0.3, 0.5]])
+        model = LinearModel(np.eye(2), np.array([[1.0, 0.4], [-0.7, 1.2]]), np.eye(2), R)
+        states = rng.standard_normal((500, 2))
+        w0 = rng.random(500)
+        w0 /= w0.sum()
+        y = np.array([0.3, -0.2])
+        out = pf_weight(ParticleSet(states, w0, 4), y, model, 4)
+        log_pdf = multivariate_normal(y, R).logpdf(model.h(states, None, 4))
+        expect = w0 * np.exp(log_pdf - log_pdf.max())
+        np.testing.assert_allclose(out.weights, expect / expect.sum(), rtol=1e-12)
+
 
 class TestPfEss:
     def test_uniform(self):
@@ -171,6 +192,52 @@ class TestPfResample:
         assert abs(means.mean() - target) < 3 * stderr
 
 
+class TestMultinomialAddressing:
+    """Particle i's ancestor is searchsorted(cum, u[i], side="right") over the
+    cumulative weights with cum[-1] = 1 and the pf/resample uniforms u."""
+
+    N = 1000
+    K = 6
+
+    def _check(self, weights, seed=5):
+        states = np.column_stack([np.arange(self.N, dtype=float), -np.arange(self.N, dtype=float)])
+        plan = RngStreamPlan(seed)
+        out = pf_resample(ParticleSet(states, weights, self.K), 1.0, plan)
+        cum = np.cumsum(weights)
+        cum[-1] = 1.0
+        u = plan.uniforms(self.K, "pf/resample", self.N)
+        np.testing.assert_array_equal(out.states, states[np.searchsorted(cum, u, side="right")])
+        assert np.all(weights[out.states[:, 0].astype(int)] > 0)  # no zero-weight ancestor
+        return out
+
+    def test_random_weights(self, rng):
+        w = rng.random(self.N)
+        self._check(w / w.sum())
+
+    def test_skewed_weights(self, rng):
+        w = rng.random(self.N) ** 8
+        self._check(w / w.sum())
+
+    def test_degenerate_weights(self):
+        w = np.zeros(self.N)
+        w[417] = 1.0
+        out = self._check(w)
+        np.testing.assert_array_equal(out.states[:, 0], 417.0)
+
+    def test_cumulative_sums_equal_to_uniforms_resolve_right(self):
+        u = RngStreamPlan(5).uniforms(self.K, "pf/resample", self.N)
+        # two drawn uniforms within a factor of two, so cum = a, then a + (b - a) = b
+        # exactly (Sterbenz); zero weights between them repeat each cumulative sum
+        a, b = np.sort(u[(u > 0.3) & (u < 0.6)])[[0, -1]]
+        w = np.zeros(self.N)
+        w[[100, 400, self.N - 1]] = a, b - a, 1.0 - b
+        cum = np.cumsum(w)
+        assert cum[150] == a and cum[500] == b  # the lookups of a and b are ties
+        out = self._check(w)
+        ancestors = out.states[:, 0]
+        assert np.all(ancestors[u == a] == 400) and np.all(ancestors[u == b] == self.N - 1)
+
+
 class TestWeightedMoments:
     def test_matches_dense_formula(self, rng):
         states = rng.standard_normal((200, 2))
@@ -180,6 +247,22 @@ class TestWeightedMoments:
         np.testing.assert_allclose(mean, w @ states, rtol=1e-12)
         dev = states - mean
         np.testing.assert_allclose(cov, (w[:, None] * dev).T @ dev, rtol=1e-10)
+
+    def test_matches_longdouble_two_pass_at_tank_offset(self, rng):
+        # the tank's level: mean 100, spread 1e-2, and correlated coordinates
+        mix = np.array([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [-0.3, 0.5, 0.7]])
+        states = 100.0 + 1e-2 * rng.standard_normal((10_000, 3)) @ mix.T
+        w = rng.random(10_000) ** 8
+        w /= w.sum()
+        mean, cov = weighted_moments(states, w)
+        assert np.array_equal(mean, w @ states)
+        assert np.array_equal(cov, cov.T)
+        wl, xl = w.astype(np.longdouble), states.astype(np.longdouble)
+        ref_mean = wl @ xl
+        dev = xl - ref_mean
+        ref_cov = (wl[:, None] * dev).T @ dev
+        assert rel_err(mean, ref_mean.astype(float)) < 1e-10
+        assert rel_err(cov, ref_cov.astype(float)) < 1e-10
 
 
 class TestMarginalHistogram:

@@ -201,6 +201,7 @@ def _cmd_estimate(args) -> int:
     if args.scenario == "pf":
         extra["particles"] = args.particles
         extra["ess_min"] = float(report.ess.min())
+        extra["ess_pre_resample_min"] = float(report.ess_pre_resample.min())
         extra["resample_events"] = int(report.resampled.sum())
     _write_manifest(
         outdir / f"{args.scenario}_manifest.json",

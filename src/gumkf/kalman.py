@@ -4,7 +4,9 @@ One Kalman step serves the LKF, the EKF and every Monte Carlo trial.  It runs
 on `core`'s structure-of-arrays stacks, trial axis last, whose products keep a
 trial's bits independent of the other trials, so a filter (M = 1) and a trial
 given the same matrices agree bit for bit.  `_update` is the correction, with
-a Joseph-form covariance that stays PSD under rounding.  `_predict` and
+a Joseph-form covariance that stays PSD under rounding, evaluated as rank-p
+corrections of P at O(n^2 p) per trial rather than as O(n^3) products with
+I - K H.  `_predict` and
 `_correct` run the step on one belief, whose one gate is GaussianBelief's own,
 and name the step and k on failure.  They fetch f, F, Q and h, H, R at
 (x, theta, k), the contract of both model types, so kf_* and ekf_* (in `ekf`)
@@ -50,6 +52,9 @@ def _update(x, P, y, h, H, R, k: int, trial_start=None):
     The gain is H P / s for p = 1 and a batched solve after a Cholesky check
     of S for p > 1.  A failed check names k and, unless `trial_start` is None,
     the trial; overflow ends as non-finite values for the callers' gates.
+    The Joseph form (I - K H) P (I - K H)' + K R K' is evaluated without
+    I - K H, as A P + (K R - A P H') K' with A P = P - K (H P), which is the
+    same for any K and costs O(n^2 p) per trial instead of O(n^3).
     """
     hp = _mm(H, P)  # H P, (p, n, M)
     s_mat = _mm(hp, _t(H)) + R
@@ -74,8 +79,8 @@ def _update(x, P, y, h, H, R, k: int, trial_start=None):
             ) from exc
         gain = np.linalg.solve(s_mat, hp.transpose(2, 0, 1)).transpose(2, 1, 0)
     innovation = y - h
-    a_mat = np.eye(x.shape[0])[:, :, np.newaxis] - _mm(gain, H)
-    cov = _mm(_mm(a_mat, P), _t(a_mat)) + _mm(_mm(gain, R), _t(gain))
+    ap = P - _mm(gain, hp)  # (I - K H) P
+    cov = ap + _mm(_mm(gain, R) - _mm(ap, _t(H)), _t(gain))
     return x + _mv(gain, innovation), (cov + _t(cov)) / 2.0, gain, innovation
 
 

@@ -149,11 +149,14 @@ def pf_resample(
 
 @dataclass
 class PfRunResult:
-    """Per-step weighted summaries and optional marginal snapshots."""
+    """Per-step weighted summaries and optional marginal snapshots.  `ess` is
+    the effective sample size after each step's resampling decision,
+    `ess_pre_resample` that of the weighted set the decision was made on."""
 
     means: np.ndarray
     covs: np.ndarray
     ess: np.ndarray
+    ess_pre_resample: np.ndarray
     resampled: np.ndarray
     records: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
@@ -215,11 +218,13 @@ def pf_run(
             records[k] = (particles.states.copy(), particles.weights.copy())
 
     summarize(0)
+    ess_pre = ess_hist.copy()  # entry 0: the prior set, never resampled
     for k in range(1, n_steps + 1):
         particles = pf_propagate(particles, model, plan, k)
         particles = pf_weight(particles, ys[k - 1], model, k)
+        ess_pre[k] = pf_ess(particles)
         before = particles
         particles = pf_resample(particles, gamma, plan)
         resampled[k] = particles is not before
         summarize(k)
-    return PfRunResult(means, covs, ess_hist, resampled, records)
+    return PfRunResult(means, covs, ess_hist, ess_pre, resampled, records)

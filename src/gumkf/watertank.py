@@ -231,7 +231,8 @@ class EstimationReport:
     the physical states, the frequency trajectory where applicable, and
     optional marginal sample snapshots keyed by time in seconds (sample
     columns ordered xL, xs, theta).  The particle filter also reports its
-    per-step effective sample size after resampling and resampling flags."""
+    per-step effective sample size after and before the resampling decision
+    and the resampling flags."""
 
     scenario: str
     config: TankConfig
@@ -243,20 +244,22 @@ class EstimationReport:
     record: SimulationRecord
     marginals: Dict[float, Tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     ess: Optional[np.ndarray] = None
+    ess_pre_resample: Optional[np.ndarray] = None
     resampled: Optional[np.ndarray] = None
 
 
 def _times_to_indices(config: TankConfig, times_s) -> Dict[int, float]:
     out = {}
+    horizon = config.n_steps * config.dt
     for t in map(float, times_s):
-        k = round(t / config.dt) if math.isfinite(t / config.dt) else -1
-        if not 0 <= k <= config.n_steps:
+        if not 0.0 <= t <= horizon:  # also refuses nan
             raise ConfigError(
-                f"requested time {t} s is outside the simulated horizon "
-                f"[0, {config.n_steps * config.dt}] s"
+                f"requested time {t} s is outside the simulated horizon [0, {horizon}] s"
             )
-        if out.setdefault(k, t) != t:
+        k = round(t / config.dt)
+        if k in out:
             raise ConfigError(f"requested times {out[k]} s and {t} s fall on the same step {k}")
+        out[k] = t
     return out
 
 
@@ -356,4 +359,6 @@ def scenario(
     )
     marginals = {rec_idx[k]: res.records[k] for k in res.records}
     report = _report(name, config, record, res.means, _variances(res.covs), marginals)
-    return replace(report, ess=res.ess, resampled=res.resampled)
+    return replace(
+        report, ess=res.ess, ess_pre_resample=res.ess_pre_resample, resampled=res.resampled
+    )

@@ -74,6 +74,13 @@ class TestEstimate:
         # gamma * particles would have resampled
         assert 0.9 * 128 <= manifest["ess_min"] < 128
         assert 0 < manifest["resample_events"] <= 20
+        # the ESS each decision was made on: a step resampled exactly when it
+        # fell below gamma * particles, and kept its ESS when it did not
+        pre = report.ess_pre_resample
+        assert manifest["ess_pre_resample_min"] == pre.min()
+        assert np.array_equal(report.resampled, pre < 0.9 * 128)
+        assert np.array_equal(pre[~report.resampled], report.ess[~report.resampled])
+        assert manifest["ess_pre_resample_min"] < 0.9 * 128
 
     def test_seventeen_digit_roundtrip(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -169,8 +176,9 @@ class TestPdfMarginal:
         total = np.sum((data[:, 1] - data[:, 0]) * data[:, 2])
         assert total == pytest.approx(1.0, rel=1e-9)
 
-    # a malformed list, two times on one step, a non-finite time
-    @pytest.mark.parametrize("at", ["2;8", "0.1,0.101", "nan"])
+    # a malformed list, two times on one step, a non-finite time, one time
+    # twice, a negative time that rounds to step 0
+    @pytest.mark.parametrize("at", ["2;8", "0.1,0.101", "nan", "0.1,0.1", "-0.004"])
     def test_bad_time_list_is_config_error(self, tmp_path, capsys, at):
         cfg = small_config(tmp_path)
         code = run(

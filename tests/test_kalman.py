@@ -17,6 +17,7 @@ from gumkf import (
     kf_predict,
     propagate_linear_gum,
 )
+from gumkf.kalman import _update
 
 from conftest import rand_pd, rand_psd, rel_err
 
@@ -40,6 +41,15 @@ def random_instance(rng, n, p):
     prev = GaussianBelief(rng.standard_normal(n), rand_psd(rng, n) + 1e-6 * np.eye(n))
     y = rng.standard_normal(p)
     return model, prev, y
+
+
+def spd_stack(rng, n, m, cond):
+    """(n, n, m) stack of random SPD matrices, each with eigenvalues spread
+    log-uniformly over [1/cond, 1] (the ends included)."""
+    q, _ = np.linalg.qr(rng.standard_normal((m, n, n)))
+    w = 10.0 ** rng.uniform(-np.log10(cond), 0.0, (m, n))
+    w[:, 0], w[:, -1] = 1.0, 1.0 / cond
+    return np.ascontiguousarray(((q * w[:, np.newaxis, :]) @ q.transpose(0, 2, 1)).transpose(1, 2, 0))
 
 
 class TestKfPredict:
@@ -166,3 +176,36 @@ class TestBayesScalarOracle:
             step = kf_correct(GaussianBelief([m], [[v]]), [y], scalar_model(r=r))
             assert abs(step.corrected.mean[0] - post_mean) <= 1e-12 * max(abs(post_mean), 1.0)
             assert abs(step.corrected.cov[0, 0] - post_var) <= 1e-12 * post_var
+
+
+class TestUpdateKernel:
+    """`_update`, the one correction kernel, on (n, n, M) trial stacks."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_covariance_matches_matrix_form_joseph(self, p):
+        rng = np.random.default_rng(20261018)
+        n, m = 3, 64
+        P = spd_stack(rng, n, m, 1e4)
+        H = rng.standard_normal((p, n, m))
+        R = np.stack([rand_pd(rng, p) for _ in range(m)], axis=-1)
+        _, cov, K, _ = _update(
+            np.zeros((n, m)), P, np.zeros((p, m)), np.zeros((p, m)), H, R, 1
+        )
+        for j in range(m):
+            ref = joseph_update(P[:, :, j], K[:, :, j], H[:, :, j], R[:, :, j])
+            assert np.linalg.norm(cov[:, :, j] - ref) <= 1e-12 * np.linalg.norm(P[:, :, j])
+
+    def test_corrected_covariances_stay_psd_when_ill_conditioned(self):
+        # the Joseph property: at condition 1e12 and a measurement far more
+        # precise than P's smallest variance, the simple form P - K H P goes
+        # indefinite on some of these trials
+        rng = np.random.default_rng(1968)
+        n, m = 3, 20_000
+        P = 1e12 * spd_stack(rng, n, m, 1e12)  # eigenvalues in [1, 1e12]
+        H = rng.standard_normal((1, n, m))
+        R = np.full((1, 1, 1), 1e-6)
+        _, cov, _, _ = _update(
+            np.zeros((n, m)), P, np.zeros((1, m)), np.zeros((1, m)), H, R, 1
+        )
+        bad = [j for j in range(m) if not assert_psd(cov[:, :, j], tol=1e-10)]
+        assert bad == []

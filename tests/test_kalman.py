@@ -49,7 +49,8 @@ def spd_stack(rng, n, m, cond):
     q, _ = np.linalg.qr(rng.standard_normal((m, n, n)))
     w = 10.0 ** rng.uniform(-np.log10(cond), 0.0, (m, n))
     w[:, 0], w[:, -1] = 1.0, 1.0 / cond
-    return np.ascontiguousarray(((q * w[:, np.newaxis, :]) @ q.transpose(0, 2, 1)).transpose(1, 2, 0))
+    stack = (q * w[:, np.newaxis, :]) @ q.transpose(0, 2, 1)  # q diag(w) q'
+    return np.ascontiguousarray(stack.transpose(1, 2, 0))
 
 
 class TestKfPredict:

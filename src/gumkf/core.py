@@ -4,13 +4,16 @@ All estimators in this package operate on the small set of value objects
 defined here: Gaussian state beliefs, linear/nonlinear system descriptions,
 parameter knowledge, and a seedable plan for addressing independent random
 substreams.  Everything is immutable and safe to share between threads.
+Both system types answer one contract, whose pairs linearize (f(x), F) and
+linearize_obs (h(x), H) give a filter step its model in one call each; the
+per-trial products on trial-axis-last stacks (_mm, _mv) live here too.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -179,12 +182,22 @@ def _eval_matrix(spec: MatrixSpec, *args) -> np.ndarray:
     return np.asarray(spec, dtype=float)
 
 
+def _apply(matrix: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(matrix x, matrix) for a matrix or (M, r, c) stack and one vector or
+    an (M, c) batch; a matrix that does not fit x is a DimensionError."""
+    if matrix.shape[-1:] != np.shape(x)[-1:]:
+        raise DimensionError(f"matrix shape {matrix.shape} does not fit x {np.shape(x)}")
+    return np.einsum("...ij,...j->...i", matrix, x), matrix
+
+
 @dataclass(frozen=True)
 class LinearModel:
     """Linear state-space system x(k+1) = F x(k) + w, y(k) = H x(k) + v.
 
-    It answers NonlinearModel's contract, f, h, F and H of (x, theta, k):
-    F and H are the system matrices, exact Jacobians that ignore x.
+    It answers NonlinearModel's contract: f, h, F and H of (x, theta, k),
+    and the pairs (f(x), F) = linearize(x, theta, k) and (h(x), H) =
+    linearize_obs(x, theta, k), which evaluate a matrix callable once.  F
+    and H are the system matrices, exact Jacobians that ignore x.
     `state_matrix` and `obs_matrix` may be constant arrays or callables of
     (k, theta); noise covariances may be constant arrays or callables of k.
     theta is None, one parameter vector, or an (M, n_theta) batch with a
@@ -203,11 +216,17 @@ class LinearModel:
     def H(self, x: np.ndarray, theta, k: int) -> np.ndarray:
         return np.atleast_2d(_eval_matrix(self.obs_matrix, k, theta))
 
+    def linearize(self, x: np.ndarray, theta, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        return _apply(self.F(x, theta, k), x)
+
+    def linearize_obs(self, x: np.ndarray, theta, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        return _apply(self.H(x, theta, k), x)
+
     def f(self, x: np.ndarray, theta, k: int) -> np.ndarray:
-        return np.einsum("...ij,...j->...i", self.F(x, theta, k), x)
+        return self.linearize(x, theta, k)[0]
 
     def h(self, x: np.ndarray, theta, k: int) -> np.ndarray:
-        return np.einsum("...ij,...j->...i", self.H(x, theta, k), x)
+        return self.linearize_obs(x, theta, k)[0]
 
     def Q(self, k: int) -> np.ndarray:
         return _eval_matrix(self.process_noise, k)
@@ -224,7 +243,8 @@ class NonlinearModel:
     then None or (M, n_theta)); every callable handles both.  Jacobian
     callables return (..., rows, n) stacks, or one matrix that holds for
     every trial.  Jacobians are optional; central finite differences are
-    used as fallback.
+    used as fallback.  linearize(x, theta, k) is (f(x), F) and
+    linearize_obs(x, theta, k) is (h(x), H), as for LinearModel.
     """
 
     state_fn: Callable
@@ -251,6 +271,12 @@ class NonlinearModel:
         if self.obs_jacobian is not None:
             return np.atleast_2d(np.asarray(self.obs_jacobian(x, theta, k), dtype=float))
         return finite_difference_jacobian(lambda v: self.obs_fn(v, theta, k), x)
+
+    def linearize(self, x: np.ndarray, theta, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        return self.f(x, theta, k), self.F(x, theta, k)
+
+    def linearize_obs(self, x: np.ndarray, theta, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        return self.h(x, theta, k), self.H(x, theta, k)
 
     def Q(self, k: int) -> np.ndarray:
         return _eval_matrix(self.process_noise, k)
@@ -348,10 +374,13 @@ def _soa(matrix: np.ndarray) -> np.ndarray:
 
 
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-trial product of an (i, l, .) and an (l, j, .) stack."""
+    """Per-trial product of an (i, l, .) and an (l, j, .) stack.  The terms
+    are added in order of l through one reused product buffer."""
     out = a[:, :1] * b[:1]
-    for l in range(1, a.shape[1]):
-        out += a[:, l : l + 1] * b[l : l + 1]
+    if a.shape[1] > 1:
+        term = np.empty_like(out)
+        for l in range(1, a.shape[1]):
+            out += np.multiply(a[:, l : l + 1], b[l : l + 1], out=term)
     return out
 
 

@@ -19,9 +19,9 @@ the pairwise update of Chan, Golub & LeVeque; stored samples and recorded
 rows are the blocks joined in trial order.  mc_sequential (time-major,
 online) uses one chunk-aligned block per thread and mc_batch (trial-major)
 one block per trial, gathered into the same chunks, so both, threaded or
-not, give bit-identical results.  Models are evaluated on whole blocks:
-every model callable accepts one vector or a batch with a leading trial
-axis.
+not, give bit-identical results.  Models are evaluated on whole blocks, once
+per linearization and step: every model callable accepts one vector or a
+batch with a leading trial axis.
 """
 
 from __future__ import annotations
@@ -217,7 +217,10 @@ def mc_step(
     contribution) and apply the correction with the gain from the trial's own
     deterministic covariance recursion.  `filter_state` holds the per-trial
     predicted-covariance recursion, shape (M, n, n), going in and out.  Either
-    model type serves: f and F are taken at the states, h and H at x tilde.
+    model type serves, with one call per linearization: (f, F) =
+    model.linearize at the states and (h, H) = model.linearize_obs at x
+    tilde.  F P F' + Q and x tilde are formed in mc_step's own arrays, in
+    place; what a model callable returns is never written to.
 
     The trials are the last axis of `kalman`'s structure-of-arrays stacks,
     and the prediction F P F' + Q and the correction `kalman._update` are the
@@ -236,17 +239,19 @@ def mc_step(
 
     # prediction: mean push-forward and the deterministic covariance recursion
     theta = params if params.shape[1] else None
-    x_pred = model.f(states, theta, k).T
-    F = _soa(model.F(states, theta, k))
-    cov_pred = _mm(_mm(F, _soa(filter_state)), _t(F)) + _soa(Q)
+    x_pred, F = model.linearize(states, theta, k)
+    F = _soa(F)
+    cov_pred = _mm(_mm(F, _soa(filter_state)), _t(F))
+    cov_pred += _soa(Q)
 
-    x_tilde = x_pred + z
+    x_tilde = z  # the process-noise draw's own (n, M) stack, added to in place
+    x_tilde += x_pred.T
 
     # correction at x_tilde
-    x_rows = np.ascontiguousarray(x_tilde.T)
-    H = _soa(model.H(x_rows, theta, k))
-    h_val = model.h(x_rows, theta, k).T
-    x_new, cov_new, _, _ = _update(x_tilde, cov_pred, y_samples, h_val, H, _soa(R), k, trial_start)
+    h_val, H = model.linearize_obs(np.ascontiguousarray(x_tilde.T), theta, k)
+    x_new, cov_new, _, _ = _update(
+        x_tilde, cov_pred, y_samples, h_val.T, _soa(H), _soa(R), k, trial_start
+    )
 
     bad = ~np.all(np.isfinite(x_new), axis=0)
     if bad.any():

@@ -6,11 +6,12 @@ trial's bits independent of the other trials, so a filter (M = 1) and a trial
 given the same matrices agree bit for bit.  `_update` is the correction, with
 a Joseph-form covariance that stays PSD under rounding, evaluated as rank-p
 corrections of P at O(n^2 p) per trial rather than as O(n^3) products with
-I - K H.  `_predict` and
+I - K H, and updates its own temporaries in place.  `_predict` and
 `_correct` run the step on one belief, whose one gate is GaussianBelief's own,
-and name the step and k on failure.  They fetch f, F, Q and h, H, R at
-(x, theta, k), the contract of both model types, so kf_* and ekf_* (in `ekf`)
-differ only in argument order and step name.  `kf_gain` and `joseph_update`
+and name the step and k on failure.  They fetch (f(x), F) = linearize and
+(h(x), H) = linearize_obs at (x, theta, k), one call each, plus Q and R: the
+contract of both model types, so kf_* and ekf_* (in `ekf`) differ only in
+argument order and step name.  `kf_gain` and `joseph_update`
 keep the matrix formulas for the analytic propagations, the filters'
 independent references.
 """
@@ -54,10 +55,13 @@ def _update(x, P, y, h, H, R, k: int, trial_start=None):
     the trial; overflow ends as non-finite values for the callers' gates.
     The Joseph form (I - K H) P (I - K H)' + K R K' is evaluated without
     I - K H, as A P + (K R - A P H') K' with A P = P - K (H P), which is the
-    same for any K and costs O(n^2 p) per trial instead of O(n^3).
+    same for any K and costs O(n^2 p) per trial instead of O(n^3).  Only
+    the kernel's own temporaries are updated in place, never x, P, y, h or
+    the matrices, which may be views of a caller's or a model's arrays.
     """
     hp = _mm(H, P)  # H P, (p, n, M)
-    s_mat = _mm(hp, _t(H)) + R
+    s_mat = _mm(hp, _t(H))
+    s_mat += R
     if s_mat.shape[0] == 1:
         s = s_mat[0, 0]
         bad = ~(np.isfinite(s) & (s > 0.0))
@@ -79,36 +83,45 @@ def _update(x, P, y, h, H, R, k: int, trial_start=None):
             ) from exc
         gain = np.linalg.solve(s_mat, hp.transpose(2, 0, 1)).transpose(2, 1, 0)
     innovation = y - h
-    ap = P - _mm(gain, hp)  # (I - K H) P
-    cov = ap + _mm(_mm(gain, R) - _mm(ap, _t(H)), _t(gain))
-    return x + _mv(gain, innovation), (cov + _t(cov)) / 2.0, gain, innovation
+    ap = _mm(gain, hp)
+    np.subtract(P, ap, out=ap)  # (I - K H) P
+    kr = _mm(gain, R)
+    kr -= _mm(ap, _t(H))
+    cov = _mm(kr, _t(gain))
+    cov += ap
+    sym = cov + _t(cov)
+    sym /= 2.0
+    x_new = _mv(gain, innovation)
+    x_new += x
+    return x_new, sym, gain, innovation
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _predict(prev: GaussianBelief, model, theta, k: int, where: str) -> GaussianBelief:
     """Mean f(x), covariance F P F' + Q, with F the model's at x."""
     n = prev.dim
-    F, Q = model.F(prev.mean, theta, k), model.Q(k)
+    mean, F = model.linearize(prev.mean, theta, k)
+    Q = model.Q(k)
     if F.shape != (n, n):
         raise DimensionError(f"state matrix shape {F.shape} != ({n}, {n}) ({where})")
     if Q.shape != (n, n):
         raise DimensionError(f"process noise shape {Q.shape} != ({n}, {n}) ({where})")
-    mean = model.f(prev.mean, theta, k)
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(F))):
         raise NumericError(f"non-finite dynamics evaluation ({where})")
     F = _soa(F)
-    cov = (_mm(_mm(F, _soa(prev.cov)), _t(F)) + _soa(Q))[:, :, 0]
-    return _named(where, GaussianBelief, mean, cov)
+    cov = _mm(_mm(F, _soa(prev.cov)), _t(F))
+    cov += _soa(Q)
+    return _named(where, GaussianBelief, mean, cov[:, :, 0])
 
 
 def _correct(predicted: GaussianBelief, y, model, theta, k: int, where: str) -> KalmanStep:
     """`_update` of one belief by y, with h and H the model's at its mean."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    H, R = model.H(predicted.mean, theta, k), np.atleast_2d(model.R(k))
+    h_pred, H = model.linearize_obs(predicted.mean, theta, k)
+    R = np.atleast_2d(model.R(k))
     p, n = y.shape[0], predicted.dim
     if H.shape != (p, n) or R.shape != (p, p):
         raise DimensionError(f"obs matrix {H.shape} or noise {R.shape} != p={p}, n={n} ({where})")
-    h_pred = model.h(predicted.mean, theta, k)
     if not (np.all(np.isfinite(H)) and np.all(np.isfinite(h_pred))):
         raise NumericError(f"non-finite observation evaluation ({where})")
     x, P, K, innovation = _update(

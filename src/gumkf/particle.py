@@ -121,19 +121,17 @@ def pf_ess(particles: ParticleSet) -> float:
     return float(1.0 / np.sum(particles.weights**2))
 
 
-def pf_resample(
-    particles: ParticleSet, gamma: float, plan: RngStreamPlan
-) -> ParticleSet:
-    """Multinomial resampling, triggered when ESS < gamma * N_s; returns
-    `particles` itself when it does not resample.
+def _check_gamma(gamma: float) -> None:
+    if not 0.0 < gamma <= 1.0:
+        raise ConfigError(f"resampling tolerance factor must lie in (0, 1], got {gamma}")
+
+
+def _resample(particles: ParticleSet, plan: RngStreamPlan) -> ParticleSet:
+    """Multinomial resampling of every particle, with equal weights after.
 
     Particle i's ancestor is searchsorted(cum, u[i], side="right") for the
     cumulative weights cum (cum[-1] = 1) and the uniforms u; the uniforms
     are looked up in sorted order and the indices scattered back."""
-    if not 0.0 < gamma <= 1.0:
-        raise ConfigError(f"resampling tolerance factor must lie in (0, 1], got {gamma}")
-    if pf_ess(particles) >= gamma * particles.size:
-        return particles
     u = plan.uniforms(particles.k, LABEL_RESAMPLE, particles.size)
     cum = np.cumsum(particles.weights)
     cum[-1] = 1.0
@@ -145,6 +143,17 @@ def pf_resample(
         np.full(particles.size, 1.0 / particles.size),
         particles.k,
     )
+
+
+def pf_resample(
+    particles: ParticleSet, gamma: float, plan: RngStreamPlan
+) -> ParticleSet:
+    """Multinomial resampling, triggered when ESS < gamma * N_s; returns
+    `particles` itself when it does not resample."""
+    _check_gamma(gamma)
+    if pf_ess(particles) >= gamma * particles.size:
+        return particles
+    return _resample(particles, plan)
 
 
 @dataclass
@@ -198,6 +207,7 @@ def pf_run(
     time indices for marginal-PDF inspection."""
     if n_particles < 2:
         raise ConfigError(f"need at least 2 particles, got {n_particles}")
+    _check_gamma(gamma)
     ys = _normalize_measurements(measurements)
     n_steps = ys.shape[0]
     record_at = set(int(r) for r in record_at)
@@ -211,20 +221,21 @@ def pf_run(
     resampled = np.zeros(n_steps + 1, dtype=bool)
     records: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
-    def summarize(k):
+    def summarize(k, ess):
         means[k], covs[k] = weighted_moments(particles.states, particles.weights)
-        ess_hist[k] = pf_ess(particles)
+        ess_hist[k] = ess
         if k in record_at:
             records[k] = (particles.states.copy(), particles.weights.copy())
 
-    summarize(0)
+    summarize(0, pf_ess(particles))
     ess_pre = ess_hist.copy()  # entry 0: the prior set, never resampled
     for k in range(1, n_steps + 1):
         particles = pf_propagate(particles, model, plan, k)
         particles = pf_weight(particles, ys[k - 1], model, k)
-        ess_pre[k] = pf_ess(particles)
-        before = particles
-        particles = pf_resample(particles, gamma, plan)
-        resampled[k] = particles is not before
-        summarize(k)
+        ess = ess_pre[k] = pf_ess(particles)
+        if ess < gamma * particles.size:  # pf_resample's test, on this ESS
+            particles = _resample(particles, plan)
+            resampled[k] = True
+            ess = pf_ess(particles)
+        summarize(k, ess)
     return PfRunResult(means, covs, ess_hist, ess_pre, resampled, records)

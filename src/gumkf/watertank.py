@@ -131,10 +131,27 @@ def linear_model(config: TankConfig) -> LinearModel:
     )
 
 
-def _augmented_jacobian(config: TankConfig):
+def _augmented_closed_forms(config: TankConfig):
+    """state_fn, obs_fn and state Jacobian of the augmented tank in closed
+    form, (x_L + 2 pi theta cos(2 pi theta t) x_s, x_s, theta) and x_L.  They
+    use the floating-point expressions of linear_model's state matrix, so
+    they equal augment's generic functions of linear_model bit for bit.  The
+    Jacobian is filled trial axis last, (3, 3, M), and returned as its
+    (M, 3, 3) transposed view, which _soa takes without a copy."""
     dt = config.dt
 
-    def jac(z, _theta, k):
+    def state_fn(z, _theta, k):
+        z = np.asarray(z, dtype=float)
+        th = z[..., 2]
+        t = (k - 1) * dt
+        out = z.copy()
+        out[..., 0] += 2.0 * np.pi * th * np.cos(2.0 * np.pi * th * t) * z[..., 1]
+        return out
+
+    def obs_fn(z, _theta, _k):
+        return np.asarray(z, dtype=float)[..., :1]
+
+    def state_jacobian(z, _theta, k):
         z = np.asarray(z, dtype=float)
         t = (k - 1) * dt
         xs = z[..., 1]
@@ -142,15 +159,13 @@ def _augmented_jacobian(config: TankConfig):
         u = 2.0 * np.pi * th * t
         c = np.cos(u)
         s = np.sin(u)
-        out = np.zeros(z.shape[:-1] + (3, 3))
-        out[..., 0, 0] = 1.0
-        out[..., 0, 1] = 2.0 * np.pi * th * c
-        out[..., 0, 2] = xs * 2.0 * np.pi * (c - u * s)
-        out[..., 1, 1] = 1.0
-        out[..., 2, 2] = 1.0
-        return out
+        out = np.zeros((3, 3) + z.shape[:-1])
+        out[0, 0] = out[1, 1] = out[2, 2] = 1.0
+        out[0, 1] = 2.0 * np.pi * th * c
+        out[0, 2] = xs * 2.0 * np.pi * (c - u * s)
+        return out.transpose(tuple(range(2, out.ndim)) + (0, 1))
 
-    return jac
+    return state_fn, obs_fn, state_jacobian
 
 
 def _augmented_obs_jacobian(_z, _theta, _k):
@@ -173,16 +188,18 @@ def frequency_knowledge(config: TankConfig) -> ParameterKnowledge:
 
 def augmented_model(config: TankConfig) -> Tuple[AugmentedModel, GaussianBelief]:
     """Three-state augmented system (x_L, x_s, theta) with its initial
-    belief diag(0, tau^2, u_theta^2)."""
+    belief diag(0, tau^2, u_theta^2); augment's model of linear_model with
+    the closed-form state and observation functions and Jacobians."""
+    state_fn, obs_fn, state_jacobian = _augmented_closed_forms(config)
     aug, belief = augment(
         linear_model(config),
         state_prior(config),
         frequency_knowledge(config),
         config.alpha,
-        state_jacobian=_augmented_jacobian(config),
+        state_jacobian=state_jacobian,
         obs_jacobian=_augmented_obs_jacobian,
     )
-    return aug, belief
+    return replace(aug, model=replace(aug.model, state_fn=state_fn, obs_fn=obs_fn)), belief
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +315,21 @@ def scenario(
 ) -> EstimationReport:
     """Run one estimation scenario on a freshly simulated record.
 
+    trials and n_particles must be at least 2, gamma in (0, 1] and threads
+    at least 1 (else ConfigError), whether or not the scenario uses them.
     All scenarios under the same plan consume the identical SimulationRecord,
     so cross-scenario comparisons are paired.
     """
     if name not in SCENARIOS:
         raise ConfigError(f"unknown scenario {name!r}; choose from {SCENARIOS}")
+    if trials < 2:
+        raise ConfigError(f"trials must be at least 2, got {trials}")
+    if n_particles < 2:
+        raise ConfigError(f"particles must be at least 2, got {n_particles}")
+    if not 0.0 < gamma <= 1.0:
+        raise ConfigError(f"gamma must lie in (0, 1], got {gamma}")
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
     record = simulate(config, plan)
     ys = record.measurements
     n = config.n_steps

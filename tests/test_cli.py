@@ -223,6 +223,25 @@ class TestExitCodes:
         assert "gumkf: config error" in capsys.readouterr().err
         assert not (tmp_path / "pf.csv").exists()
 
+    # each flag on a scenario that does not use it
+    @pytest.mark.parametrize(
+        "name, option",
+        [
+            ("lkf-known", ["--trials", "1"]),
+            ("lkf-known", ["--particles", "1"]),
+            ("lkf-known", ["--gamma", "5"]),
+            ("pf", ["--threads", "0"]),
+        ],
+        ids=["trials", "particles", "gamma", "threads"],
+    )
+    def test_every_flag_is_checked_for_every_scenario(self, tmp_path, capsys, name, option):
+        cfg = small_config(tmp_path, n_steps=5)
+        argv = ["estimate", name, "--config", cfg, "--out", str(tmp_path), "--particles", "50"]
+        assert run(argv + option) == 1
+        assert "gumkf: config error" in capsys.readouterr().err
+        assert not (tmp_path / f"{name}.csv").exists()
+        assert not (tmp_path / f"{name}_manifest.json").exists()
+
     def test_numeric_failure_exit_code(self, tmp_path):
         # zero process and measurement noise make the innovation covariance
         # exactly singular

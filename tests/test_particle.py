@@ -23,6 +23,7 @@ from gumkf import (
     psd_sqrt,
     weighted_moments,
 )
+from gumkf import particle
 
 from conftest import rel_err
 
@@ -320,6 +321,20 @@ class TestPfRun:
         bel = self._kf_posterior(model, prior, ys[:10])
         sig = np.sqrt(np.diag(bel.cov))
         assert np.all(np.abs(res.means[-1] - bel.mean) <= 5 * sig / np.sqrt(2000) * 3)
+
+    def test_ess_computed_once_per_weight_set(self, monkeypatch):
+        # once for the prior, once per weighted set, once per resampled set
+        calls = []
+
+        def counting_ess(particles):
+            calls.append(particles.k)
+            return pf_ess(particles)
+
+        monkeypatch.setattr(particle, "pf_ess", counting_ess)
+        model, prior, ys = self._linear_instance()
+        res = pf_run(ys[:20], model, self._sampler(prior), 500, 0.9, RngStreamPlan(3))
+        assert 0 < res.resampled.sum() < 20
+        assert len(calls) == 1 + 20 + res.resampled.sum()
 
     def test_reproducible(self):
         model, prior, ys = self._linear_instance()

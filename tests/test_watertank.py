@@ -3,16 +3,29 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from gumkf import (
     ConfigError,
+    GaussianBelief,
+    McEnsemble,
     RngStreamPlan,
     TankConfig,
+    augment,
+    augmented_model,
+    finite_difference_jacobian,
     frequency_knowledge,
+    kf_correct,
+    kf_predict,
     linear_model,
+    mc_step,
     scenario,
     simulate,
     state_prior,
 )
+from gumkf.core import _soa
+
+from conftest import rel_err
 
 TWO_PI = 2.0 * np.pi
 
@@ -86,6 +99,61 @@ class TestLinearModel:
         pk = frequency_knowledge(cfg)
         assert pk.estimate[0] == cfg.theta
         assert pk.cov[0, 0] == pytest.approx(cfg.u_theta**2)
+
+
+def counted(model):
+    """The model with its state and observation matrices wrapped in callables
+    that count their evaluations."""
+    calls = {"state": 0, "obs": 0}
+
+    def state_matrix(k, theta):
+        calls["state"] += 1
+        return model.state_matrix(k, theta)
+
+    def obs_matrix(k, theta):
+        calls["obs"] += 1
+        return model.obs_matrix
+
+    return replace(model, state_matrix=state_matrix, obs_matrix=obs_matrix), calls
+
+
+class TestLinearization:
+    def test_filter_step_evaluates_each_matrix_once(self):
+        cfg = TankConfig()
+        model, calls = counted(linear_model(cfg))
+        belief, theta = state_prior(cfg), np.array([cfg.theta])
+        for k in range(1, 4):
+            predicted = kf_predict(belief, model, theta, k)
+            belief = kf_correct(predicted, [cfg.L0], model, theta, k).corrected
+            assert calls == {"state": k, "obs": k}
+
+    def test_monte_carlo_step_evaluates_each_matrix_once(self):
+        cfg = TankConfig()
+        model, calls = counted(linear_model(cfg))
+        params = cfg.theta + cfg.u_theta * np.linspace(-1.0, 1.0, 16)[:, np.newaxis]
+        ensemble = McEnsemble(np.tile([cfg.L0, cfg.xs], (16, 1)), params, 0)
+        covs = np.repeat(state_prior(cfg).cov[np.newaxis], 16, axis=0)
+        for k in range(1, 4):
+            ensemble, covs = mc_step(ensemble, [cfg.L0], model, covs, RngStreamPlan(3), k)
+            assert calls == {"state": k, "obs": k}
+
+    @pytest.mark.parametrize("trials", [None, 64])
+    def test_closed_forms_equal_the_generic_augmented_model(self, trials):
+        cfg = TankConfig()
+        model = augmented_model(cfg)[0].model
+        generic = augment(
+            linear_model(cfg), state_prior(cfg), frequency_knowledge(cfg), cfg.alpha
+        )[0].model
+        rng = np.random.default_rng(7)
+        shape = (3,) if trials is None else (trials, 3)
+        z = [cfg.L0, cfg.xs, cfg.theta] + rng.standard_normal(shape) * [1.0, 0.01, 0.05]
+        for k in (1, 17, 400):
+            np.testing.assert_array_equal(model.f(z, None, k), generic.f(z, None, k))
+            np.testing.assert_array_equal(model.h(z, None, k), generic.h(z, None, k))
+            F = model.F(z, None, k)
+            jac = finite_difference_jacobian(lambda v: model.f(v, None, k), z)
+            assert rel_err(F, jac) < 1e-6
+            assert np.shares_memory(_soa(F), F)
 
 
 class TestSimulate:

@@ -1,13 +1,12 @@
 """Water-tank benchmark: configuration, simulation, and the five scenarios."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from dataclasses import replace
-
 from gumkf import (
     ConfigError,
-    GaussianBelief,
     McEnsemble,
     RngStreamPlan,
     TankConfig,

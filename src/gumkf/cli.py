@@ -216,8 +216,13 @@ def _cmd_compare(args) -> int:
     for name in args.csvs:
         with open(name, "r", newline="", encoding="utf-8") as fh:
             reader = list(csv.reader(fh))
-        if not reader or reader[0][0] != "t":
-            raise ConfigError(f"{name}: not a scenario CSV (missing t column)")
+        if not reader or reader[0][:1] != ["t"]:
+            raise ConfigError(f"{name}: line 1: not a scenario CSV (missing t column)")
+        for line, row in enumerate(reader[1:], start=2):
+            if len(row) != len(reader[0]):
+                raise ConfigError(
+                    f"{name}: line {line}: {len(row)} fields where the header has {len(reader[0])}"
+                )
         tables.append((Path(name).stem, reader[0], reader[1:]))
     t_col = [row[0] for row in tables[0][2]]
     for stem, _, rows in tables[1:]:

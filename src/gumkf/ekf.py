@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     ConfigError,
@@ -134,7 +133,9 @@ def augment(
         obs_jacobian=obs_jacobian,
     )
     mean0 = np.concatenate([prior.mean, theta_knowledge.estimate])
-    cov0 = scipy.linalg.block_diag(prior.cov, theta_knowledge.cov)
+    cov0 = np.zeros((n, n))
+    cov0[:n_x, :n_x] = prior.cov
+    cov0[n_x:, n_x:] = theta_knowledge.cov
     return (
         AugmentedModel(base=model, model=aug_model, n_x=n_x, n_theta=n_theta),
         GaussianBelief(mean0, cov0),

@@ -13,7 +13,8 @@ and name the step and k on failure.  They fetch (f(x), F) = linearize and
 contract of both model types, so kf_* and ekf_* (in `ekf`) differ only in
 argument order and step name.  `kf_gain` and `joseph_update`
 keep the matrix formulas for the analytic propagations, the filters'
-independent references.
+independent references; `kf_gain` solves with numpy behind a Cholesky gate
+of its own.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     DimensionError,
@@ -140,17 +140,22 @@ def kf_predict(
 
 
 def kf_gain(predicted_cov: np.ndarray, C: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Kalman gain K = P C' (C P C' + R)^-1 via a symmetric-PD solve."""
+    """Kalman gain K = P C' (C P C' + R)^-1 by a numpy solve, gated by a
+    Cholesky factorization of the innovation covariance S: an S that is not
+    finite and positive definite raises NumericError."""
     P = np.asarray(predicted_cov, dtype=float)
     C = np.atleast_2d(np.asarray(C, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
     if C.shape[1] != P.shape[0] or R.shape != (C.shape[0], C.shape[0]):
         raise DimensionError("kf_gain: inconsistent P/C/R shapes")
     S = symmetrize(C @ P @ C.T + R)
+    if not np.all(np.isfinite(S)):
+        raise NumericError("innovation covariance is not finite (kf_gain)")
     try:
+        np.linalg.cholesky(S)
         # K' = S^-1 C P, using symmetry of P and S
-        return scipy.linalg.solve(S, C @ P, assume_a="pos").T
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+        return np.linalg.solve(S, C @ P).T
+    except np.linalg.LinAlgError as exc:
         raise NumericError(f"singular innovation covariance (kf_gain): {exc}") from exc
 
 

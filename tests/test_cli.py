@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gumkf
 from gumkf import RngStreamPlan, TankConfig, scenario
 from gumkf.cli import run
 
@@ -140,6 +145,37 @@ class TestCompare:
             ]
         )
         assert code == 1
+
+    def test_blank_first_line_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "blank.csv"
+        bad.write_text("\nt,a\n0,1\n")
+        good = tmp_path / "good.csv"
+        good.write_text("t,b\n0,2\n")
+        assert run(["compare", str(bad), str(good), "--out", str(tmp_path)]) == 1
+        assert f"{bad}: line 1: " in capsys.readouterr().err
+
+    def test_row_length_differing_from_header_rejected(self, tmp_path, capsys):
+        # joined, A's short last row would put B's 3 under A__a
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("t,a\n0,1\n0.01\n")
+        b.write_text("t,b\n0,2\n0.01,3\n")
+        assert run(["compare", str(a), str(b), "--out", str(tmp_path)]) == 1
+        assert f"{a}: line 3: 1 fields where the header has 2" in capsys.readouterr().err
+        assert not (tmp_path / "compare.csv").exists()
+
+
+class TestImportFootprint:
+    def test_import_loads_no_scipy_linalg(self):
+        # a fresh interpreter: this one has loaded scipy.stats for other tests
+        src = str(Path(gumkf.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        code = "import sys, gumkf, gumkf.cli; print('scipy.linalg' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestPdfMarginal:

@@ -80,9 +80,30 @@ class TestKfGain:
     def test_certain_prior(self):
         np.testing.assert_array_equal(kf_gain(np.zeros((2, 2)), [[1.0, 0.0]], [[1.0]]), 0.0)
 
-    def test_singular_innovation_raises(self):
-        with pytest.raises(NumericError):
-            kf_gain(np.zeros((1, 1)), [[1.0]], [[0.0]])
+    # S = 0, S = 1 - 3 = -2, an S with eigenvalues 3 and -1, and S = inf; the
+    # two indefinite ones are invertible, so only the positive-definite gate
+    # refuses them
+    INVALID_S = {
+        "zero": (np.zeros((1, 1)), [[1.0]], [[0.0]]),
+        "scalar-indefinite": ([[1.0]], [[1.0]], [[-3.0]]),
+        "2x2-indefinite": (np.eye(2), np.eye(2), [[0.0, 2.0], [2.0, 0.0]]),
+        "non-finite": ([[np.inf]], [[1.0]], [[1.0]]),
+    }
+
+    @pytest.mark.parametrize("case", INVALID_S)
+    def test_singular_innovation_raises(self, case):
+        with pytest.raises(NumericError, match=r"\(kf_gain\)"):
+            kf_gain(*self.INVALID_S[case])
+
+    def test_indefinite_innovation_names_step_and_time_index(self):
+        # a negative process noise makes the predicted variance, and S, -2
+        with pytest.raises(
+            NumericError, match=r"^singular innovation covariance \(propagate_linear_gum at k=5\): "
+        ):
+            propagate_linear_gum(
+                GaussianBelief([0.0], [[1.0]]), GaussianBelief([1.0], [[0.0]]),
+                scalar_model(q=-3.0), None, 5,
+            )
 
 
 class TestKfCorrect:
@@ -195,6 +216,9 @@ class TestUpdateKernel:
         for j in range(m):
             ref = joseph_update(P[:, :, j], K[:, :, j], H[:, :, j], R[:, :, j])
             assert np.linalg.norm(cov[:, :, j] - ref) <= 1e-12 * np.linalg.norm(P[:, :, j])
+            # the matrix-form reference gain, the oracles' own solve
+            gain = kf_gain(P[:, :, j], H[:, :, j], R[:, :, j])
+            assert np.linalg.norm(K[:, :, j] - gain) <= 1e-12 * np.linalg.norm(gain)
 
     def test_corrected_covariances_stay_psd_when_ill_conditioned(self):
         # the Joseph property: at condition 1e12 and a measurement far more

@@ -211,9 +211,16 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    # columns are <stem>__<col>, or <path without .csv>__<col> if stems repeat
+    prefixes = [Path(name).stem for name in args.csvs]
+    if len(set(prefixes)) < len(prefixes):
+        prefixes = [name.removesuffix(".csv") for name in args.csvs]
+    for i, name in enumerate(args.csvs):
+        if prefixes[i] in prefixes[:i]:
+            raise ConfigError(f"{name}: given twice; its columns would repeat")
     outdir = _outdir(args)
     tables = []
-    for name in args.csvs:
+    for name, prefix in zip(args.csvs, prefixes):
         with open(name, "r", newline="", encoding="utf-8") as fh:
             reader = list(csv.reader(fh))
         if not reader or reader[0][:1] != ["t"]:
@@ -223,14 +230,14 @@ def _cmd_compare(args) -> int:
                 raise ConfigError(
                     f"{name}: line {line}: {len(row)} fields where the header has {len(reader[0])}"
                 )
-        tables.append((Path(name).stem, reader[0], reader[1:]))
+        tables.append((prefix, reader[0], reader[1:]))
     t_col = [row[0] for row in tables[0][2]]
-    for stem, _, rows in tables[1:]:
+    for name, (_, _, rows) in zip(args.csvs[1:], tables[1:]):
         if [row[0] for row in rows] != t_col:
-            raise ConfigError(f"{stem}: time column differs; cannot join")
+            raise ConfigError(f"{name}: time column differs from {args.csvs[0]}'s; cannot join")
     header = ["t"]
-    for stem, head, _ in tables:
-        header += [f"{stem}__{col}" for col in head[1:]]
+    for prefix, head, _ in tables:
+        header += [f"{prefix}__{col}" for col in head[1:]]
     out_rows = []
     for i, t in enumerate(t_col):
         row = [t]

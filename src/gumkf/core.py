@@ -37,12 +37,12 @@ class ConfigError(ValueError):
 
 
 def _named(where: str, fn: Callable, *args):
-    """fn(*args), with a NumericError from its gate re-raised naming `where`
-    (e.g. "kf_correct at k=3") in place of fn's own name."""
+    """fn(*args), with a NumericError or DimensionError of its gates re-raised
+    naming `where` (e.g. "kf_correct at k=3") in place of fn's own name."""
     try:
         return fn(*args)
-    except NumericError as exc:
-        raise NumericError(str(exc).replace(fn.__name__, where)) from exc
+    except (NumericError, DimensionError) as exc:
+        raise type(exc)(str(exc).replace(fn.__name__, where)) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ standard deviation alpha that keeps the filter responsive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -89,15 +89,14 @@ def augment(
     prior: GaussianBelief,
     theta_knowledge: ParameterKnowledge,
     alpha: float,
-    state_jacobian: Optional[Callable] = None,
-    obs_jacobian: Optional[Callable] = None,
 ):
     """Fold uncertain parameters into the state.
 
     Returns (AugmentedModel, initial GaussianBelief) with block-diagonal
     initial covariance diag(P_x(0), U_theta) and process noise
     diag(Q, alpha^2 I).  With zero parameters the base model and prior are
-    returned unchanged.
+    returned unchanged.  The augmented model is differentiated by finite
+    differences; closed forms replace its fields with dataclasses.replace.
     """
     if alpha < 0:
         raise ConfigError(f"alpha must be non-negative, got {alpha}")
@@ -129,8 +128,6 @@ def augment(
         obs_fn=h_aug,
         process_noise=q_aug,
         obs_noise=model.obs_noise,
-        state_jacobian=state_jacobian,
-        obs_jacobian=obs_jacobian,
     )
     mean0 = np.concatenate([prior.mean, theta_knowledge.estimate])
     cov0 = np.zeros((n, n))

@@ -3,9 +3,9 @@ estimation model (GUM Supplement 1 over the filter recursion).
 
 Every trial m carries a joint sample (x, theta) together with its own
 deterministic filter covariance recursion, which depends on the trial's
-sampled parameters through the system matrices.  That recursion is the
-filters' Kalman step from `kalman`, run with the trials as the last axis of
-its stacks, so a trial's covariance is the LKF's or EKF's bit for bit.
+sampled parameters through the system matrices.  Its prediction and
+correction are the filters' own, `kalman`'s stack functions run with the
+trials as the last axis, so a trial's covariance is the LKF's or EKF's.
 Draws are addressed by (trial, time, label) through the RngStreamPlan, so a
 trial's trajectory does not depend on which other trials are advanced with it.
 
@@ -44,8 +44,8 @@ from .core import (
     mvn_sample,
     symmetrize,
 )
-from .core import _mm, _named, _normalize_measurements, _soa, _t
-from .kalman import _update
+from .core import _named, _normalize_measurements, _soa
+from .kalman import _correct_stack, _predict_stack
 
 LABEL_INIT_STATE = "mc/init-state"
 LABEL_INIT_PARAM = "mc/init-param"
@@ -212,53 +212,36 @@ def mc_step(
 
     For each trial: draw a measurement sample from N(y_hat, R) and a
     process-noise sample from N(0, Q) through mvn_sample, whose PSD gate
-    refuses an indefinite Q or R naming mc_step and k; propagate through the
-    dynamics, add the process noise ("x tilde", carrying the state-covariance
-    contribution) and apply the correction with the gain from the trial's own
-    deterministic covariance recursion.  `filter_state` holds the per-trial
-    predicted-covariance recursion, shape (M, n, n), going in and out.  Either
-    model type serves, with one call per linearization: (f, F) =
-    model.linearize at the states and (h, H) = model.linearize_obs at x
-    tilde.  F P F' + Q and x tilde are formed in mc_step's own arrays, in
-    place; what a model callable returns is never written to.
-
-    The trials are the last axis of `kalman`'s structure-of-arrays stacks,
-    and the prediction F P F' + Q and the correction `kalman._update` are the
-    filters' own step: each trial's covariance equals the LKF's or EKF's bit
-    for bit when it sees the same matrices.  The returned states are the
-    (M, n) transposed view of the (n, M) result stack, not a copy.
+    refuses an indefinite Q or R naming mc_step and k; add the noise in place
+    to the dynamics' push-forward ("x tilde", carrying the state-covariance
+    contribution) and correct x tilde with the gain of the trial's own
+    covariance recursion, `filter_state` (M, n, n) in and out.  Prediction
+    and correction are `kalman`'s stack functions, the filters' own, run on
+    the block with the trials as the last axis, so a trial's covariance is
+    the LKF's or EKF's bit for bit.  The returned states are the (M, n)
+    transposed view of the (n, M) result stack, not a copy.
     """
     states, params = ensemble.states, ensemble.params
     m_trials, n = states.shape
-    p = np.size(y_hat)
+    where = f"mc_step at k={k}"
     Q, R = model.Q(k), model.R(k)
     z = plan.normal_rows(k, LABEL_PROCESS, trial_start, m_trials, n)
-    z = _named(f"mc_step at k={k}", mvn_sample, np.zeros(n), Q, z).T
-    y_samples = plan.normal_rows(k, LABEL_OBS, trial_start, m_trials, p)
-    y_samples = _named(f"mc_step at k={k}", mvn_sample, y_hat, R, y_samples).T
+    x_tilde = _named(where, mvn_sample, np.zeros(n), Q, z)
+    y_samples = plan.normal_rows(k, LABEL_OBS, trial_start, m_trials, np.size(y_hat))
+    y_samples = _named(where, mvn_sample, y_hat, R, y_samples)
 
-    # prediction: mean push-forward and the deterministic covariance recursion
     theta = params if params.shape[1] else None
-    x_pred, F = model.linearize(states, theta, k)
-    F = _soa(F)
-    cov_pred = _mm(_mm(F, _soa(filter_state)), _t(F))
-    cov_pred += _soa(Q)
-
-    x_tilde = z  # the process-noise draw's own (n, M) stack, added to in place
-    x_tilde += x_pred.T
-
-    # correction at x_tilde
-    h_val, H = model.linearize_obs(np.ascontiguousarray(x_tilde.T), theta, k)
-    x_new, cov_new, _, _ = _update(
-        x_tilde, cov_pred, y_samples, h_val.T, _soa(H), _soa(R), k, trial_start
+    # F is held to the step's end: freed before the correction, it made the heap re-fault
+    x_pred, F, cov_pred = _predict_stack(states, _soa(filter_state), Q, model, theta, k, where)
+    x_tilde += x_pred  # the process-noise draw's own array, added to in place
+    x_new, cov_new, _, _ = _correct_stack(
+        x_tilde, cov_pred, y_samples, R, model, theta, k, where, trial_start
     )
 
     bad = ~np.all(np.isfinite(x_new), axis=0)
     if bad.any():
         first = int(np.argmax(bad))
-        raise NumericError(
-            f"non-finite sample in trial {trial_start + first} at time index {k}"
-        )
+        raise NumericError(f"non-finite sample in trial {trial_start + first} at time index {k}")
     return McEnsemble(x_new.T, params, k), cov_new.transpose(2, 0, 1)
 
 

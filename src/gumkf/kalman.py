@@ -3,18 +3,18 @@
 One Kalman step serves the LKF, the EKF and every Monte Carlo trial.  It runs
 on `core`'s structure-of-arrays stacks, trial axis last, whose products keep a
 trial's bits independent of the other trials, so a filter (M = 1) and a trial
-given the same matrices agree bit for bit.  `_update` is the correction, with
-a Joseph-form covariance that stays PSD under rounding, evaluated as rank-p
-corrections of P at O(n^2 p) per trial rather than as O(n^3) products with
-I - K H, and updates its own temporaries in place.  `_predict` and
-`_correct` run the step on one belief, whose one gate is GaussianBelief's own,
-and name the step and k on failure.  They fetch (f(x), F) = linearize and
-(h(x), H) = linearize_obs at (x, theta, k), one call each, plus Q and R: the
-contract of both model types, so kf_* and ekf_* (in `ekf`) differ only in
-argument order and step name.  `kf_gain` and `joseph_update`
-keep the matrix formulas for the analytic propagations, the filters'
-independent references; `kf_gain` solves with numpy behind a Cholesky gate
-of its own.
+given the same matrices agree bit for bit.  `_predict_stack` (f(x), F and
+F P F' + Q) and `_correct_stack` take one state vector or an (M, n) batch,
+fetch (f(x), F) = linearize or (h(x), H) = linearize_obs in one call, and
+refuse a pair, Q or R of the wrong shape naming the step and k.  Their kernel
+`_update` is a Joseph-form correction that stays PSD under rounding,
+evaluated as rank-p corrections of P at O(n^2 p) per trial rather than as
+O(n^3) products with I - K H.  `_predict` and `_correct` run the step on one
+belief, whose one gate is GaussianBelief's own, for kf_* and ekf_* (in
+`ekf`); `gum_mc.mc_step` runs it on a block of trials.  `kf_gain` and
+`joseph_update` keep the matrix formulas for the analytic propagations, the
+filters' independent references; `kf_gain` solves with numpy behind a
+Cholesky gate of its own.
 """
 
 from __future__ import annotations
@@ -42,6 +42,17 @@ class KalmanStep:
     gain: np.ndarray
     corrected: GaussianBelief
     innovation: np.ndarray
+
+
+def _first_bad(s_mat: np.ndarray) -> int:
+    """Index of the first matrix of the (M, p, p) stack that np.linalg.cholesky
+    refuses, tried one at a time: only a failed batched check pays for it."""
+    for m, s in enumerate(s_mat):
+        try:
+            np.linalg.cholesky(s)
+        except np.linalg.LinAlgError:
+            return m
+    return 0
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -78,8 +89,9 @@ def _update(x, P, y, h, H, R, k: int, trial_start=None):
         try:
             np.linalg.cholesky(s_mat)
         except np.linalg.LinAlgError as exc:
+            trial = "" if trial_start is None else f"in trial {trial_start + _first_bad(s_mat)} "
             raise NumericError(
-                f"innovation covariance is not positive definite at time index {k}"
+                f"innovation covariance is not positive definite {trial}at time index {k}"
             ) from exc
         gain = np.linalg.solve(s_mat, hp.transpose(2, 0, 1)).transpose(2, 1, 0)
     innovation = y - h
@@ -97,36 +109,45 @@ def _update(x, P, y, h, H, R, k: int, trial_start=None):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _predict(prev: GaussianBelief, model, theta, k: int, where: str) -> GaussianBelief:
-    """Mean f(x), covariance F P F' + Q, with F the model's at x."""
-    n = prev.dim
-    mean, F = model.linearize(prev.mean, theta, k)
-    Q = model.Q(k)
-    if F.shape != (n, n):
-        raise DimensionError(f"state matrix shape {F.shape} != ({n}, {n}) ({where})")
-    if Q.shape != (n, n):
-        raise DimensionError(f"process noise shape {Q.shape} != ({n}, {n}) ({where})")
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(F))):
-        raise NumericError(f"non-finite dynamics evaluation ({where})")
+def _predict_stack(x, P, Q, model, theta, k: int, where: str):
+    """(f(x), F, F P F' + Q) for the states x, one vector (n,) or an (M, n)
+    batch, with (f(x), F) = linearize at x and P an (n, n, M) stack; F is
+    returned as the (n, n, M) or (n, n, 1) stack."""
+    n, Q = P.shape[0], np.atleast_2d(Q)
+    fx, F = model.linearize(x, theta, k)
+    if fx.shape != x.shape or F.shape not in ((n, n), x.shape[:-1] + (n, n)) or Q.shape != (n, n):
+        raise DimensionError(f"f {fx.shape}, F {F.shape} or Q {Q.shape} do not fit n={n} ({where})")
     F = _soa(F)
-    cov = _mm(_mm(F, _soa(prev.cov)), _t(F))
+    cov = _mm(_mm(F, P), _t(F))
     cov += _soa(Q)
+    return fx, F, cov
+
+
+def _correct_stack(x, P, y, R, model, theta, k: int, where: str, trial_start=None):
+    """`_update` of the states x, one vector (n,) or an (M, n) batch, and the
+    (n, n, M) stack P by the measurements y, (p,) or (M, p), with (h(x), H)
+    = linearize_obs at x; returns `_update`'s stacks."""
+    n, p, lead, R = P.shape[0], y.shape[-1], x.shape[:-1], np.atleast_2d(R)
+    hx, H = model.linearize_obs(x, theta, k)
+    if hx.shape != lead + (p,) or H.shape not in ((p, n), lead + (p, n)) or R.shape != (p, p):
+        raise DimensionError(
+            f"h {hx.shape}, H {H.shape} or R {R.shape} do not fit p={p}, n={n} ({where})"
+        )
+    x, y, hx = (np.atleast_2d(a).T for a in (x, y, hx))  # (d, M) views
+    return _update(x, P, y, hx, _soa(H), _soa(R), k, trial_start)
+
+
+def _predict(prev: GaussianBelief, model, theta, k: int, where: str) -> GaussianBelief:
+    """`_predict_stack` of one belief."""
+    mean, _, cov = _predict_stack(prev.mean, _soa(prev.cov), model.Q(k), model, theta, k, where)
     return _named(where, GaussianBelief, mean, cov[:, :, 0])
 
 
 def _correct(predicted: GaussianBelief, y, model, theta, k: int, where: str) -> KalmanStep:
-    """`_update` of one belief by y, with h and H the model's at its mean."""
+    """`_correct_stack` of one belief by y."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    h_pred, H = model.linearize_obs(predicted.mean, theta, k)
-    R = np.atleast_2d(model.R(k))
-    p, n = y.shape[0], predicted.dim
-    if H.shape != (p, n) or R.shape != (p, p):
-        raise DimensionError(f"obs matrix {H.shape} or noise {R.shape} != p={p}, n={n} ({where})")
-    if not (np.all(np.isfinite(H)) and np.all(np.isfinite(h_pred))):
-        raise NumericError(f"non-finite observation evaluation ({where})")
-    x, P, K, innovation = _update(
-        predicted.mean[:, np.newaxis], _soa(predicted.cov), y[:, np.newaxis],
-        h_pred[:, np.newaxis], _soa(H), _soa(R), k,
+    x, P, K, innovation = _correct_stack(
+        predicted.mean, _soa(predicted.cov), y, model.R(k), model, theta, k, where
     )
     corrected = _named(where, GaussianBelief, x[:, 0], P[:, :, 0])
     return KalmanStep(predicted, K[:, :, 0], corrected, innovation[:, 0])

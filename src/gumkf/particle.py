@@ -11,12 +11,13 @@ previous one ended; the ancestors are those of the uniforms in draw order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Tuple, Union
+from typing import Dict, Tuple, Union
 
 import numpy as np
 
 from .core import (
     ConfigError,
+    GaussianBelief,
     LinearModel,
     NonlinearModel,
     NumericError,
@@ -196,15 +197,15 @@ def marginal_histogram(samples: np.ndarray, weights: np.ndarray):
 def pf_run(
     measurements,
     model: Union[LinearModel, NonlinearModel],
-    prior_sampler: Callable[[RngStreamPlan, int], np.ndarray],
+    prior: GaussianBelief,
     n_particles: int,
     gamma: float,
     plan: RngStreamPlan,
     record_at: Tuple[int, ...] = (),
 ) -> PfRunResult:
     """Full propagate / weight / ESS / resample loop over the measurement
-    sequence.  `record_at` collects (states, weights) snapshots at the given
-    time indices for marginal-PDF inspection."""
+    sequence from n_particles prior draws.  `record_at` collects (states,
+    weights) snapshots at the given time indices for marginal-PDF inspection."""
     if n_particles < 2:
         raise ConfigError(f"need at least 2 particles, got {n_particles}")
     _check_gamma(gamma)
@@ -212,11 +213,12 @@ def pf_run(
     n_steps = ys.shape[0]
     record_at = set(int(r) for r in record_at)
 
-    states = np.atleast_2d(np.asarray(prior_sampler(plan, n_particles), dtype=float))
+    states = plan.normal_rows(0, LABEL_INIT, 0, n_particles, prior.dim)
+    states = mvn_sample(prior.mean, prior.cov, states)
     particles = ParticleSet(states, np.full(n_particles, 1.0 / n_particles), 0)
 
-    means = np.empty((n_steps + 1, states.shape[1]))
-    covs = np.empty((n_steps + 1, states.shape[1], states.shape[1]))
+    means = np.empty((n_steps + 1, prior.dim))
+    covs = np.empty((n_steps + 1, prior.dim, prior.dim))
     ess_hist = np.empty(n_steps + 1)
     resampled = np.zeros(n_steps + 1, dtype=bool)
     records: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}

@@ -23,12 +23,11 @@ from .core import (
     LinearModel,
     ParameterKnowledge,
     RngStreamPlan,
-    mvn_sample,
 )
 from .ekf import AugmentedModel, augment, ekf_correct, ekf_predict
 from .gum_mc import mc_sequential
 from .kalman import kf_correct, kf_predict
-from .particle import LABEL_INIT, pf_run
+from .particle import pf_run
 
 SCHEMA_VERSION = 1
 SCENARIOS = ("lkf-known", "mc-lkf-uncertain", "ekf-augmented", "mc-ekf", "pf")
@@ -131,12 +130,12 @@ def linear_model(config: TankConfig) -> LinearModel:
     )
 
 
-def _augmented_closed_forms(config: TankConfig):
-    """state_fn, obs_fn and state Jacobian of the augmented tank in closed
-    form, (x_L + 2 pi theta cos(2 pi theta t) x_s, x_s, theta) and x_L.  They
-    use the floating-point expressions of linear_model's state matrix, so
+def _augmented_closed_forms(config: TankConfig) -> dict:
+    """NonlinearModel fields of the augmented tank in closed form: state_fn,
+    obs_fn, (x_L + 2 pi theta cos(2 pi theta t) x_s, x_s, theta) and x_L, and
+    their Jacobians.  They use linear_model's floating-point expressions, so
     they equal augment's generic functions of linear_model bit for bit.  The
-    Jacobian is filled trial axis last, (3, 3, M), and returned as its
+    state Jacobian is filled trial axis last, (3, 3, M), and returned as its
     (M, 3, 3) transposed view, which _soa takes without a copy."""
     dt = config.dt
 
@@ -165,11 +164,12 @@ def _augmented_closed_forms(config: TankConfig):
         out[0, 2] = xs * 2.0 * np.pi * (c - u * s)
         return out.transpose(tuple(range(2, out.ndim)) + (0, 1))
 
-    return state_fn, obs_fn, state_jacobian
+    def obs_jacobian(_z, _theta, _k):
+        return np.array([[1.0, 0.0, 0.0]])
 
-
-def _augmented_obs_jacobian(_z, _theta, _k):
-    return np.array([[1.0, 0.0, 0.0]])
+    return dict(
+        state_fn=state_fn, obs_fn=obs_fn, state_jacobian=state_jacobian, obs_jacobian=obs_jacobian
+    )
 
 
 def state_prior(config: TankConfig) -> GaussianBelief:
@@ -190,16 +190,10 @@ def augmented_model(config: TankConfig) -> Tuple[AugmentedModel, GaussianBelief]
     """Three-state augmented system (x_L, x_s, theta) with its initial
     belief diag(0, tau^2, u_theta^2); augment's model of linear_model with
     the closed-form state and observation functions and Jacobians."""
-    state_fn, obs_fn, state_jacobian = _augmented_closed_forms(config)
     aug, belief = augment(
-        linear_model(config),
-        state_prior(config),
-        frequency_knowledge(config),
-        config.alpha,
-        state_jacobian=state_jacobian,
-        obs_jacobian=_augmented_obs_jacobian,
+        linear_model(config), state_prior(config), frequency_knowledge(config), config.alpha
     )
-    return replace(aug, model=replace(aug.model, state_fn=state_fn, obs_fn=obs_fn)), belief
+    return replace(aug, model=replace(aug.model, **_augmented_closed_forms(config))), belief
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +371,7 @@ def scenario(
 
     # particle filter on the augmented system
     aug, belief0 = augmented_model(config)
-
-    def prior_sampler(p: RngStreamPlan, count: int) -> np.ndarray:
-        return mvn_sample(belief0.mean, belief0.cov, p.normal_rows(0, LABEL_INIT, 0, count, 3))
-
-    res = pf_run(
-        ys, aug.model, prior_sampler, n_particles, gamma, plan, record_at=tuple(rec_idx)
-    )
+    res = pf_run(ys, aug.model, belief0, n_particles, gamma, plan, record_at=tuple(rec_idx))
     marginals = {rec_idx[k]: res.records[k] for k in res.records}
     report = _report(name, config, record, res.means, _variances(res.covs), marginals)
     return replace(

@@ -34,7 +34,6 @@ from gumkf import (
     pf_run,
     propagate_linear_gum,
     propagate_nonlinear_gum_linearized,
-    psd_sqrt,
     scenario,
     simulate,
     split_update,
@@ -291,14 +290,9 @@ def test_criterion_10_particle_filter_consistent_with_kalman_filter():
         belief = kf_correct(kf_predict(belief, model, None, k), ys[k - 1], model, None, k).corrected
     sig = np.sqrt(np.diag(belief.cov))
 
-    chol = psd_sqrt(prior.cov)
-
-    def sampler(plan, count):
-        return prior.mean + plan.normal_rows(0, "pf/init", 0, count, 2) @ chol.T
-
     errs = {}
     for n_particles in (1000, 10_000):
-        res = pf_run(ys, model, sampler, n_particles, 0.9, RngStreamPlan(SEED))
+        res = pf_run(ys, model, prior, n_particles, 0.9, RngStreamPlan(SEED))
         assert np.all(res.ess >= 1.0)
         assert np.all(res.ess <= n_particles + 1e-6)
         errs[n_particles] = np.linalg.norm(res.means[-1] - belief.mean)

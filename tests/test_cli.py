@@ -131,11 +131,12 @@ class TestCompare:
         assert "ekf-augmented__theta_u" in rows[0]
         assert len(rows) == 22
 
-    def test_mismatched_time_axes_rejected(self, tmp_path):
+    def test_mismatched_time_axes_rejected(self, tmp_path, capsys):
         cfg_a = small_config(tmp_path, n_steps=20)
         run(["estimate", "lkf-known", "--config", cfg_a, "--out", str(tmp_path / "a")])
         cfg_b = small_config(tmp_path, n_steps=10)
         run(["estimate", "lkf-known", "--config", cfg_b, "--out", str(tmp_path / "b")])
+        capsys.readouterr()
         code = run(
             [
                 "compare",
@@ -145,6 +146,24 @@ class TestCompare:
             ]
         )
         assert code == 1
+        assert "time column differs" in capsys.readouterr().err
+
+    def test_same_stem_columns_named_by_path(self, tmp_path):
+        cfg = small_config(tmp_path)
+        a, b = tmp_path / "a" / "lkf-known.csv", tmp_path / "b" / "lkf-known.csv"
+        for path in (a, b):
+            run(["estimate", "lkf-known", "--config", cfg, "--out", str(path.parent)])
+        assert run(["compare", str(a), str(b), "--out", str(tmp_path)]) == 0
+        header = read_csv(tmp_path / "compare.csv")[0]
+        assert len(set(header)) == len(header)
+        assert f"{tmp_path / 'a' / 'lkf-known'}__xL_est" in header
+
+    def test_same_path_twice_rejected(self, tmp_path, capsys):
+        path = tmp_path / "a.csv"
+        path.write_text("t,a\n0,1\n")
+        assert run(["compare", str(path), str(path), "--out", str(tmp_path)]) == 1
+        assert f"{path}: given twice" in capsys.readouterr().err
+        assert not (tmp_path / "compare.csv").exists()
 
     def test_blank_first_line_rejected(self, tmp_path, capsys):
         bad = tmp_path / "blank.csv"

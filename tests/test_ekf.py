@@ -189,6 +189,35 @@ class TestNonFiniteGate:
         ):
             self.RUNS[name](lin, nl, GaussianBelief(np.zeros(2), np.eye(2)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("bad", ["f", "F", "h", "H"])
+    def test_non_finite_model_output_named(self, bad, p, value):
+        # the steps run no finiteness check of their own on what the model
+        # returns: GaussianBelief's gate, or for a scalar innovation the
+        # kernel's check of s, refuses it naming the time index
+        C = np.eye(2)[:p]
+        fns = {"f": lambda x: x, "F": lambda x: np.eye(2), "h": lambda x: C @ x, "H": lambda x: C}
+        fns[bad] = lambda x, good=fns[bad]: np.full_like(good(x), value)
+        model = NonlinearModel(
+            lambda x, th, k: fns["f"](x),
+            lambda x, th, k: fns["h"](x),
+            np.eye(2),
+            np.eye(p),
+            state_jacobian=lambda x, th, k: fns["F"](x),
+            obs_jacobian=lambda x, th, k: fns["H"](x),
+        )
+        belief = GaussianBelief(np.zeros(2), np.eye(2))
+        if bad in ("f", "F"):
+            step, match = ekf_predict, r"^mean or covariance is not finite \(ekf_predict at k=3\)$"
+        else:
+            step = lambda b, m, k: ekf_correct(b, np.zeros(p), m, k)
+            match = r"^mean or covariance is not finite \(ekf_correct at k=3\)$"
+            if bad == "H" and p == 1:
+                match = r"^innovation variance nan is not finite and positive at time index 3$"
+        with pytest.raises(NumericError, match=match):
+            step(belief, model, 3)
+
     def test_nan_measurement_belief_rejected(self):
         model = LinearModel(np.eye(1), np.eye(1), np.zeros((1, 1)), np.eye(1))
         with pytest.raises(NumericError, match=r"^mean or covariance is not finite"):

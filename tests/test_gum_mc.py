@@ -9,6 +9,7 @@ import pytest
 from gumkf import (
     CapacityError,
     ConfigError,
+    DimensionError,
     GaussianBelief,
     LinearModel,
     McEnsemble,
@@ -334,14 +335,41 @@ class TestMcStep:
         model = LinearModel(np.eye(p), np.eye(p), np.zeros((p, p)), np.array(R))
         belief = GaussianBelief(np.zeros(p), 0.5 * np.eye(p))
         match = r"^innovation (variance -0.5 is not finite and positive|covariance is not "
-        match += r"positive definite) (in trial 5 )?at time index 3$"
-        with pytest.raises(NumericError, match=match):
+        match += r"positive definite) {}at time index 3$"
+        with pytest.raises(NumericError, match=match.format("")):
             kf_correct(belief, np.zeros(p), model, None, 3)
         model = LinearModel(np.eye(p), np.eye(p), np.zeros((p, p)), np.array(trial_R))
         ens = McEnsemble(np.zeros((4, p)), np.zeros((4, 0)), 2)
-        covs = np.repeat(np.array(trial_P)[np.newaxis], 4, axis=0)
-        with pytest.raises(NumericError, match=match):
+        covs = np.repeat(np.eye(p)[np.newaxis], 4, axis=0)
+        covs[[1, 3]] = trial_P  # absolute trials 6 and 8: the first is named
+        with pytest.raises(NumericError, match=match.format("in trial 6 ")):
             mc_step(ens, np.zeros(p), model, covs, RngStreamPlan(5), 3, trial_start=5)
+
+    @pytest.mark.parametrize(
+        "state_jacobian, obs_jacobian, Q, R",
+        [
+            (lambda x, th, k: np.eye(3), None, np.eye(2), np.eye(1)),
+            (None, lambda x, th, k: np.ones((1, 3)), np.eye(2), np.eye(1)),
+            (None, None, np.eye(3), np.eye(1)),
+            (None, None, np.eye(2), np.eye(2)),
+        ],
+        ids=["state", "obs", "Q", "R"],
+    )
+    def test_matrix_of_wrong_shape_named(self, state_jacobian, obs_jacobian, Q, R):
+        # a 3-column Jacobian or a noise covariance of the wrong size for a
+        # 2-state, 1-measurement model
+        model = NonlinearModel(
+            lambda x, th, k: x,
+            lambda x, th, k: x[..., :1],
+            Q,
+            R,
+            state_jacobian=state_jacobian,
+            obs_jacobian=obs_jacobian,
+        )
+        ens = McEnsemble(np.zeros((4, 2)), np.zeros((4, 0)), 0)
+        covs = np.repeat(np.eye(2)[np.newaxis], 4, axis=0)
+        with pytest.raises(DimensionError, match=r"mc_step at k=1\b"):
+            mc_step(ens, np.zeros(1), model, covs, RngStreamPlan(5), 1)
 
     @pytest.mark.parametrize(
         "Q, R", [([[0.0]], [[-0.5]]), (np.diag([1.0, -1.0]), np.eye(2))], ids=["R", "Q"]

@@ -20,7 +20,6 @@ from gumkf import (
     pf_resample,
     pf_run,
     pf_weight,
-    psd_sqrt,
     weighted_moments,
 )
 from gumkf import particle
@@ -297,18 +296,10 @@ class TestPfRun:
             bel = kf_correct(kf_predict(bel, model, None, k), ys[k - 1], model, None, k).corrected
         return bel
 
-    def _sampler(self, prior):
-        chol = psd_sqrt(prior.cov)
-
-        def sampler(plan, count):
-            return prior.mean + plan.normal_rows(0, "pf/init", 0, count, prior.dim) @ chol.T
-
-        return sampler
-
     def test_linear_gaussian_consistency(self):
         model, prior, ys = self._linear_instance()
         bel = self._kf_posterior(model, prior, ys)
-        res = pf_run(ys, model, self._sampler(prior), 10_000, 0.9, RngStreamPlan(42))
+        res = pf_run(ys, model, prior, 10_000, 0.9, RngStreamPlan(42))
         sig = np.sqrt(np.diag(bel.cov))
         assert np.all(np.abs(res.means[-1] - bel.mean) <= 3 * sig / np.sqrt(10_000) * 3)
         assert np.all(res.ess >= 1.0)
@@ -316,7 +307,7 @@ class TestPfRun:
 
     def test_gamma_one_resamples_every_step(self):
         model, prior, ys = self._linear_instance()
-        res = pf_run(ys[:10], model, self._sampler(prior), 2000, 1.0, RngStreamPlan(42))
+        res = pf_run(ys[:10], model, prior, 2000, 1.0, RngStreamPlan(42))
         assert res.resampled[1:].all()
         bel = self._kf_posterior(model, prior, ys[:10])
         sig = np.sqrt(np.diag(bel.cov))
@@ -332,20 +323,20 @@ class TestPfRun:
 
         monkeypatch.setattr(particle, "pf_ess", counting_ess)
         model, prior, ys = self._linear_instance()
-        res = pf_run(ys[:20], model, self._sampler(prior), 500, 0.9, RngStreamPlan(3))
+        res = pf_run(ys[:20], model, prior, 500, 0.9, RngStreamPlan(3))
         assert 0 < res.resampled.sum() < 20
         assert len(calls) == 1 + 20 + res.resampled.sum()
 
     def test_reproducible(self):
         model, prior, ys = self._linear_instance()
-        a = pf_run(ys[:5], model, self._sampler(prior), 500, 0.9, RngStreamPlan(3))
-        b = pf_run(ys[:5], model, self._sampler(prior), 500, 0.9, RngStreamPlan(3))
+        a = pf_run(ys[:5], model, prior, 500, 0.9, RngStreamPlan(3))
+        b = pf_run(ys[:5], model, prior, 500, 0.9, RngStreamPlan(3))
         np.testing.assert_array_equal(a.means, b.means)
         np.testing.assert_array_equal(a.resampled, b.resampled)
 
     def test_record_snapshots(self):
         model, prior, ys = self._linear_instance()
-        res = pf_run(ys[:5], model, self._sampler(prior), 300, 0.9, RngStreamPlan(3), record_at=(0, 5))
+        res = pf_run(ys[:5], model, prior, 300, 0.9, RngStreamPlan(3), record_at=(0, 5))
         assert set(res.records) == {0, 5}
         states, weights = res.records[5]
         assert states.shape == (300, 2)
@@ -354,10 +345,10 @@ class TestPfRun:
     def test_too_few_particles_rejected(self):
         model, prior, ys = self._linear_instance()
         with pytest.raises(ValueError):
-            pf_run(ys[:2], model, self._sampler(prior), 1, 0.9, RngStreamPlan(3))
+            pf_run(ys[:2], model, prior, 1, 0.9, RngStreamPlan(3))
 
     def test_empty_measurement_record_rejected(self):
         # as mc_sequential does; a one-row result would hold the prior only
         model, prior, _ = self._linear_instance()
         with pytest.raises(NumericError, match="need at least one measurement"):
-            pf_run(np.zeros(0), model, self._sampler(prior), 10, 0.9, RngStreamPlan(3))
+            pf_run(np.zeros(0), model, prior, 10, 0.9, RngStreamPlan(3))

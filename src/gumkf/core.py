@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
@@ -312,8 +313,88 @@ class ParameterKnowledge:
 # reproducible random streams
 
 
+@lru_cache(maxsize=None)
 def _label_id(label: str) -> int:
     return int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "big")
+
+
+_M32 = 0xFFFFFFFF
+
+
+def _words(value: int) -> list:
+    """SeedSequence's uint32 words of a non-negative int, little-endian; 0 is
+    one word."""
+    words = [value & _M32]
+    while value > _M32:
+        value >>= 32
+        words.append(value & _M32)
+    return words
+
+
+def _stream_keys(seed: int, ks, label: str) -> np.ndarray:
+    """The Philox keys of the streams (seed, k, label) for every k of ks, an
+    (len(ks), 2) uint64 array: row i is SeedSequence([seed, 1, ks[i],
+    _label_id(label)]).generate_state(2, np.uint64), numpy's uint32 hash
+    evaluated on arrays over k.  The hash constants depend only on the word
+    position and are folded as Python ints, so no uint32 scalar overflows."""
+    k = np.asarray(ks)
+    if k.size and not (k.min() >= 0 and k.max() <= _M32):
+        raise ConfigError("stream time index k must be in [0, 2**32)")
+    k = k.astype(np.uint32).reshape(-1)
+    head, tail = _words(int(seed)) + [1], _words(_label_id(label))
+    entropy = [np.full_like(k, w) for w in head] + [k] + [np.full_like(k, w) for w in tail]
+    hash_const = 0x43B0D7E5  # INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * 0x931E8875) & _M32  # MULT_A
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        out = x * 0xCA01F9DD - y * 0x4973F715  # MIX_MULT_L, MIX_MULT_R
+        return out ^ (out >> 16)
+
+    pool = [hashmix(word) for word in entropy[:4]]  # entropy has at least four words
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const, state = 0x8B51F9DD, []  # INIT_B
+    for word in pool:  # generate_state(2, uint64): four words, one per pool entry
+        word = word ^ hash_const
+        hash_const = (hash_const * 0x58F38DED) & _M32  # MULT_B
+        word = word * hash_const
+        state.append((word ^ (word >> 16)).astype(np.uint64))
+    return np.stack([state[0] | (state[1] << 32), state[2] | (state[3] << 32)], axis=1)
+
+
+def _mulhilo(a: int, b: np.ndarray):
+    """(high, low) uint64 words of the 128-bit products of the constant a and
+    the uint64 array b, built from 32-bit halves."""
+    a_lo, a_hi, b_lo, b_hi = a & _M32, a >> 32, b & _M32, b >> 32
+    lh, hl = b_lo * a_hi, b_hi * a_lo
+    mid = ((b_lo * a_lo) >> 32) + (lh & _M32) + (hl & _M32)
+    return b_hi * a_hi + (lh >> 32) + (hl >> 32) + (mid >> 32), b * a
+
+
+def _philox_first(keys: np.ndarray) -> np.ndarray:
+    """First uint64 output of Philox4x64-10 under each key of the (M, 2)
+    array: counter 1, as numpy increments the counter before it generates."""
+    k0, k1 = keys[:, 0], keys[:, 1]
+    zero = np.zeros_like(k0)
+    c0, c1, c2, c3 = zero + 1, zero, zero, zero
+    for r in range(10):
+        if r:  # bump the key between rounds
+            k0, k1 = k0 + 0x9E3779B97F4A7C15, k1 + 0xBB67AE8584CAA73B
+        hi0, lo0 = _mulhilo(0xD2E7470EE14C6C93, c0)
+        hi1, lo1 = _mulhilo(0xCA5A826395121157, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return c0
 
 
 @dataclass(frozen=True)
@@ -325,6 +406,9 @@ class RngStreamPlan:
     stream.  Normal variates are produced from uniforms via the inverse CDF so
     every variate consumes exactly one 64-bit counter step: trial m of a block
     draw is bit-identical to a single-trial draw advanced to offset m.
+    step_normals draws one variate for each of many time indices in one pass
+    (the simulator's whole record), equal to the single-trial draws bit for
+    bit; its keys and first Philox output are computed on arrays over k.
     """
 
     master_seed: int
@@ -358,6 +442,12 @@ class RngStreamPlan:
 
     def uniforms(self, k: int, label: str, count: int) -> np.ndarray:
         return self.uniform_rows(k, label, 0, count)
+
+    def step_normals(self, ks, label: str) -> np.ndarray:
+        """One standard normal per time index of ks, in one pass: entry i
+        equals normal_rows(ks[i], label, 0, 1, 1)[0, 0] bit for bit."""
+        w = _philox_first(_stream_keys(self.master_seed, ks, label))
+        return ndtri(np.maximum((w >> 11) * 2.0**-53, np.nextafter(0.0, 1.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -44,15 +44,22 @@ class KalmanStep:
     innovation: np.ndarray
 
 
+def _pd(s_mat: np.ndarray) -> bool:
+    """Whether every matrix of the (..., p, p) stack is finite and accepted by
+    np.linalg.cholesky, which returns NaN factors of a NaN matrix."""
+    if not np.isfinite(s_mat).all():
+        return False
+    try:
+        np.linalg.cholesky(s_mat)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _first_bad(s_mat: np.ndarray) -> int:
-    """Index of the first matrix of the (M, p, p) stack that np.linalg.cholesky
-    refuses, tried one at a time: only a failed batched check pays for it."""
-    for m, s in enumerate(s_mat):
-        try:
-            np.linalg.cholesky(s)
-        except np.linalg.LinAlgError:
-            return m
-    return 0
+    """Index of the first matrix of the (M, p, p) stack that `_pd` refuses,
+    tried one at a time: only a failed batched check pays for it."""
+    return next(m for m, s in enumerate(s_mat) if not _pd(s))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -61,9 +68,10 @@ def _update(x, P, y, h, H, R, k: int, trial_start=None):
     with predicted observations h (p, M), H (p, n, .) and R (p, p, .);
     returns (x, P, gain, innovation).
 
-    The gain is H P / s for p = 1 and a batched solve after a Cholesky check
-    of S for p > 1.  A failed check names k and, unless `trial_start` is None,
-    the trial; overflow ends as non-finite values for the callers' gates.
+    The gain is H P / s for p = 1 and a batched solve after a finiteness and
+    Cholesky check of S for p > 1.  A failed check names k and, unless
+    `trial_start` is None, the trial; overflow ends as non-finite values for
+    the callers' gates.
     The Joseph form (I - K H) P (I - K H)' + K R K' is evaluated without
     I - K H, as A P + (K R - A P H') K' with A P = P - K (H P), which is the
     same for any K and costs O(n^2 p) per trial instead of O(n^3).  Only
@@ -86,13 +94,11 @@ def _update(x, P, y, h, H, R, k: int, trial_start=None):
         gain = _t(hp / s)  # (n, 1, M)
     else:
         s_mat = s_mat.transpose(2, 0, 1)
-        try:
-            np.linalg.cholesky(s_mat)
-        except np.linalg.LinAlgError as exc:
+        if not _pd(s_mat):
             trial = "" if trial_start is None else f"in trial {trial_start + _first_bad(s_mat)} "
             raise NumericError(
                 f"innovation covariance is not positive definite {trial}at time index {k}"
-            ) from exc
+            )
         gain = np.linalg.solve(s_mat, hp.transpose(2, 0, 1)).transpose(2, 1, 0)
     innovation = y - h
     ap = _mm(gain, hp)

@@ -215,21 +215,20 @@ class SimulationRecord:
 
 def simulate(config: TankConfig, plan: RngStreamPlan) -> SimulationRecord:
     """Iterate the discrete system; state noise enters the amplitude
-    component only.  Deterministic under the plan."""
+    component only.  Deterministic under the plan: the noise of all steps
+    is drawn in one step_normals pass per label, and the recursion runs as
+    cumulative sums, which add in step order, so every bit equals that of
+    a step-by-step loop drawing normal_rows(k, label, 0, 1, 1)."""
     n = config.n_steps
-    states = np.empty((n + 1, 2))
-    measurements = np.empty(n)
-    states[0] = (config.L0, config.xs)
+    ks = np.arange(1, n + 1)
     two_pi = 2.0 * np.pi
-    for k in range(1, n + 1):
-        t_prev = (k - 1) * config.dt
-        level, amp = states[k - 1]
-        level = level + amp * two_pi * config.theta * np.cos(two_pi * config.theta * t_prev)
-        amp = amp + config.tau * plan.normal_rows(k, "sim/state", 0, 1, 1)[0, 0]
-        states[k] = (level, amp)
-        measurements[k - 1] = level + config.sigma * plan.normal_rows(k, "sim/obs", 0, 1, 1)[0, 0]
+    amp = np.cumsum(np.concatenate(([config.xs], config.tau * plan.step_normals(ks, "sim/state"))))
+    t_prev = (ks - 1) * config.dt
+    slope = amp[:-1] * two_pi * config.theta * np.cos(two_pi * config.theta * t_prev)
+    level = np.cumsum(np.concatenate(([config.L0], slope)))
+    measurements = level[1:] + config.sigma * plan.step_normals(ks, "sim/obs")
     times = np.arange(n + 1) * config.dt
-    return SimulationRecord(times, states, measurements)
+    return SimulationRecord(times, np.stack([level, amp], axis=1), measurements)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.random import SeedSequence
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
@@ -21,7 +22,11 @@ from gumkf import (
     symmetrize,
 )
 
+from gumkf.core import _label_id, _stream_keys
+
 from conftest import rand_psd
+
+SEEDS = [0, 42, 2**32, 2**64 - 1]
 
 
 class TestSymmetrize:
@@ -229,3 +234,33 @@ class TestRngStreamPlan:
     def test_uniforms_in_unit_interval(self):
         u = RngStreamPlan(1).uniforms(0, "lbl", 1000)
         assert np.all((u >= 0.0) & (u < 1.0))
+
+
+class TestStepNormals:
+    """The batched draw of one variate per time index equals the single-trial
+    draws of numpy's SeedSequence and Philox bit for bit."""
+
+    KS = [0, 1, 2**32 - 1]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("label", ["sim/state", "mc/obs"])
+    def test_keys_are_seed_sequence_state(self, seed, label):
+        expected = [
+            SeedSequence([seed, 1, k, _label_id(label)]).generate_state(2, np.uint64)
+            for k in self.KS
+        ]
+        keys = _stream_keys(seed, self.KS, label)
+        assert keys.dtype == np.uint64
+        np.testing.assert_array_equal(keys, expected)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("label", ["sim/state", "mc/obs"])
+    def test_equals_single_trial_draws(self, seed, label):
+        plan = RngStreamPlan(seed)
+        expected = [plan.normal_rows(k, label, 0, 1, 1)[0, 0] for k in self.KS]
+        np.testing.assert_array_equal(plan.step_normals(self.KS, label), expected)
+
+    @pytest.mark.parametrize("k", [-1, 2**32])
+    def test_time_index_outside_one_word_rejected(self, k):
+        with pytest.raises(ConfigError):
+            RngStreamPlan(1).step_normals([0, k], "lbl")

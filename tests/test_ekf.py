@@ -194,8 +194,8 @@ class TestNonFiniteGate:
     @pytest.mark.parametrize("bad", ["f", "F", "h", "H"])
     def test_non_finite_model_output_named(self, bad, p, value):
         # the steps run no finiteness check of their own on what the model
-        # returns: GaussianBelief's gate, or for a scalar innovation the
-        # kernel's check of s, refuses it naming the time index
+        # returns: GaussianBelief's gate, or for a non-finite H the kernel's
+        # check of the innovation covariance, refuses it naming the time index
         C = np.eye(2)[:p]
         fns = {"f": lambda x: x, "F": lambda x: np.eye(2), "h": lambda x: C @ x, "H": lambda x: C}
         fns[bad] = lambda x, good=fns[bad]: np.full_like(good(x), value)
@@ -215,6 +215,8 @@ class TestNonFiniteGate:
             match = r"^mean or covariance is not finite \(ekf_correct at k=3\)$"
             if bad == "H" and p == 1:
                 match = r"^innovation variance nan is not finite and positive at time index 3$"
+            elif bad == "H":
+                match = r"^innovation covariance is not positive definite at time index 3$"
         with pytest.raises(NumericError, match=match):
             step(belief, model, 3)
 

@@ -31,6 +31,7 @@ from gumkf import (
     simulate,
     state_prior,
     augmented_model,
+    ekf_correct,
 )
 from gumkf import gum_mc
 
@@ -344,6 +345,31 @@ class TestMcStep:
         covs[[1, 3]] = trial_P  # absolute trials 6 and 8: the first is named
         with pytest.raises(NumericError, match=match.format("in trial 6 ")):
             mc_step(ens, np.zeros(p), model, covs, RngStreamPlan(5), 3, trial_start=5)
+
+    def test_non_finite_innovation_covariance_named(self):
+        # H = NaN I at the states whose level is 1 makes S = H P H' + R NaN,
+        # which np.linalg.cholesky factors into NaNs without raising; the
+        # filter and the trials refuse it at the innovation-covariance check
+        def obs_jacobian(x, th, k):
+            return np.where(x[..., :1, np.newaxis] == 1.0, np.nan, 1.0) * np.eye(2)
+
+        model = NonlinearModel(
+            lambda x, th, k: x,
+            lambda x, th, k: x,
+            np.zeros((2, 2)),
+            np.eye(2),
+            state_jacobian=lambda x, th, k: np.eye(2),
+            obs_jacobian=obs_jacobian,
+        )
+        match = r"^innovation covariance is not positive definite {}at time index 3$"
+        with pytest.raises(NumericError, match=match.format("")):
+            ekf_correct(GaussianBelief(np.ones(2), np.eye(2)), np.zeros(2), model, 3)
+        states = np.zeros((4, 2))
+        states[2:, 0] = 1.0  # absolute trials 5 and 6: the first is named
+        covs = np.repeat(np.eye(2)[np.newaxis], 4, axis=0)
+        ens = McEnsemble(states, np.zeros((4, 0)), 2)
+        with pytest.raises(NumericError, match=match.format("in trial 5 ")):
+            mc_step(ens, np.zeros(2), model, covs, RngStreamPlan(5), 3, trial_start=3)
 
     @pytest.mark.parametrize(
         "state_jacobian, obs_jacobian, Q, R",

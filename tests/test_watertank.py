@@ -9,6 +9,7 @@ from gumkf import (
     ConfigError,
     McEnsemble,
     RngStreamPlan,
+    SimulationRecord,
     TankConfig,
     augment,
     augmented_model,
@@ -155,7 +156,36 @@ class TestLinearization:
             assert np.shares_memory(_soa(F), F)
 
 
+def simulate_step_by_step(config, plan):
+    """The simulator as a per-step loop with one single-trial draw per step
+    and label: the oracle of the batched simulate."""
+    n = config.n_steps
+    states = np.empty((n + 1, 2))
+    measurements = np.empty(n)
+    states[0] = (config.L0, config.xs)
+    for k in range(1, n + 1):
+        t_prev = (k - 1) * config.dt
+        level, amp = states[k - 1]
+        level = level + amp * TWO_PI * config.theta * np.cos(TWO_PI * config.theta * t_prev)
+        amp = amp + config.tau * plan.normal_rows(k, "sim/state", 0, 1, 1)[0, 0]
+        states[k] = (level, amp)
+        measurements[k - 1] = level + config.sigma * plan.normal_rows(k, "sim/obs", 0, 1, 1)[0, 0]
+    return SimulationRecord(np.arange(n + 1) * config.dt, states, measurements)
+
+
 class TestSimulate:
+    @pytest.mark.parametrize("seed", [0, 42, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize(
+        "changes", [{}, {"n_steps": 1}, {"theta": 0.0}, {"tau": 0.0, "sigma": 0.0}],
+        ids=["default", "one-step", "theta0", "noise-free"],
+    )
+    def test_equals_step_by_step_loop(self, seed, changes):
+        cfg = TankConfig(**changes)
+        plan = RngStreamPlan(seed)
+        rec, ref = simulate(cfg, plan), simulate_step_by_step(cfg, plan)
+        for name in ("times", "states", "measurements"):
+            assert np.array_equal(getattr(rec, name), getattr(ref, name)), name
+
     def test_noise_free_dynamics(self):
         cfg = TankConfig(tau=0.0, sigma=0.0, n_steps=40)
         rec = simulate(cfg, RngStreamPlan(1))

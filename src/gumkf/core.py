@@ -86,6 +86,29 @@ def _psd(w: np.ndarray, scale: float, tol: float) -> bool:
     return w.size == 0 or bool(w.min() >= -tol * max(scale, 1e-300))
 
 
+def _require_beliefs(means: np.ndarray, covs: np.ndarray, where: Callable[[int], str]) -> None:
+    """The gate of every belief, on the stacks means (N, d) and covs (N, d,
+    d): finite mean and covariance, covariance symmetric to 1e-12 and with
+    eigenvalues >= -1e-10 relative to its largest absolute entry.  The
+    first belief that fails, i, raises naming where(i): NumericError when
+    not finite or not PSD, DimensionError when asymmetric.  The symmetry and
+    eigenvalue tests run on the beliefs before the first non-finite one."""
+    scale = np.abs(covs).max(axis=(1, 2), initial=0.0)  # a NaN makes scale NaN
+    finite = np.isfinite(scale) & np.isfinite(means).all(axis=1)
+    end = means.shape[0] if finite.all() else int(np.argmin(finite))
+    covs, scale = covs[:end], scale[:end]
+    asym = np.abs(covs - covs.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0) > 1e-12 * scale
+    w = np.linalg.eigvalsh((covs + covs.transpose(0, 2, 1)) / 2.0)
+    bad = asym | ~np.all(w >= -1e-10 * np.maximum(scale, 1e-300)[:, np.newaxis], axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if asym[i]:
+            raise DimensionError(f"covariance is asymmetric beyond 1e-12 relative ({where(i)})")
+        raise NumericError(f"covariance is not positive semidefinite ({where(i)})")
+    if end < means.shape[0]:
+        raise NumericError(f"mean or covariance is not finite ({where(end)})")
+
+
 def require_psd(cov: np.ndarray, tol: float = 1e-10, context: str = "") -> np.ndarray:
     """Gate used after every filter step; raises NumericError on failure."""
     if not assert_psd(cov, tol):
@@ -157,13 +180,7 @@ class GaussianBelief:
             raise DimensionError(
                 f"cov shape {cov.shape} does not match mean dimension {mean.shape[0]}"
             )
-        scale = np.abs(cov).max() if cov.size else 0.0
-        if not (np.isfinite(scale) and np.isfinite(mean).all()):  # a NaN makes scale NaN
-            raise NumericError("mean or covariance is not finite (GaussianBelief)")
-        if scale > 0 and np.abs(cov - cov.T).max() > 1e-12 * scale:
-            raise DimensionError("covariance is asymmetric beyond 1e-12 relative")
-        if not _psd(np.linalg.eigvalsh((cov + cov.T) / 2.0), scale, 1e-10):
-            raise NumericError("covariance is not positive semidefinite (GaussianBelief)")
+        _require_beliefs(mean[np.newaxis], cov[np.newaxis], lambda _: "GaussianBelief")
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)

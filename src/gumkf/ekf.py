@@ -29,7 +29,11 @@ from .kalman import KalmanStep, _correct, _predict, joseph_update, kf_gain
 
 
 def ekf_predict(
-    prev: GaussianBelief, model: Union[LinearModel, NonlinearModel], k: int = 0, theta=None
+    prev: GaussianBelief,
+    model: Union[LinearModel, NonlinearModel],
+    *,
+    k: int = 0,
+    theta=None,
 ) -> GaussianBelief:
     """Prediction through the nonlinear dynamics with Jacobian-propagated
     covariance."""
@@ -40,6 +44,7 @@ def ekf_correct(
     predicted: GaussianBelief,
     y: np.ndarray,
     model: Union[LinearModel, NonlinearModel],
+    *,
     k: int = 0,
     theta=None,
 ) -> KalmanStep:
@@ -58,7 +63,7 @@ def propagate_nonlinear_gum_linearized(
     """Linearized propagation of the state-of-knowledge PDF through the
     nonlinear estimation equation; coincides with ekf_predict + ekf_correct
     when y.cov equals the model's measurement noise covariance."""
-    predicted = ekf_predict(prev, model, k, theta)
+    predicted = ekf_predict(prev, model, k=k, theta=theta)
     H = model.H(predicted.mean, theta, k)
     K = _named(f"propagate_nonlinear_gum_linearized at k={k}", kf_gain, predicted.cov, H, y.cov)
     mean = predicted.mean + K @ (y.mean - model.h(predicted.mean, theta, k))

@@ -271,12 +271,12 @@ class McRunResult:
     records: Dict[int, np.ndarray] = field(default_factory=dict)
 
 
-def _check_store(n_steps, trials, width, max_store_bytes):
-    need = (n_steps + 1) * trials * width * 8
+def _check_store(rows, trials, width, max_store_bytes, what, remedy):
+    need = rows * trials * width * 8
     if need > max_store_bytes:
         raise CapacityError(
-            f"full sample store needs {need} bytes, exceeding the budget of "
-            f"{max_store_bytes}; raise max_store_bytes or disable store_samples"
+            f"{what} needs {need} bytes, exceeding the budget of "
+            f"{max_store_bytes}; raise max_store_bytes or {remedy}"
         )
 
 
@@ -322,9 +322,12 @@ def _run_blocks(
     n = prior.dim
     n_t = theta_knowledge.dim if theta_knowledge is not None else 0
     record_at = set(int(r) for r in record_at)
+    recorded = sum(0 <= r <= n_steps for r in record_at)
+    _check_store(recorded, trials, n + n_t, max_store_bytes, "record_at", "record fewer steps")
 
     if store_samples:
-        _check_store(n_steps, trials, n + n_t, max_store_bytes)
+        _check_store(n_steps + 1, trials, n + n_t, max_store_bytes,
+                     "full sample store", "disable store_samples")
         samples_states = np.empty((n_steps + 1, trials, n))
         samples_params = np.empty((n_steps + 1, trials, n_t))
     else:
@@ -421,7 +424,8 @@ def mc_sequential(
     threads.
 
     Memory use is independent of the number of time steps unless
-    store_samples is requested.
+    store_samples is requested; the stored samples, and the samples of the
+    record_at steps, must each fit max_store_bytes (else CapacityError).
     """
     return _run_blocks(
         measurements, model, prior, theta_knowledge, plan, trials,

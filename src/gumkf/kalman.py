@@ -11,10 +11,12 @@ refuse a pair, Q or R of the wrong shape naming the step and k.  Their kernel
 evaluated as rank-p corrections of P at O(n^2 p) per trial rather than as
 O(n^3) products with I - K H.  `_predict` and `_correct` run the step on one
 belief, whose one gate is GaussianBelief's own, for kf_* and ekf_* (in
-`ekf`); `gum_mc.mc_step` runs it on a block of trials.  `kf_gain` and
-`joseph_update` keep the matrix formulas for the analytic propagations, the
-filters' independent references; `kf_gain` solves with numpy behind a
-Cholesky gate of its own.
+`ekf`); `_scan` runs it over a whole record on M filters at once, the
+`watertank` filter scenarios with M = 1, and gates its stored beliefs in
+blocks with the same check, `core._require_beliefs`; `gum_mc.mc_step` runs
+it on a block of trials.  `kf_gain` and `joseph_update` keep the matrix
+formulas for the analytic propagations, the filters' independent references;
+`kf_gain` solves with numpy behind a Cholesky gate of its own.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .core import (
     NumericError,
     symmetrize,
 )
-from .core import _mm, _mv, _named, _soa, _t
+from .core import _mm, _mv, _named, _normalize_measurements, _require_beliefs, _soa, _t
 
 
 @dataclass(frozen=True)
@@ -159,8 +161,76 @@ def _correct(predicted: GaussianBelief, y, model, theta, k: int, where: str) -> 
     return KalmanStep(predicted, K[:, :, 0], corrected, innovation[:, 0])
 
 
+# Steps the scan's gate checks in one batched eigendecomposition: enough to
+# share its overhead, few enough that the stored predictions stay small.
+_GATE_BLOCK = 256
+
+
+def _scan(ys, model, x, P, theta, name: str):
+    """Filter M nodes over the measurement record ys, (K, p) or (K,), from
+    the prior means x (M, n) and covariances P (M, n, n); theta is None, one
+    parameter vector or an (M, n_theta) batch.  Returns the means (K + 1, M,
+    n) and covariances (K + 1, M, n, n) of the corrected beliefs, row 0 the
+    priors.
+
+    Each step k runs `_predict_stack` and `_correct_stack` on the (n, M) and
+    (n, n, M) stacks, named "{name}_predict at k={k}" and "{name}_correct at
+    k={k}" as kf_*/ekf_* name theirs, so a node's values are those of the
+    one-step functions bit for bit.  Every predicted and corrected belief
+    passes GaussianBelief's gate, `_require_beliefs`: the loop checks only
+    that each half is finite, and stops before a non-finite value reaches a
+    model callable; the rest runs on blocks of _GATE_BLOCK steps, in the
+    order predicted 1, corrected 1, predicted 2, ...  When the loop stops,
+    early or at an exception, the steps not yet gated are gated first, so an
+    error names the first step that fails.  Only the predictions of one
+    block are kept.
+    """
+    ys = _normalize_measurements(ys)
+    m, n = x.shape
+    means, covs = np.empty((ys.shape[0] + 1, m, n)), np.empty((ys.shape[0] + 1, m, n, n))
+    means[0], covs[0] = x, P
+    gate_x, gate_p = np.empty((2 * _GATE_BLOCK, m, n)), np.empty((2 * _GATE_BLOCK, m, n, n))
+    first, count = 1, 0  # the first step not yet gated, and the halves stored since
+
+    def where(i):
+        j, node = divmod(i, m)
+        half = ("predict", "correct")[j % 2] + (f" of node {node}" if m > 1 else "")
+        return f"{name}_{half} at k={first + j // 2}"
+
+    def gate():
+        nonlocal first, count
+        stored, count = count, 0  # a failed gate leaves nothing to gate again
+        _require_beliefs(gate_x[:stored].reshape(-1, n), gate_p[:stored].reshape(-1, n, n), where)
+        first += stored // 2
+
+    P = _soa(P)
+    try:
+        for k in range(1, ys.shape[0] + 1):
+            x, _, P = _predict_stack(x, P, model.Q(k), model, theta, k, f"{name}_predict at k={k}")
+            gate_x[count], gate_p[count] = x, P.transpose(2, 0, 1)
+            count += 1
+            if not (np.isfinite(x).all() and np.isfinite(P).all()):
+                break
+            x, P, _, _ = _correct_stack(
+                x, P, ys[k - 1], model.R(k), model, theta, k, f"{name}_correct at k={k}"
+            )
+            x = x.T
+            means[k] = gate_x[count] = x
+            covs[k] = gate_p[count] = P.transpose(2, 0, 1)
+            count += 1
+            if not (np.isfinite(x).all() and np.isfinite(P).all()):
+                break
+            if count == 2 * _GATE_BLOCK:
+                gate()
+    except Exception:
+        gate()  # a failure before the exception is the one to report
+        raise
+    gate()
+    return means, covs
+
+
 def kf_predict(
-    prev: GaussianBelief, model: LinearModel, theta=None, k: int = 0
+    prev: GaussianBelief, model: LinearModel, *, theta=None, k: int = 0
 ) -> GaussianBelief:
     """Prediction step: mean F x, covariance F P F' + Q."""
     return _predict(prev, model, theta, k, f"kf_predict at k={k}")
@@ -202,6 +272,7 @@ def kf_correct(
     predicted: GaussianBelief,
     y: np.ndarray,
     model: LinearModel,
+    *,
     theta=None,
     k: int = 0,
 ) -> KalmanStep:

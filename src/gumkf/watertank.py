@@ -24,9 +24,9 @@ from .core import (
     ParameterKnowledge,
     RngStreamPlan,
 )
-from .ekf import AugmentedModel, augment, ekf_correct, ekf_predict
+from .ekf import AugmentedModel, augment
 from .gum_mc import mc_sequential
-from .kalman import kf_correct, kf_predict
+from .kalman import _scan
 from .particle import pf_run
 
 SCHEMA_VERSION = 1
@@ -311,7 +311,10 @@ def scenario(
     trials and n_particles must be at least 2, gamma in (0, 1] and threads
     at least 1 (else ConfigError), whether or not the scenario uses them.
     All scenarios under the same plan consume the identical SimulationRecord,
-    so cross-scenario comparisons are paired.
+    so cross-scenario comparisons are paired.  lkf-known and ekf-augmented
+    run `kalman._scan` over the record with one filter, whose means and
+    variances are those of a kf_*/ekf_* loop bit for bit and whose gate
+    refuses what theirs refuses, with the same message.
     """
     if name not in SCENARIOS:
         raise ConfigError(f"unknown scenario {name!r}; choose from {SCENARIOS}")
@@ -325,26 +328,19 @@ def scenario(
         raise ConfigError(f"threads must be at least 1, got {threads}")
     record = simulate(config, plan)
     ys = record.measurements
-    n = config.n_steps
     rec_idx = _times_to_indices(config, record_at_times)
 
     if name in ("lkf-known", "ekf-augmented"):
         if name == "lkf-known":
             model, belief = linear_model(config), state_prior(config)
-            theta = np.array([config.theta])
-            predict, correct = kf_predict, kf_correct
+            theta, step = np.array([config.theta]), "kf"
         else:
             aug, belief = augmented_model(config)
-            model, theta = aug.model, None
-            predict, correct = ekf_predict, ekf_correct
-        means = np.empty((n + 1, belief.dim))
-        variances = np.empty((n + 1, belief.dim))
-        means[0], variances[0] = belief.mean, np.diag(belief.cov)
-        for k in range(1, n + 1):
-            predicted = predict(belief, model, theta=theta, k=k)
-            belief = correct(predicted, ys[k - 1 : k], model, theta=theta, k=k).corrected
-            means[k], variances[k] = belief.mean, np.diag(belief.cov)
-        return _report(name, config, record, means, variances)
+            model, theta, step = aug.model, None, "ekf"
+        means, covs = _scan(
+            ys, model, belief.mean[np.newaxis], belief.cov[np.newaxis], theta, step
+        )
+        return _report(name, config, record, means[:, 0], _variances(covs[:, 0]))
 
     if name in ("mc-lkf-uncertain", "mc-ekf"):
         if name == "mc-ekf":

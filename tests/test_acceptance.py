@@ -118,7 +118,7 @@ def test_criterion_04_linearized_gum_equals_ekf_on_tank():
     aug, belief = augmented_model(cfg)
     for k in range(1, cfg.n_steps + 1):
         y = record.measurements[k - 1 : k]
-        step = ekf_correct(ekf_predict(belief, aug.model, k), y, aug.model, k)
+        step = ekf_correct(ekf_predict(belief, aug.model, k=k), y, aug.model, k=k)
         gum = propagate_nonlinear_gum_linearized(
             belief, GaussianBelief(y, [[cfg.sigma**2]]), aug.model, k
         )
@@ -134,8 +134,8 @@ def test_criterion_05_split_update_equals_monolithic_on_tank():
     aug, belief = augmented_model(cfg)
     for k in range(1, cfg.n_steps + 1):
         y = record.measurements[k - 1 : k]
-        pred = ekf_predict(belief, aug.model, k)
-        mono = ekf_correct(pred, y, aug.model, k)
+        pred = ekf_predict(belief, aug.model, k=k)
+        mono = ekf_correct(pred, y, aug.model, k=k)
         split = split_update(pred, y, aug, k)
         assembled = split.assemble()
         assert rel_err(assembled.mean, mono.corrected.mean) <= 1e-10
@@ -161,8 +161,8 @@ def test_criterion_06_monte_carlo_converges_to_kalman_filter():
     kf_means = [belief.mean]
     kf_covs = [belief.cov]
     for k in range(1, cfg.n_steps + 1):
-        pred = kf_predict(belief, model, theta, k)
-        belief = kf_correct(pred, record.measurements[k - 1 : k], model, theta, k).corrected
+        pred = kf_predict(belief, model, theta=theta, k=k)
+        belief = kf_correct(pred, record.measurements[k - 1 : k], model, theta=theta, k=k).corrected
         kf_means.append(belief.mean)
         kf_covs.append(belief.cov)
     kf_means = np.array(kf_means)
@@ -287,7 +287,7 @@ def test_criterion_10_particle_filter_consistent_with_kalman_filter():
 
     belief = prior
     for k in range(1, ys.shape[0] + 1):
-        belief = kf_correct(kf_predict(belief, model, None, k), ys[k - 1], model, None, k).corrected
+        belief = kf_correct(kf_predict(belief, model, k=k), ys[k - 1], model, k=k).corrected
     sig = np.sqrt(np.diag(belief.cov))
 
     errs = {}

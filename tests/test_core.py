@@ -22,7 +22,7 @@ from gumkf import (
     symmetrize,
 )
 
-from gumkf.core import _label_id, _stream_keys
+from gumkf.core import _label_id, _require_beliefs, _stream_keys
 
 from conftest import rand_psd
 
@@ -146,6 +146,49 @@ class TestGaussianBelief:
         b = GaussianBelief(np.zeros(2), np.eye(2))
         with pytest.raises(ValueError):
             b.mean[0] = 1.0
+
+
+class TestBeliefGate:
+    """`_require_beliefs`, GaussianBelief's gate on stacks: the first belief
+    that fails is named, with the message of its first failing check."""
+
+    GOOD = (np.zeros(2), np.eye(2))
+    BAD = {
+        "finite": ((np.array([np.nan, 0.0]), np.eye(2)), NumericError,
+                   "mean or covariance is not finite"),
+        "symmetric": ((np.zeros(2), np.array([[1.0, 1e-6], [0.0, 1.0]])), DimensionError,
+                      "covariance is asymmetric beyond 1e-12 relative"),
+        "psd": ((np.zeros(2), np.diag([1.0, -1.0])), NumericError,
+                "covariance is not positive semidefinite"),
+    }
+
+    @staticmethod
+    def gate(beliefs):
+        means, covs = (np.array(a) for a in zip(*beliefs))
+        _require_beliefs(means, covs, lambda i: f"belief {i}")
+
+    @pytest.mark.parametrize("first", BAD)
+    @pytest.mark.parametrize("later", BAD)
+    def test_first_failing_belief_is_named(self, first, later):
+        # e.g. an asymmetric corrected belief (index 3) after a good
+        # prediction, with any failure after it
+        (bad, error, text), (worse, _, _) = self.BAD[first], self.BAD[later]
+        with pytest.raises(error, match=rf"^{text} \(belief 3\)$"):
+            self.gate([self.GOOD] * 3 + [bad, self.GOOD, worse])
+
+    def test_checks_in_order_within_a_belief(self):
+        # an asymmetric indefinite covariance is reported as asymmetric, and
+        # a non-finite mean before anything about its covariance
+        asym_indefinite = np.array([[1.0, 1e-6], [0.0, -1.0]])
+        with pytest.raises(DimensionError, match=r"\(belief 0\)$"):
+            self.gate([(np.zeros(2), asym_indefinite)])
+        with pytest.raises(NumericError, match=r"^mean or covariance is not finite \(belief 0\)$"):
+            self.gate([(np.array([np.inf, 0.0]), asym_indefinite)])
+
+    def test_good_stacks_pass(self):
+        within_tol, zero = np.diag([1.0, -1e-12]), np.zeros((2, 2))
+        self.gate([self.GOOD, (np.zeros(2), within_tol), (np.zeros(2), zero)])
+        _require_beliefs(np.zeros((2, 0)), np.zeros((2, 0, 0)), str)
 
 
 class TestParameterKnowledge:

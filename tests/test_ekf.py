@@ -1,5 +1,7 @@
 """Extended Kalman filter, state augmentation and split-block updates."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from gumkf import (
     split_update,
     state_prior,
 )
+from gumkf.kalman import _scan
 
 from conftest import rand_pd, rand_psd, rel_err
 
@@ -118,8 +121,8 @@ class TestEkfCorrect:
     def test_tank_gain_proportional_to_first_cov_column(self):
         cfg = TankConfig()
         aug, belief = augmented_model(cfg)
-        pred = ekf_predict(belief, aug.model, 1)
-        step = ekf_correct(pred, [100.5], aug.model, 1)
+        pred = ekf_predict(belief, aug.model, k=1)
+        step = ekf_correct(pred, [100.5], aug.model, k=1)
         s_val = pred.cov[0, 0] + cfg.sigma**2
         np.testing.assert_allclose(step.gain[:, 0], pred.cov[:, 0] / s_val, rtol=1e-12)
 
@@ -132,9 +135,10 @@ def test_ekf_of_linear_tank_is_its_kalman_filter():
     ys = simulate(cfg, RngStreamPlan(11)).measurements
     kf = ekf = state_prior(cfg)
     for k in range(1, cfg.n_steps + 1):
-        kf_pred, ekf_pred = kf_predict(kf, model, theta, k), ekf_predict(ekf, model, k, theta)
-        kf = kf_correct(kf_pred, ys[k - 1 : k], model, theta, k).corrected
-        ekf = ekf_correct(ekf_pred, ys[k - 1 : k], model, k, theta).corrected
+        kf_pred = kf_predict(kf, model, theta=theta, k=k)
+        ekf_pred = ekf_predict(ekf, model, k=k, theta=theta)
+        kf = kf_correct(kf_pred, ys[k - 1 : k], model, theta=theta, k=k).corrected
+        ekf = ekf_correct(ekf_pred, ys[k - 1 : k], model, k=k, theta=theta).corrected
         for a, b in ((kf_pred, ekf_pred), (kf, ekf)):
             np.testing.assert_array_equal(a.mean, b.mean)
             np.testing.assert_array_equal(a.cov, b.cov)
@@ -145,10 +149,10 @@ class TestPsdGate:
     naming the step and the time index."""
 
     RUNS = {
-        "kf_predict": lambda lin, nl, b: kf_predict(b, lin, None, 3),
-        "ekf_predict": lambda lin, nl, b: ekf_predict(b, nl, 3),
-        "kf_correct": lambda lin, nl, b: kf_correct(b, [0.0], lin, None, 3),
-        "ekf_correct": lambda lin, nl, b: ekf_correct(b, [0.0], nl, 3),
+        "kf_predict": lambda lin, nl, b: kf_predict(b, lin, k=3),
+        "ekf_predict": lambda lin, nl, b: ekf_predict(b, nl, k=3),
+        "kf_correct": lambda lin, nl, b: kf_correct(b, [0.0], lin, k=3),
+        "ekf_correct": lambda lin, nl, b: ekf_correct(b, [0.0], nl, k=3),
     }
 
     @pytest.mark.parametrize("name", RUNS)
@@ -171,10 +175,10 @@ class TestNonFiniteGate:
     or an overflow never reaches an estimate."""
 
     RUNS = {
-        "kf_predict": lambda lin, nl, b: kf_predict(b, lin, None, 3),
-        "ekf_predict": lambda lin, nl, b: ekf_predict(b, nl, 3),
-        "kf_correct": lambda lin, nl, b: kf_correct(b, [np.nan], lin, None, 3),
-        "ekf_correct": lambda lin, nl, b: ekf_correct(b, [np.nan], nl, 3),
+        "kf_predict": lambda lin, nl, b: kf_predict(b, lin, k=3),
+        "ekf_predict": lambda lin, nl, b: ekf_predict(b, nl, k=3),
+        "kf_correct": lambda lin, nl, b: kf_correct(b, [np.nan], lin, k=3),
+        "ekf_correct": lambda lin, nl, b: ekf_correct(b, [np.nan], nl, k=3),
     }
 
     @pytest.mark.parametrize("name", RUNS)
@@ -211,14 +215,14 @@ class TestNonFiniteGate:
         if bad in ("f", "F"):
             step, match = ekf_predict, r"^mean or covariance is not finite \(ekf_predict at k=3\)$"
         else:
-            step = lambda b, m, k: ekf_correct(b, np.zeros(p), m, k)
+            step = lambda b, m, **kw: ekf_correct(b, np.zeros(p), m, **kw)
             match = r"^mean or covariance is not finite \(ekf_correct at k=3\)$"
             if bad == "H" and p == 1:
                 match = r"^innovation variance nan is not finite and positive at time index 3$"
             elif bad == "H":
                 match = r"^innovation covariance is not positive definite at time index 3$"
         with pytest.raises(NumericError, match=match):
-            step(belief, model, 3)
+            step(belief, model, k=3)
 
     def test_nan_measurement_belief_rejected(self):
         model = LinearModel(np.eye(1), np.eye(1), np.zeros((1, 1)), np.eye(1))
@@ -226,6 +230,156 @@ class TestNonFiniteGate:
             propagate_linear_gum(
                 GaussianBelief([0.0], [[1.0]]), GaussianBelief([np.nan], [[1.0]]), model, None, 3
             )
+
+
+class TestOneStepSignatures:
+    """theta and k are keyword-only on the four one-step functions, so a
+    positional time index fails at the call, not inside a model callable."""
+
+    CALLS = {
+        "kf_predict": lambda b, lin, aug: kf_predict(b, lin, None, 3),
+        "kf_correct": lambda b, lin, aug: kf_correct(b, [100.0], lin, None, 3),
+        "ekf_predict": lambda b, lin, aug: ekf_predict(b, aug, None, 3),
+        "ekf_correct": lambda b, lin, aug: ekf_correct(b, [100.0], aug, None, 3),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_positional_theta_and_k_refused_at_the_call(self, name):
+        cfg = TankConfig()
+        aug, belief = augmented_model(cfg)
+        lin_belief = state_prior(cfg)
+        b = lin_belief if name.startswith("kf") else belief
+        match = rf"^{name}\(\) takes \d positional arguments but \d were given$"
+        with pytest.raises(TypeError, match=match):
+            self.CALLS[name](b, linear_model(cfg), aug.model)
+
+
+class TestAsymmetryNamesTheStep:
+    def test_one_step_function(self):
+        Q = np.array([[1.0, 1e-6], [0.0, 1.0]])
+        model = LinearModel(np.eye(2), np.array([[1.0, 0.0]]), Q, np.eye(1))
+        match = r"^covariance is asymmetric beyond 1e-12 relative \(kf_predict at k=3\)$"
+        with pytest.raises(DimensionError, match=match):
+            kf_predict(GaussianBelief(np.zeros(2), np.eye(2)), model, k=3)
+
+    def test_gaussian_belief(self):
+        match = r"^covariance is asymmetric beyond 1e-12 relative \(GaussianBelief\)$"
+        with pytest.raises(DimensionError, match=match):
+            GaussianBelief(np.zeros(2), np.array([[1.0, 1e-6], [0.0, 1.0]]))
+
+
+def stepped_models(F=None, Q=None, R=None):
+    """(LinearModel, NonlinearModel) of the filter F = I, H = [1, 0], Q = 0,
+    R = 1, except that F, Q and R take the values the dicts F, Q, R give for
+    their time indices."""
+    F, Q, R, C = F or {}, Q or {}, R or {}, np.array([[1.0, 0.0]])
+    f = lambda k: np.asarray(F.get(k, np.eye(2)), dtype=float)
+    q = lambda k: np.asarray(Q.get(k, np.zeros((2, 2))), dtype=float)
+    r = lambda k: np.atleast_2d(np.asarray(R.get(k, 1.0), dtype=float))
+    lin = LinearModel(lambda k, th: f(k), C, q, r)
+    nl = NonlinearModel(
+        lambda x, th, k: x @ f(k).T,
+        lambda x, th, k: x @ C.T,
+        q,
+        r,
+        state_jacobian=lambda x, th, k: f(k),
+        obs_jacobian=lambda x, th, k: C,
+    )
+    return lin, nl
+
+
+def one_step_error(step, model, ys):
+    """The error the one-step functions kf_*/ekf_* raise on the record ys
+    from the prior N(0, I)."""
+    predict, correct = (kf_predict, kf_correct) if step == "kf" else (ekf_predict, ekf_correct)
+    belief = GaussianBelief(np.zeros(2), np.eye(2))
+    with pytest.raises((NumericError, DimensionError)) as info:
+        for k in range(1, len(ys) + 1):
+            belief = correct(predict(belief, model, k=k), ys[k - 1 : k], model, k=k).corrected
+    return info.value
+
+
+class TestScanGate:
+    """The scan refuses what the one-step functions refuse, GaussianBelief's
+    gate on every predicted and corrected belief, with the same message:
+    the TestPsdGate and TestNonFiniteGate faults, switched on at step K, in
+    the first gate block, at its last step and after it."""
+
+    FAULTS = {  # (half, fault): (model changes at K, NaN measurement at K, error, message)
+        ("predict", "non-finite"): (lambda K: dict(F=1e200 * np.eye(2)), False, NumericError,
+                                    "mean or covariance is not finite"),
+        ("predict", "asymmetric"): (lambda K: dict(Q=[[1.0, 1e-6], [0.0, 1.0]]), False,
+                                    DimensionError,
+                                    "covariance is asymmetric beyond 1e-12 relative"),
+        ("predict", "indefinite"): (lambda K: dict(Q=np.diag([-1.0, 0.0])), False, NumericError,
+                                    "covariance is not positive semidefinite"),
+        ("correct", "non-finite"): (lambda K: {}, True, NumericError,
+                                    "mean or covariance is not finite"),
+        # the predicted level variance is 1/K: S = 0.25/K passes the gain and
+        # the Joseph variance is 9/K - 12/K < 0
+        ("correct", "indefinite"): (lambda K: dict(R=-0.75 / K), False, NumericError,
+                                    "covariance is not positive semidefinite"),
+    }
+
+    @pytest.mark.parametrize("K", [3, 256, 300])
+    @pytest.mark.parametrize("half, fault", FAULTS)
+    @pytest.mark.parametrize("step", ["kf", "ekf"])
+    def test_scan_refuses_with_the_one_step_message(self, step, half, fault, K):
+        changes, nan_y, error, text = self.FAULTS[half, fault]
+        models = stepped_models(**{name: {K: value} for name, value in changes(K).items()})
+        model = models[step == "ekf"]
+        ys = np.zeros(K + 5)
+        if nan_y:
+            ys[K - 1] = np.nan
+        expected = rf"^{text} \({step}_{half} at k={K}\)$"
+        with pytest.raises(error, match=expected):
+            _scan(ys, model, np.zeros((1, 2)), np.eye(2)[np.newaxis], None, step)
+        reference = one_step_error(step, model, ys)
+        assert type(reference) is error and re.match(expected, str(reference))
+
+    @pytest.mark.parametrize("K", [3, 255, 300])
+    @pytest.mark.parametrize("step", ["kf", "ekf"])
+    def test_first_failure_reported_when_a_later_kernel_error_stops(self, step, K):
+        # the corrected covariance at K is indefinite; at K + 1, S = -1.5/K,
+        # before the gate block that holds K ends
+        model = stepped_models(R={K: -0.75 / K, K + 1: 1.5 / K})[step == "ekf"]
+        ys = np.zeros(K + 5)
+        with pytest.raises(NumericError) as info:
+            _scan(ys, model, np.zeros((1, 2)), np.eye(2)[np.newaxis], None, step)
+        assert str(info.value) == (
+            f"covariance is not positive semidefinite ({step}_correct at k={K})"
+        )
+        kernel_error = str(info.value.__context__)
+        assert re.match(rf"^innovation variance .* at time index {K + 1}$", kernel_error)
+        reference = one_step_error(step, model, ys)
+        assert str(reference) == str(info.value)
+
+    @pytest.mark.parametrize("half", ["predict", "correct"])
+    def test_non_finite_values_never_reach_the_model(self, half):
+        seen = []
+
+        def state_fn(x, th, k):
+            seen.append(np.isfinite(x).all())
+            return np.full_like(x, np.nan) if half == "predict" and k == 3 else x
+
+        def obs_fn(x, th, k):
+            seen.append(np.isfinite(x).all())
+            return x[..., :1]
+
+        model = NonlinearModel(state_fn, obs_fn, np.zeros((2, 2)), np.eye(1))
+        ys = np.zeros(10)
+        ys[2] = np.nan if half == "correct" else 0.0
+        with pytest.raises(NumericError, match=rf"not finite \(ekf_{half} at k=3\)$"):
+            _scan(ys, model, np.zeros((1, 2)), np.eye(2)[np.newaxis], None, "ekf")
+        assert seen and all(seen)
+
+    def test_node_named_when_several(self):
+        # the unobserved amplitude keeps its prior variance: 2 - 1 passes,
+        # 0.5 - 1 fails
+        lin, _ = stepped_models(Q={3: np.diag([0.0, -1.0])})
+        x, P = np.zeros((3, 2)), np.array([np.diag([1.0, 2.0])] * 2 + [np.diag([1.0, 0.5])])
+        with pytest.raises(NumericError, match=r"\(kf_predict of node 2 at k=3\)$"):
+            _scan(np.zeros(5), lin, x, P, None, "kf")
 
 
 class TestReferenceGainGate:
@@ -289,8 +443,8 @@ class TestSplitUpdate:
         record = simulate(cfg, plan)
         aug, belief = augmented_model(cfg)
         for k in range(1, cfg.n_steps + 1):
-            pred = ekf_predict(belief, aug.model, k)
-            mono = ekf_correct(pred, record.measurements[k - 1 : k], aug.model, k)
+            pred = ekf_predict(belief, aug.model, k=k)
+            mono = ekf_correct(pred, record.measurements[k - 1 : k], aug.model, k=k)
             split = split_update(pred, record.measurements[k - 1 : k], aug, k)
             stacked = np.vstack([split.update.K1, split.update.K2])
             assert rel_err(stacked, mono.gain) < 1e-10
@@ -317,7 +471,7 @@ class TestSplitUpdate:
     def test_certain_parameter_never_updated(self):
         cfg = TankConfig(u_theta=0.0, alpha=0.0)
         aug, belief = augmented_model(cfg)
-        pred = ekf_predict(belief, aug.model, 1)
+        pred = ekf_predict(belief, aug.model, k=1)
         split = split_update(pred, [99.0], aug, 1)
         np.testing.assert_allclose(split.update.K2, 0.0, atol=1e-15)
         assert split.param_mean[0] == pytest.approx(cfg.theta, abs=1e-15)
@@ -361,7 +515,7 @@ class TestLinearizedGumPropagation:
         record = simulate(cfg, plan)
         aug, belief = augmented_model(cfg)
         step = ekf_correct(
-            ekf_predict(belief, aug.model, 1), record.measurements[:1], aug.model, 1
+            ekf_predict(belief, aug.model, k=1), record.measurements[:1], aug.model, k=1
         )
         gum = propagate_nonlinear_gum_linearized(
             belief,
@@ -381,7 +535,7 @@ class TestParameterVarianceMonotone:
         aug, belief = augmented_model(cfg)
         prev_var = belief.cov[2, 2]
         for k in range(1, cfg.n_steps + 1):
-            pred = ekf_predict(belief, aug.model, k)
-            belief = ekf_correct(pred, record.measurements[k - 1 : k], aug.model, k).corrected
+            pred = ekf_predict(belief, aug.model, k=k)
+            belief = ekf_correct(pred, record.measurements[k - 1 : k], aug.model, k=k).corrected
             assert belief.cov[2, 2] <= prev_var + 1e-15
             prev_var = belief.cov[2, 2]

@@ -192,8 +192,8 @@ class TestMcStep:
         belief = prior
         for k in range(1, 4):
             ens, covs = mc_step(ens, ys[k - 1 : k], model, covs, plan, k)
-            pred = kf_predict(belief, model, None, k)
-            belief = kf_correct(pred, ys[k - 1 : k], model, None, k).corrected
+            pred = kf_predict(belief, model, k=k)
+            belief = kf_correct(pred, ys[k - 1 : k], model, k=k).corrected
             assert rel_err(covs[0], belief.cov) < 1e-12
 
     def test_zero_noise_trajectory_equals_filter_mean(self):
@@ -214,8 +214,8 @@ class TestMcStep:
         covs = belief.cov[np.newaxis]
         for k in range(1, 3):
             ens, covs = mc_step(ens, ys[k - 1 : k], zero_model, covs, plan, k)
-            pred = kf_predict(belief, zero_model, None, k)
-            belief = kf_correct(pred, ys[k - 1 : k], zero_model, None, k).corrected
+            pred = kf_predict(belief, zero_model, k=k)
+            belief = kf_correct(pred, ys[k - 1 : k], zero_model, k=k).corrected
             np.testing.assert_allclose(ens.states[0], belief.mean, rtol=1e-12)
 
     def test_jacobian_free_nonlinear_model_matches_linear(self):
@@ -287,8 +287,8 @@ class TestMcStep:
             want, _ = einsum_step(ens, ys[k - 1], model, covs, plan, k)
             ens, covs = mc_step(ens, ys[k - 1], model, covs, plan, k)
             assert rel_err(ens.states, want) < 1e-13
-            pred = kf_predict(belief, model, None, k)
-            belief = kf_correct(pred, ys[k - 1], model, None, k).corrected
+            pred = kf_predict(belief, model, k=k)
+            belief = kf_correct(pred, ys[k - 1], model, k=k).corrected
             for trial_cov in covs:
                 assert rel_err(trial_cov, belief.cov) < 1e-12
 
@@ -315,8 +315,8 @@ class TestMcStep:
         covs = belief.cov[np.newaxis]
         for k in range(1, len(ys) + 1):
             ens, covs = mc_step(ens, ys[k - 1], model, covs, plan, k)
-            pred = kf_predict(belief, model, None, k)
-            belief = kf_correct(pred, ys[k - 1], model, None, k).corrected
+            pred = kf_predict(belief, model, k=k)
+            belief = kf_correct(pred, ys[k - 1], model, k=k).corrected
             assert np.array_equal(covs[0], belief.cov), f"time index {k}"
 
     @pytest.mark.parametrize(
@@ -338,7 +338,7 @@ class TestMcStep:
         match = r"^innovation (variance -0.5 is not finite and positive|covariance is not "
         match += r"positive definite) {}at time index 3$"
         with pytest.raises(NumericError, match=match.format("")):
-            kf_correct(belief, np.zeros(p), model, None, 3)
+            kf_correct(belief, np.zeros(p), model, k=3)
         model = LinearModel(np.eye(p), np.eye(p), np.zeros((p, p)), np.array(trial_R))
         ens = McEnsemble(np.zeros((4, p)), np.zeros((4, 0)), 2)
         covs = np.repeat(np.eye(p)[np.newaxis], 4, axis=0)
@@ -363,7 +363,7 @@ class TestMcStep:
         )
         match = r"^innovation covariance is not positive definite {}at time index 3$"
         with pytest.raises(NumericError, match=match.format("")):
-            ekf_correct(GaussianBelief(np.ones(2), np.eye(2)), np.zeros(2), model, 3)
+            ekf_correct(GaussianBelief(np.ones(2), np.eye(2)), np.zeros(2), model, k=3)
         states = np.zeros((4, 2))
         states[2:, 0] = 1.0  # absolute trials 5 and 6: the first is named
         covs = np.repeat(np.eye(2)[np.newaxis], 4, axis=0)
@@ -621,6 +621,24 @@ class TestCapacityAndMemory:
                 store_samples=True,
                 max_store_bytes=1024,
             )
+
+    def test_record_budget_enforced(self):
+        # two in-range steps of 100 trials x 3 columns fit 4800 bytes; the
+        # steps outside [0, n_steps] are never recorded and cost nothing
+        cfg = TankConfig(n_steps=10)
+        plan = RngStreamPlan(1)
+        args = (
+            simulate(cfg, plan).measurements,
+            linear_model(cfg),
+            state_prior(cfg),
+            frequency_knowledge(cfg),
+            plan,
+            100,
+        )
+        res = mc_sequential(*args, record_at=(0, 10, 11, 99), max_store_bytes=4800)
+        assert sorted(res.records) == [0, 10]
+        with pytest.raises(CapacityError, match=r"^record_at needs 7200 bytes, exceeding"):
+            mc_sequential(*args, record_at=(0, 5, 10), max_store_bytes=4800)
 
     def test_statistics_only_memory_independent_of_horizon(self):
         plan = RngStreamPlan(1)

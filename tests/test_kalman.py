@@ -10,14 +10,22 @@ from gumkf import (
     GaussianBelief,
     LinearModel,
     NumericError,
+    RngStreamPlan,
+    TankConfig,
     assert_psd,
+    augmented_model,
+    ekf_correct,
+    ekf_predict,
     joseph_update,
     kf_correct,
     kf_gain,
     kf_predict,
+    linear_model,
     propagate_linear_gum,
+    simulate,
+    state_prior,
 )
-from gumkf.kalman import _update
+from gumkf.kalman import _scan, _update
 
 from conftest import rand_pd, rand_psd, rel_err
 
@@ -234,3 +242,60 @@ class TestUpdateKernel:
         )
         bad = [j for j in range(m) if not assert_psd(cov[:, :, j], tol=1e-10)]
         assert bad == []
+
+
+def tank_nodes(cfg, m):
+    """m distinct frequencies and priors of the linear and augmented tank:
+    (theta (m, 1), linear means (m, 2) and covariances (m, 2, 2), augmented
+    means (m, 3) and covariances (m, 3, 3))."""
+    rng = np.random.default_rng(20261019)
+    theta = cfg.theta * (1.0 + 0.02 * np.linspace(-1.0, 1.0, m))[:, np.newaxis]
+    x = np.array([cfg.L0, cfg.xs]) + rng.standard_normal((m, 2)) * [0.5, 1e-3]
+    P = np.array([np.diag([v, cfg.tau**2 * (1.0 + v)]) for v in np.linspace(0.0, 0.5, m)])
+    xa = np.column_stack([x, theta])
+    Pa = np.zeros((m, 3, 3))
+    Pa[:, :2, :2] = P
+    Pa[:, 2, 2] = cfg.u_theta**2 * np.linspace(0.5, 2.0, m)
+    return theta, x, P, xa, Pa
+
+
+class TestScan:
+    """`_scan`, the filters' loop over a record on (n, M) stacks."""
+
+    @pytest.mark.parametrize("tank", ["linear", "augmented"])
+    def test_nodes_are_independent_scans_bit_for_bit(self, tank):
+        # 300 steps cross a gate block; every node is its own one-node scan
+        cfg, m = TankConfig(n_steps=300), 8
+        ys = simulate(cfg, RngStreamPlan(5)).measurements
+        theta, x, P, xa, Pa = tank_nodes(cfg, m)
+        if tank == "linear":
+            model, step, thetas = linear_model(cfg), "kf", list(theta)
+        else:
+            model, step, x, P, thetas = augmented_model(cfg)[0].model, "ekf", xa, Pa, [None] * m
+            theta = None
+        means, covs = _scan(ys, model, x, P, theta, step)
+        assert means.shape == (cfg.n_steps + 1, m, x.shape[1])
+        for j in range(m):
+            one_means, one_covs = _scan(ys, model, x[j : j + 1], P[j : j + 1], thetas[j], step)
+            np.testing.assert_array_equal(means[:, j], one_means[:, 0])
+            np.testing.assert_array_equal(covs[:, j], one_covs[:, 0])
+
+    @pytest.mark.parametrize("seed", [1, 2, 42])
+    @pytest.mark.parametrize("tank", ["linear", "augmented"])
+    def test_one_node_is_the_one_step_loop_bit_for_bit(self, tank, seed):
+        cfg = TankConfig(n_steps=300)
+        ys = simulate(cfg, RngStreamPlan(seed)).measurements
+        if tank == "linear":
+            model, belief, theta = linear_model(cfg), state_prior(cfg), np.array([cfg.theta])
+            predict, correct, step = kf_predict, kf_correct, "kf"
+        else:
+            (aug, belief), theta = augmented_model(cfg), None
+            model, predict, correct, step = aug.model, ekf_predict, ekf_correct, "ekf"
+        means, covs = _scan(ys, model, belief.mean[np.newaxis], belief.cov[np.newaxis], theta, step)
+        np.testing.assert_array_equal(means[0, 0], belief.mean)
+        np.testing.assert_array_equal(covs[0, 0], belief.cov)
+        for k in range(1, cfg.n_steps + 1):
+            predicted = predict(belief, model, theta=theta, k=k)
+            belief = correct(predicted, ys[k - 1 : k], model, theta=theta, k=k).corrected
+            np.testing.assert_array_equal(means[k, 0], belief.mean)
+            np.testing.assert_array_equal(covs[k, 0], belief.cov)

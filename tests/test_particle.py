@@ -293,7 +293,7 @@ class TestPfRun:
     def _kf_posterior(self, model, prior, ys):
         bel = prior
         for k in range(1, ys.shape[0] + 1):
-            bel = kf_correct(kf_predict(bel, model, None, k), ys[k - 1], model, None, k).corrected
+            bel = kf_correct(kf_predict(bel, model, k=k), ys[k - 1], model, k=k).corrected
         return bel
 
     def test_linear_gaussian_consistency(self):

@@ -123,8 +123,8 @@ class TestLinearization:
         model, calls = counted(linear_model(cfg))
         belief, theta = state_prior(cfg), np.array([cfg.theta])
         for k in range(1, 4):
-            predicted = kf_predict(belief, model, theta, k)
-            belief = kf_correct(predicted, [cfg.L0], model, theta, k).corrected
+            predicted = kf_predict(belief, model, theta=theta, k=k)
+            belief = kf_correct(predicted, [cfg.L0], model, theta=theta, k=k).corrected
             assert calls == {"state": k, "obs": k}
 
     def test_monte_carlo_step_evaluates_each_matrix_once(self):

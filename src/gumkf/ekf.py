@@ -121,11 +121,13 @@ def augment(
         x, th = z[..., :n_x], z[..., n_x:]
         return model.h(x, th, k)
 
+    q_theta = (alpha**2) * np.eye(n_theta)
+
     def q_aug(k):
         Q = np.atleast_2d(model.Q(k))
         out = np.zeros((n, n))
         out[:n_x, :n_x] = Q
-        out[n_x:, n_x:] = (alpha**2) * np.eye(n_theta)
+        out[n_x:, n_x:] = q_theta
         return out
 
     aug_model = NonlinearModel(

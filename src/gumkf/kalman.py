@@ -3,20 +3,22 @@
 One Kalman step serves the LKF, the EKF and every Monte Carlo trial.  It runs
 on `core`'s structure-of-arrays stacks, trial axis last, whose products keep a
 trial's bits independent of the other trials, so a filter (M = 1) and a trial
-given the same matrices agree bit for bit.  `_predict_stack` (f(x), F and
-F P F' + Q) and `_correct_stack` take one state vector or an (M, n) batch,
-fetch (f(x), F) = linearize or (h(x), H) = linearize_obs in one call, and
-refuse a pair, Q or R of the wrong shape naming the step and k.  Their kernel
-`_update` is a Joseph-form correction that stays PSD under rounding,
-evaluated as rank-p corrections of P at O(n^2 p) per trial rather than as
-O(n^3) products with I - K H.  `_predict` and `_correct` run the step on one
-belief, whose one gate is GaussianBelief's own, for kf_* and ekf_* (in
-`ekf`); `_scan` runs it over a whole record on M filters at once, the
-`watertank` filter scenarios with M = 1, and gates its stored beliefs in
-blocks with the same check, `core._require_beliefs`; `gum_mc.mc_step` runs
-it on a block of trials.  `kf_gain` and `joseph_update` keep the matrix
-formulas for the analytic propagations, the filters' independent references;
-`kf_gain` solves with numpy behind a Cholesky gate of its own.
+given the same matrices agree bit for bit, also where `core._mm` takes its
+one-reduce form for the small stack and its term loop for the large one.
+`_predict_stack` (f(x), F and F P F' + Q) and `_correct_stack` take one state
+vector or an (M, n) batch, fetch (f(x), F) = linearize or (h(x), H) =
+linearize_obs in one call, and refuse a pair, Q or R of the wrong shape
+naming the step and k.  Their kernel `_update` is a Joseph-form correction
+that stays PSD under rounding, evaluated as rank-p corrections of P at
+O(n^2 p) per trial rather than as O(n^3) products with I - K H.  `_predict`
+and `_correct` run the step on one belief, whose one gate is GaussianBelief's
+own, for kf_* and ekf_* (in `ekf`); `_scan` runs it over a whole record on M
+filters at once, the `watertank` filter scenarios with M = 1, and gates its
+stored beliefs in blocks (256 steps of one filter, fewer steps of many) with
+the same check, `core._require_beliefs`; `gum_mc.mc_step` runs it on a block
+of trials.  `kf_gain` and `joseph_update` keep the matrix formulas for the
+analytic propagations, the filters' independent references; `kf_gain` solves
+with numpy behind a Cholesky gate of its own.
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ def _correct_stack(x, P, y, R, model, theta, k: int, where: str, trial_start=Non
         raise DimensionError(
             f"h {hx.shape}, H {H.shape} or R {R.shape} do not fit p={p}, n={n} ({where})"
         )
-    x, y, hx = (np.atleast_2d(a).T for a in (x, y, hx))  # (d, M) views
+    x, y, hx = (a.reshape(-1, a.shape[-1]).T for a in (x, y, hx))  # (d, M) views
     return _update(x, P, y, hx, _soa(H), _soa(R), k, trial_start)
 
 
@@ -161,8 +163,10 @@ def _correct(predicted: GaussianBelief, y, model, theta, k: int, where: str) -> 
     return KalmanStep(predicted, K[:, :, 0], corrected, innovation[:, 0])
 
 
-# Steps the scan's gate checks in one batched eigendecomposition: enough to
-# share its overhead, few enough that the stored predictions stay small.
+# Beliefs (steps times nodes) the scan's gate checks in one batched
+# eigendecomposition: enough to share its overhead, few enough that the
+# stored predictions stay small.  The filters (one node) gate 256 steps at a
+# time, a bank of M nodes _GATE_BLOCK // M steps, at least one.
 _GATE_BLOCK = 256
 
 
@@ -179,17 +183,19 @@ def _scan(ys, model, x, P, theta, name: str):
     one-step functions bit for bit.  Every predicted and corrected belief
     passes GaussianBelief's gate, `_require_beliefs`: the loop checks only
     that each half is finite, and stops before a non-finite value reaches a
-    model callable; the rest runs on blocks of _GATE_BLOCK steps, in the
-    order predicted 1, corrected 1, predicted 2, ...  When the loop stops,
-    early or at an exception, the steps not yet gated are gated first, so an
-    error names the first step that fails.  Only the predictions of one
-    block are kept.
+    model callable; the rest runs on blocks of max(1, _GATE_BLOCK // M)
+    steps, in the order predicted 1, corrected 1, predicted 2, ...  When the
+    loop stops, early or at an exception, the steps not yet gated are gated
+    first, so an error names the first step that fails.  Only the beliefs
+    of one block are kept for the gate, 2 * max(_GATE_BLOCK, M) * (n + n^2)
+    doubles at most.
     """
     ys = _normalize_measurements(ys)
     m, n = x.shape
     means, covs = np.empty((ys.shape[0] + 1, m, n)), np.empty((ys.shape[0] + 1, m, n, n))
     means[0], covs[0] = x, P
-    gate_x, gate_p = np.empty((2 * _GATE_BLOCK, m, n)), np.empty((2 * _GATE_BLOCK, m, n, n))
+    halves = 2 * max(1, _GATE_BLOCK // m)  # per gate block
+    gate_x, gate_p = np.empty((halves, m, n)), np.empty((halves, m, n, n))
     first, count = 1, 0  # the first step not yet gated, and the halves stored since
 
     def where(i):
@@ -220,7 +226,7 @@ def _scan(ys, model, x, P, theta, name: str):
             count += 1
             if not (np.isfinite(x).all() and np.isfinite(P).all()):
                 break
-            if count == 2 * _GATE_BLOCK:
+            if count == halves:
                 gate()
     except Exception:
         gate()  # a failure before the exception is the one to report

@@ -1,5 +1,7 @@
 """Covariance utilities, domain value objects, and the random-stream plan."""
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.random import SeedSequence
@@ -15,14 +17,26 @@ from gumkf import (
     NumericError,
     ParameterKnowledge,
     RngStreamPlan,
+    TankConfig,
     assert_psd,
+    augmented_model,
     finite_difference_jacobian,
+    frequency_knowledge,
+    linear_model,
+    mc_batch,
+    mc_sequential,
     mvn_sample,
     psd_sqrt,
+    simulate,
+    state_prior,
     symmetrize,
 )
+from gumkf.cli import run as cli_run
+from gumkf.kalman import _scan
+from gumkf.watertank import SCENARIOS
 
-from gumkf.core import _label_id, _require_beliefs, _stream_keys
+from gumkf import core
+from gumkf.core import _label_id, _mm, _require_beliefs, _stream_keys, _t
 
 from conftest import rand_psd
 
@@ -307,3 +321,106 @@ class TestStepNormals:
     def test_time_index_outside_one_word_rejected(self, k):
         with pytest.raises(ConfigError):
             RngStreamPlan(1).step_normals([0, k], "lbl")
+
+
+def mm_operands(rng, r, c, m):
+    """(r, c, m) stacks of one kind each: C-ordered, a `_t` view, a trial-first
+    (m, r, c) view as the tank's Jacobian gives, and one shared (r, c, 1)
+    matrix; their entries mix +-0, +-inf and magnitudes 1e-300..1e300, most
+    of them within 1e-4..1e4, where the order of the sum shows in its bits."""
+
+    def entries(shape):
+        exponent = np.where(rng.random(shape) < 0.8, rng.integers(-4, 5, shape),
+                            rng.integers(-300, 301, shape))
+        v = rng.choice([-1.0, 1.0], shape) * rng.random(shape) * 10.0**exponent
+        u = rng.random(shape)
+        v[u < 0.06] = rng.choice([0.0, -0.0], (u < 0.06).sum())
+        v[u > 0.98] = rng.choice([np.inf, -np.inf], (u > 0.98).sum())
+        return v
+
+    return [
+        entries((r, c, m)),
+        _t(entries((c, r, m))),
+        entries((m, r, c)).transpose(1, 2, 0),
+        entries((r, c, 1)),
+    ]
+
+
+class TestMmForms:
+    """`_mm`'s one-reduce form for small stacks and its term loop for large
+    ones are the same sum in the same order, bit for bit."""
+
+    @staticmethod
+    def forms(monkeypatch, a, b):
+        with np.errstate(all="ignore"):
+            monkeypatch.setattr(core, "_SMALL_PRODUCT", 0)
+            loop = _mm(a, b)
+            monkeypatch.setattr(core, "_SMALL_PRODUCT", 2**62)
+            return loop, _mm(a, b)
+
+    @pytest.mark.parametrize("l", range(1, 18))
+    def test_forms_agree_bit_for_bit(self, monkeypatch, l):
+        rng = np.random.default_rng(20261019 + l)
+        for i, j, m in itertools.product(range(1, 5), range(1, 5), (1, 2, 5)):
+            operands = itertools.product(mm_operands(rng, i, l, m), mm_operands(rng, l, j, m))
+            for a, b in operands:
+                loop, small = self.forms(monkeypatch, a, b)
+                assert loop.shape == small.shape == (i, j, max(a.shape[2], b.shape[2]))
+                # every gate refuses non-finite values, so a NaN need only be
+                # where the other form has one
+                nan = np.isnan(loop)
+                np.testing.assert_array_equal(nan, np.isnan(small))
+                loop[nan] = small[nan] = 0.0
+                assert loop.tobytes() == small.tobytes()
+
+    def test_signed_zeros_kept(self, monkeypatch):
+        a, b = np.full((2, 3, 1), -0.0), np.ones((3, 2, 1))
+        for out in self.forms(monkeypatch, a, b):
+            assert np.signbit(out).all() and not out.any()
+
+    @staticmethod
+    def outputs(tmp_path):
+        """Both tank scans on 300 nodes, mc_sequential and mc_batch records and
+        the --deterministic files of every scenario, at 40 steps."""
+        cfg = TankConfig(n_steps=40)
+        plan = RngStreamPlan(42)
+        ys = simulate(cfg, plan).measurements
+        prior, (aug, aug_prior) = state_prior(cfg), augmented_model(cfg)
+        spread = np.linspace(0.98, 1.02, 300)[:, np.newaxis]
+        out = {
+            "kf": _scan(ys, linear_model(cfg), np.tile(prior.mean, (300, 1)),
+                        np.tile(prior.cov, (300, 1, 1)), cfg.theta * spread, "kf"),
+            "ekf": _scan(ys, aug.model, aug_prior.mean * spread,
+                         np.tile(aug_prior.cov, (300, 1, 1)), None, "ekf"),
+        }
+        for run in (mc_sequential, mc_batch):
+            res = run(ys, linear_model(cfg), prior, frequency_knowledge(cfg), plan, 64,
+                      store_samples=True, record_at=(20,))
+            out[run.__name__] = (res.state_means, res.state_covs, res.param_means,
+                                 res.param_covs, res.samples_states, res.samples_params,
+                                 res.records[20])
+        cfg_path = tmp_path / "config.json"
+        cfg.save(cfg_path)
+        outdir = tmp_path / "out"
+        for name in SCENARIOS:
+            argv = ["estimate", name, "--config", str(cfg_path), "--out", str(outdir),
+                    "--deterministic", "--trials", "200", "--particles", "500"]
+            assert cli_run(argv) == 0
+        for path in sorted(outdir.iterdir()):
+            out[path.name] = path.read_bytes()
+            path.unlink()
+        return out
+
+    def test_outputs_do_not_depend_on_the_form(self, monkeypatch, tmp_path):
+        runs = []
+        for small in (0, 2**62):  # every product in the loop, then all it can in one reduce
+            monkeypatch.setattr(core, "_SMALL_PRODUCT", small)
+            runs.append(self.outputs(tmp_path))
+        loop, reduced = runs
+        assert loop.keys() == reduced.keys() and len(loop) == 4 + 2 * len(SCENARIOS)
+        for name, value in loop.items():
+            if isinstance(value, bytes):
+                assert reduced[name] == value, name
+            else:
+                for x, y in zip(value, reduced[name]):
+                    assert x.tobytes() == y.tobytes(), name

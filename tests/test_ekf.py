@@ -421,6 +421,18 @@ class TestAugment:
             aug.model.Q(1), np.diag([0.0, cfg.tau**2, 0.0]), atol=1e-18
         )
 
+    def test_process_noise_is_a_fresh_block_diagonal_per_step(self):
+        cfg = TankConfig(alpha=3e-4)
+        aug, _ = augmented_model(cfg)
+        expected = np.zeros((3, 3))
+        expected[:2, :2] = linear_model(cfg).Q(1)
+        expected[2:, 2:] = cfg.alpha**2 * np.eye(1)
+        first = aug.model.Q(1)
+        assert first.tobytes() == expected.tobytes()
+        first[2, 2] = -1.0  # a caller's edit reaches neither the next step nor this one again
+        for k in (1, 2):
+            assert aug.model.Q(k).tobytes() == expected.tobytes()
+
     def test_no_parameters_returns_base(self, rng):
         lin = LinearModel(np.eye(2), np.array([[1.0, 0.0]]), np.eye(2), np.eye(1))
         prior = GaussianBelief(np.zeros(2), np.eye(2))

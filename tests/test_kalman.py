@@ -1,5 +1,7 @@
 """Linear Kalman filter and the analytic propagation it equals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -299,3 +301,19 @@ class TestScan:
             belief = correct(predicted, ys[k - 1 : k], model, theta=theta, k=k).corrected
             np.testing.assert_array_equal(means[k, 0], belief.mean)
             np.testing.assert_array_equal(covs[k, 0], belief.cov)
+
+    def test_gate_buffers_shrink_with_the_nodes(self):
+        # 2000 nodes gate one step at a time: a block of 256 steps would hold
+        # 2 * 256 * 2000 * (2 + 4) doubles, 47 MiB, for a 0.55 MiB record
+        cfg, m = TankConfig(n_steps=5), 2000
+        ys = simulate(cfg, RngStreamPlan(5)).measurements
+        theta, x, P, _, _ = tank_nodes(cfg, m)
+        model = linear_model(cfg)
+        tracemalloc.start()
+        try:
+            _scan(ys, model, x, P, theta, "kf")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+

@@ -10,7 +10,10 @@ per-trial products on trial-axis-last stacks (_mm, _mv) live here too.  _mm
 sums its terms in one fixed order, bit for bit alike in its two forms: one
 broadcast product and one reduce for a small stack, such as a filter's
 (M = 1), and a loop over the terms for a large one, such as a Monte Carlo
-block of 1e4 trials.
+block of 1e4 trials.  The sampling path is trial-axis-last too: a block of
+normal_rows and the draws of mvn_sample are the (M, n) views of C (n, M)
+stacks, and _apply gives its einsum, whose sums follow the batch's layout,
+a C-ordered x.
 """
 
 from __future__ import annotations
@@ -206,10 +209,14 @@ def _eval_matrix(spec: MatrixSpec, *args) -> np.ndarray:
 
 def _apply(matrix: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(matrix x, matrix) for a matrix or (M, r, c) stack and one vector or
-    an (M, c) batch; a matrix that does not fit x is a DimensionError."""
+    an (M, c) batch; a matrix that does not fit x is a DimensionError.
+
+    The einsum gets x C-ordered: from c = 3 on its sums follow the batch's
+    layout, and a Monte Carlo block's states are the (M, c) view of a
+    (c, M) stack, where mc_batch's one-trial blocks are C-ordered."""
     if matrix.shape[-1:] != np.shape(x)[-1:]:
         raise DimensionError(f"matrix shape {matrix.shape} does not fit x {np.shape(x)}")
-    return np.einsum("...ij,...j->...i", matrix, x), matrix
+    return np.einsum("...ij,...j->...i", matrix, np.ascontiguousarray(x)), matrix
 
 
 @dataclass(frozen=True)
@@ -455,11 +462,16 @@ class RngStreamPlan:
         self, k: int, label: str, start_trial: int, trials: int, width: int
     ) -> np.ndarray:
         """Standard-normal block of shape (trials, width) for trials starting
-        at `start_trial`; row m equals the draw of absolute trial start+m."""
+        at `start_trial`; row m equals the draw of absolute trial start+m.
+
+        The block is the (trials, width) view of a C (width, trials) stack,
+        trial axis last: the uniforms are clamped straight into it and
+        transformed in place."""
         stride = ((width + 3) // 4) * 4  # counter-aligned per-trial stride
         u = self.uniform_rows(k, label, start_trial * stride, trials * stride)
-        u = u.reshape(trials, stride)[:, :width]
-        return ndtri(np.maximum(u, np.nextafter(0.0, 1.0)))
+        rows = np.empty((width, trials))
+        np.maximum(u.reshape(trials, stride)[:, :width].T, np.nextafter(0.0, 1.0), out=rows)
+        return ndtri(rows, out=rows).T
 
     def uniforms(self, k: int, label: str, count: int) -> np.ndarray:
         return self.uniform_rows(k, label, 0, count)
@@ -539,7 +551,9 @@ def mvn_sample(mean: np.ndarray, cov: np.ndarray, z: np.ndarray) -> np.ndarray:
     (shape (M, n), e.g. from RngStreamPlan.normal_rows); returns (M, n).
 
     Gated by psd_sqrt, which lets semidefinite covs pass (a zero cov returns
-    the mean); C-ordered, row m depending on row m of z only, bit for bit.
+    the mean).  Row m depends on row m of z only, bit for bit, whatever z's
+    layout; for z from normal_rows the result is the (M, n) view of a C
+    (n, M) stack, as z is.
     """
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
@@ -547,7 +561,9 @@ def mvn_sample(mean: np.ndarray, cov: np.ndarray, z: np.ndarray) -> np.ndarray:
     if cov.shape != (mean.shape[0], mean.shape[0]) or z.shape[1] != mean.shape[0]:
         raise DimensionError("mvn_sample: cov or z shape does not match mean")
     factor = _named("mvn_sample", psd_sqrt, cov)
-    return np.add(_mv(_soa(factor), z.T).T, mean, order="C")
+    rows = _mv(_soa(factor), z.T)
+    rows += mean[:, np.newaxis]
+    return rows.T
 
 
 def _normalize_measurements(measurements) -> np.ndarray:

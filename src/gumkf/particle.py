@@ -6,6 +6,13 @@ resampling when the ESS drops below a tolerance fraction of the particle
 count.  Resampling draws one uniform per particle and looks the uniforms up
 in the cumulative weights in sorted order, so each search starts where the
 previous one ended; the ancestors are those of the uniforms in draw order.
+
+The particle states stay trial-axis-last from the draw on: they are the
+(N, n) view of a C (n, N) stack, as `core.normal_rows` and `mvn_sample`
+return it, and propagation, weighting and resampling keep that layout.  Only
+the weighted mean, a BLAS product whose summation order follows its
+operand's layout, gets a C-ordered (N, n) copy.  A set that pf_weight or
+resampling derives from a gated one is not gated again; its new weights are.
 """
 
 from __future__ import annotations
@@ -47,14 +54,27 @@ class ParticleSet:
         if not np.all(np.isfinite(states)):
             first = int(np.argmax(~np.all(np.isfinite(states), axis=1)))
             raise NumericError(f"non-finite state in particle {first} at k={self.k}")
-        if np.any(weights < 0) or not np.all(np.isfinite(weights)):
-            raise NumericError("weights must be finite and non-negative")
+        _require_weights(weights)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "weights", weights)
 
     @property
     def size(self) -> int:
         return self.states.shape[0]
+
+    def _derived(self, states: np.ndarray, weights: np.ndarray, k: int) -> "ParticleSet":
+        """A set at time index k whose states (N, n) come from this set's
+        gated ones, so only the new weights (N,) are checked."""
+        _require_weights(weights)
+        out = object.__new__(ParticleSet)
+        for name, value in (("states", states), ("weights", weights), ("k", k)):
+            object.__setattr__(out, name, value)
+        return out
+
+
+def _require_weights(weights: np.ndarray) -> None:
+    if np.any(weights < 0) or not np.all(np.isfinite(weights)):
+        raise NumericError("weights must be finite and non-negative")
 
 
 def _require_normalized(weights: np.ndarray) -> None:
@@ -112,7 +132,7 @@ def pf_weight(
         )
     w = np.exp(log_w - top)
     w /= w.sum()
-    return ParticleSet(particles.states, w, k)
+    return particles._derived(particles.states, w, k)
 
 
 def pf_ess(particles: ParticleSet) -> float:
@@ -132,15 +152,16 @@ def _resample(particles: ParticleSet, plan: RngStreamPlan) -> ParticleSet:
 
     Particle i's ancestor is searchsorted(cum, u[i], side="right") for the
     cumulative weights cum (cum[-1] = 1) and the uniforms u; the uniforms
-    are looked up in sorted order and the indices scattered back."""
+    are looked up in sorted order and the indices scattered back.  The
+    states are gathered along the particle axis of their (n, N) stack."""
     u = plan.uniforms(particles.k, LABEL_RESAMPLE, particles.size)
     cum = np.cumsum(particles.weights)
     cum[-1] = 1.0
     order = np.argsort(u)
     idx = np.empty_like(order)
     idx[order] = np.searchsorted(cum, u[order], side="right")  # < size, as u < 1
-    return ParticleSet(
-        np.take(particles.states, idx, axis=0),
+    return particles._derived(
+        np.take(particles.states.T, idx, axis=1).T,
         np.full(particles.size, 1.0 / particles.size),
         particles.k,
     )
@@ -171,13 +192,27 @@ class PfRunResult:
     records: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
-def weighted_moments(states: np.ndarray, weights: np.ndarray):
-    """Weighted mean and covariance of the (M, n) states.
+def _c_ordered(states: np.ndarray) -> np.ndarray:
+    """The (M, n) states C-ordered: themselves, or a copy made column by
+    column, cheaper than np.ascontiguousarray of an (n, M) stack's view."""
+    if states.flags.c_contiguous:
+        return states
+    rows = np.empty(states.shape)
+    for i in range(states.shape[1]):
+        rows[:, i] = states[:, i]
+    return rows
 
-    Each upper-triangle covariance entry is one pairwise np.add.reduce over
-    contiguous, particle-axis-last rows of the weighted deviations, mirrored
-    below the diagonal, so the covariance is exactly symmetric."""
-    mean = weights @ states
+
+def weighted_moments(states: np.ndarray, weights: np.ndarray):
+    """Weighted mean and covariance of the (M, n) states, whatever their
+    layout.
+
+    The mean is a BLAS product, whose summation order follows its operand's
+    layout, so it always gets C-ordered (M, n) states.  Each upper-triangle
+    covariance entry is one pairwise np.add.reduce over contiguous,
+    particle-axis-last rows of the weighted deviations, mirrored below the
+    diagonal, so the covariance is exactly symmetric."""
+    mean = weights @ _c_ordered(states)
     dev = np.ascontiguousarray(states.T) - mean[:, np.newaxis]
     wdev = weights * dev
     n = dev.shape[0]

@@ -143,7 +143,7 @@ def _augmented_closed_forms(config: TankConfig) -> dict:
         z = np.asarray(z, dtype=float)
         th = z[..., 2]
         t = (k - 1) * dt
-        out = z.copy()
+        out = z.copy(order="K")  # keeps the (M, 3) view of a (3, M) stack one
         out[..., 0] += 2.0 * np.pi * th * np.cos(2.0 * np.pi * th * t) * z[..., 1]
         return out
 

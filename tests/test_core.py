@@ -13,6 +13,7 @@ from gumkf import (
     ConfigError,
     DimensionError,
     GaussianBelief,
+    LinearModel,
     NonlinearModel,
     NumericError,
     ParameterKnowledge,
@@ -26,6 +27,7 @@ from gumkf import (
     mc_batch,
     mc_sequential,
     mvn_sample,
+    pf_run,
     psd_sqrt,
     simulate,
     state_prior,
@@ -35,10 +37,10 @@ from gumkf.cli import run as cli_run
 from gumkf.kalman import _scan
 from gumkf.watertank import SCENARIOS
 
-from gumkf import core
-from gumkf.core import _label_id, _mm, _require_beliefs, _stream_keys, _t
+from gumkf import core, gum_mc, particle
+from gumkf.core import _label_id, _mm, _mv, _require_beliefs, _soa, _stream_keys, _t
 
-from conftest import rand_psd
+from conftest import rand_pd, rand_psd
 
 SEEDS = [0, 42, 2**32, 2**64 - 1]
 
@@ -131,8 +133,16 @@ class TestMvnSample:
             mvn_sample(np.zeros(2), np.diag([1.0, -1.0]), plan.normal_rows(0, "t", 0, 1, 2))
 
     def test_c_ordered_rows(self):
-        draws = mvn_sample(np.zeros(3), np.eye(3), RngStreamPlan(2).normal_rows(0, "t", 0, 5, 3))
-        assert draws.flags["C_CONTIGUOUS"]
+        # the draws are the (M, n) view of a C (n, M) stack, as the block
+        # from normal_rows is, with the values of L z + mean row by row
+        z = RngStreamPlan(2).normal_rows(0, "t", 0, 5, 3)
+        mean = np.array([1.0, -2.0, 0.5])
+        cov = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 0.5]])
+        draws = mvn_sample(mean, cov, z)
+        assert z.T.flags["C_CONTIGUOUS"] and draws.T.flags["C_CONTIGUOUS"]
+        factor = psd_sqrt(cov)
+        expected = np.add(_mv(_soa(factor), z.T).T, mean, order="C")
+        assert draws.tobytes() == expected.tobytes()
 
     def test_zero_dimensional_draw(self):
         assert mvn_sample(np.zeros(0), np.zeros((0, 0)), np.zeros((4, 0))).shape == (4, 0)
@@ -141,6 +151,60 @@ class TestMvnSample:
         a = mvn_sample(np.zeros(2), np.eye(2), RngStreamPlan(5).normal_rows(9, "x", 3, 1, 2))
         b = mvn_sample(np.zeros(2), np.eye(2), RngStreamPlan(5).normal_rows(9, "x", 3, 1, 2))
         np.testing.assert_array_equal(a, b)
+
+
+class TestSamplingLayout:
+    """The draws, the particle set and the Monte Carlo states are (M, n)
+    views of (n, M) stacks.  No bit may depend on that: with normal_rows and
+    mvn_sample returning C-ordered (M, n) copies, the old layout, the
+    particle filter and every Monte Carlo mode give the same bytes."""
+
+    @staticmethod
+    def problem(name):
+        if name == "augmented-tank":
+            cfg = TankConfig(n_steps=10)
+            aug, prior = augmented_model(cfg)
+            return simulate(cfg, RngStreamPlan(42)).measurements, aug.model, prior
+        rng = np.random.default_rng(3)
+        model = LinearModel(
+            state_matrix=np.eye(3) + 0.1 * rng.standard_normal((3, 3)),
+            obs_matrix=rng.standard_normal((1, 3)),
+            process_noise=0.01 * rand_pd(rng, 3, 0.01),
+            obs_noise=np.array([[0.5]]),
+        )
+        prior = GaussianBelief(rng.standard_normal(3), rand_pd(rng, 3))
+        return rng.standard_normal(10), model, prior
+
+    @staticmethod
+    def outputs(ys, model, prior):
+        plan = RngStreamPlan(42)
+        pf = pf_run(ys, model, prior, 2000, 0.9, plan, record_at=(4,))
+        assert pf.resampled.any()
+        out = [pf.means, pf.covs, pf.ess, pf.ess_pre_resample, pf.resampled, *pf.records[4]]
+        args = (ys, model, prior, None, plan, 20)
+        kwargs = dict(store_samples=True, record_at=(4,))
+        for res in (
+            mc_sequential(*args, **kwargs),
+            mc_sequential(*args, threads=3, **kwargs),
+            mc_batch(*args, **kwargs),
+        ):
+            out += [res.state_means, res.state_covs, res.samples_states, res.records[4]]
+        return [a.tobytes() for a in out]
+
+    @pytest.mark.parametrize("name", ["augmented-tank", "linear-three-states"])
+    def test_c_ordered_draws_give_the_same_bytes(self, monkeypatch, name):
+        monkeypatch.setattr(gum_mc, "_CHUNK", 8)  # threads=3 runs three blocks
+        ys, model, prior = self.problem(name)
+        default = self.outputs(ys, model, prior)
+        normal_rows = RngStreamPlan.normal_rows
+
+        def c_ordered(fn):
+            return lambda *args: np.ascontiguousarray(fn(*args))
+
+        monkeypatch.setattr(RngStreamPlan, "normal_rows", c_ordered(normal_rows))
+        for module in (gum_mc, particle):
+            monkeypatch.setattr(module, "mvn_sample", c_ordered(mvn_sample))
+        assert self.outputs(ys, model, prior) == default
 
 
 class TestGaussianBelief:

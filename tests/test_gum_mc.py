@@ -35,7 +35,7 @@ from gumkf import (
 )
 from gumkf import gum_mc
 
-from conftest import rand_psd, rel_err
+from conftest import rand_pd, rand_psd, rel_err
 
 
 def noiseless_scalar_model():
@@ -603,6 +603,26 @@ class TestBatchSequentialEquivalence:
             mc_sequential(*args, threads=3, store_samples=True),
         ):
             np.testing.assert_array_equal(serial.samples_states, other.samples_states)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_one_measurement_of_three_or_more_states_bit_identical(self, n):
+        # criterion 07 for p = 1 and n >= 3: after one mc_step the states are
+        # the (M, n) view of an (n, M) stack, and the model's einsum must
+        # see them C-ordered as it sees mc_batch's one-trial blocks
+        rng = np.random.default_rng(n)
+        model = LinearModel(
+            state_matrix=np.eye(n) + 0.1 * rng.standard_normal((n, n)),
+            obs_matrix=rng.standard_normal((1, n)),
+            process_noise=rand_pd(rng, n, 0.01) * 0.01,
+            obs_noise=np.array([[0.5]]),
+        )
+        prior = GaussianBelief(rng.standard_normal(n), rand_pd(rng, n))
+        ys = rng.standard_normal(8)
+        args = (ys, model, prior, None, RngStreamPlan(42), 300)
+        serial = mc_sequential(*args, store_samples=True)
+        batch = mc_batch(*args, store_samples=True)
+        for name in ("samples_states", "state_means", "state_covs"):
+            np.testing.assert_array_equal(getattr(serial, name), getattr(batch, name), err_msg=name)
 
 
 class TestCapacityAndMemory:

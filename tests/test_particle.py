@@ -56,6 +56,16 @@ class TestParticleSet:
         with pytest.raises(NumericError):
             ParticleSet(np.zeros((3, 1)), np.array([0.5, 0.5]), 0)
 
+    def test_derived_set_checks_its_new_weights(self):
+        # pf_weight and resampling derive sets from gated states, whose
+        # state gate they skip; the new weights are checked as before
+        base = uniform_particles(np.zeros((2, 1)))
+        for bad in ([np.nan, 1.0], [1.5, -0.5]):
+            with pytest.raises(NumericError, match="weights must be finite and non-negative"):
+                base._derived(base.states, np.array(bad), 1)
+        derived = base._derived(base.states, np.array([0.25, 0.75]), 1)
+        assert derived.states is base.states and derived.k == 1
+
 
 class TestPfPropagate:
     def test_zero_noise_pushforward(self):
@@ -263,6 +273,17 @@ class TestWeightedMoments:
         ref_cov = (wl[:, None] * dev).T @ dev
         assert rel_err(mean, ref_mean.astype(float)) < 1e-10
         assert rel_err(cov, ref_cov.astype(float)) < 1e-10
+
+    def test_memory_order_does_not_change_a_bit(self, rng):
+        # the mean is a BLAS product, whose sums follow its operand's layout,
+        # and the particle states are the (N, n) view of an (n, N) stack
+        states = rng.standard_normal((10_000, 3))
+        w = rng.random(10_000)
+        w /= w.sum()
+        f_ordered = np.asfortranarray(states)
+        assert f_ordered.flags.f_contiguous and not f_ordered.flags.c_contiguous
+        for got, want in zip(weighted_moments(f_ordered, w), weighted_moments(states, w)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestMarginalHistogram:

@@ -62,13 +62,19 @@ def propagate_nonlinear_gum_linearized(
 ) -> GaussianBelief:
     """Linearized propagation of the state-of-knowledge PDF through the
     nonlinear estimation equation; coincides with ekf_predict + ekf_correct
-    when y.cov equals the model's measurement noise covariance."""
-    predicted = ekf_predict(prev, model, k=k, theta=theta)
+    when y.cov equals the model's measurement noise covariance.  Written in
+    matrix form, as propagate_linear_gum is, so it shares no step with the
+    EKF it checks."""
+    where = f"propagate_nonlinear_gum_linearized at k={k}"
+    F = model.F(prev.mean, theta, k)
+    x_pred = model.f(prev.mean, theta, k)
+    P_pred = symmetrize(F @ prev.cov @ F.T + model.Q(k))
+    predicted = _named(where, GaussianBelief, x_pred, P_pred)
     H = model.H(predicted.mean, theta, k)
-    K = _named(f"propagate_nonlinear_gum_linearized at k={k}", kf_gain, predicted.cov, H, y.cov)
+    K = _named(where, kf_gain, predicted.cov, H, y.cov)
     mean = predicted.mean + K @ (y.mean - model.h(predicted.mean, theta, k))
     cov = joseph_update(predicted.cov, K, H, y.cov)
-    return _named(f"propagate_nonlinear_gum_linearized at k={k}", GaussianBelief, mean, cov)
+    return _named(where, GaussianBelief, mean, cov)
 
 
 # ---------------------------------------------------------------------------

@@ -9,19 +9,18 @@ trials as the last axis, so a trial's covariance is the LKF's or EKF's.
 Draws are addressed by (trial, time, label) through the RngStreamPlan, so a
 trial's trajectory does not depend on which other trials are advanced with it.
 
-One driver runs every mode.  It splits the trials into blocks [a, b) and, at
-each time step, advances every block with mc_step.  The ensembles stay
-trial-axis-last: mc_step's states are an (M, n) view of its (n, M) stack.
-The per-step mean and covariance are reduced over fixed chunks of trials,
-the absolute ranges [c * _CHUNK, (c + 1) * _CHUNK), each summed pairwise on
-the thread that advanced it, and the chunks are combined in trial order by
-the pairwise update of Chan, Golub & LeVeque; stored samples and recorded
-rows are the blocks joined in trial order.  mc_sequential (time-major,
-online) uses one chunk-aligned block per thread and mc_batch (trial-major)
-one block per trial, gathered into the same chunks, so both, threaded or
-not, give bit-identical results.  Models are evaluated on whole blocks, once
-per linearization and step: every model callable accepts one vector or a
-batch with a leading trial axis.
+One driver runs every mode.  It splits the trials into near-equal blocks
+[a, b) and, at each time step, advances every block with mc_step.  The
+ensembles stay trial-axis-last: mc_step's states are an (M, n) view of its
+(n, M) stack.  The calling thread joins the blocks in trial order and reduces
+the per-step mean and covariance over fixed chunks of trials, the absolute
+ranges [c * _CHUNK, (c + 1) * _CHUNK), each summed pairwise and combined in
+trial order by the pairwise update of Chan, Golub & LeVeque; stored samples
+and recorded rows are the same joined ensemble.  mc_sequential (time-major,
+online) runs one block per thread and mc_batch (trial-major) one block per
+trial, so both, threaded or not, give bit-identical results.  Models are
+evaluated on whole blocks, once per linearization and step: every model
+callable accepts one vector or a batch with a leading trial axis.
 """
 
 from __future__ import annotations
@@ -137,9 +136,9 @@ _CHUNK = 4096
 
 
 def _chunk_moments(x: np.ndarray) -> list:
-    """Moments of each chunk of the trial-last samples x, shape (d, m), whose
-    first column is a chunk boundary: (count, shift, offset, sums) with the
-    chunk mean shift + offset and sums its centred cross-product sums.
+    """Moments of each chunk of the trial-last samples x, shape (d, m), the
+    columns [c * _CHUNK, (c + 1) * _CHUNK): (count, shift, offset, sums) with
+    the chunk mean shift + offset and sums its centred cross-product sums.
 
     A chunk is summed as C-ordered (d, m) rows by np.add.reduce (pairwise
     summation), so an F-ordered x gives the same bits.  The first-pass mean
@@ -295,23 +294,21 @@ def _run_blocks(
     plan: RngStreamPlan,
     trials: int,
     threads: int,
-    per_trial: bool,
+    n_blocks: int,
     store_samples: bool,
     record_at: Tuple[int, ...],
     max_store_bytes: int,
 ) -> McRunResult:
     """The Monte Carlo driver: time loop outer, trial blocks [a, b) inner.
 
-    mc_batch (`per_trial`) runs one block per trial; mc_sequential splits
-    the trials into `threads` near-equal blocks whose bounds are chunk
-    boundaries (multiples of _CHUNK), so each chunk is a view into one block.
-    Consecutive blocks are grouped into tasks that cover whole chunks: one
-    block for mc_sequential, the one-trial blocks of a chunk for mc_batch.
-    At each time step the tasks run on `threads` threads; each advances its
-    blocks by mc_step with trial_start=a and reduces its chunks
-    (_chunk_moments); the calling thread combines the chunks in trial order
-    (_mean_cov).  The chunks and their order are the same for every block
-    layout, so the layout does not change a single bit of the result.
+    The trials are cut into `n_blocks` near-equal blocks, fewer when there
+    are fewer trials: mc_batch asks for one per trial, mc_sequential for one
+    per thread.  At each time step the blocks are advanced by mc_step with
+    trial_start=a on `threads` threads; the calling thread joins them
+    trial-axis-last and reduces the joined ensemble over the chunks of
+    _chunk_moments, combined in trial order (_mean_cov).  The chunks are
+    absolute trial ranges of the joined ensemble, so the block layout does
+    not change a single bit of the result.
     """
     if trials < 2:
         raise ConfigError(f"Monte Carlo needs at least 2 trials, got {trials}")
@@ -333,61 +330,42 @@ def _run_blocks(
     else:
         samples_states = samples_params = None
 
-    # each task covers whole chunks: a chunk-aligned block of mc_sequential,
-    # or the one-trial blocks of one chunk for mc_batch
-    if per_trial:
-        cuts = np.append(np.arange(0, trials, _CHUNK), trials)
-    else:
-        near_equal = np.linspace(0, trials, threads + 1)
-        cuts = np.minimum(np.rint(near_equal / _CHUNK) * _CHUNK, trials).astype(int)
-        cuts[-1] = trials
-    task_spans = [
-        [(m, m + 1) for m in range(a, b)] if per_trial else [(a, b)]
-        for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist())
-        if b > a
-    ]
+    cuts = np.rint(np.linspace(0, trials, n_blocks + 1)).astype(int).tolist()
     state_means = np.empty((n_steps + 1, n))
     state_covs = np.empty((n_steps + 1, n, n))
     param_means = np.empty((n_steps + 1, n_t))
     param_covs = np.empty((n_steps + 1, n_t, n_t))
     records: Dict[int, np.ndarray] = {}
 
-    # a task is ([(a, ensemble, covs) per block], state chunks, param chunks)
-    def reduced(blocks):
+    # a block is (a, ensemble, covs)
+    def advance(block, k):
+        a, ensemble, covs = block
+        return (a, *mc_step(ensemble, ys[k - 1], model, covs, plan, k, trial_start=a))
+
+    def summarize(k):
         # the blocks are McEnsembles that mc_step or _init_trials validated
         states = _trial_last([e.states for _, e, _ in blocks])
         params = _trial_last([e.params for _, e, _ in blocks])
-        return blocks, _chunk_moments(states), _chunk_moments(params)
-
-    def advance(task, k):
-        return reduced([
-            (a, *mc_step(e, ys[k - 1], model, covs, plan, k, trial_start=a))
-            for a, e, covs in task[0]
-        ])
-
-    def summarize(k):
-        state_means[k], state_covs[k] = _mean_cov([c for t in tasks for c in t[1]])
-        param_means[k], param_covs[k] = _mean_cov([c for t in tasks for c in t[2]])
-        if store_samples or k in record_at:
-            states = np.concatenate([e.states for t in tasks for _, e, _ in t[0]])
-            params = np.concatenate([e.params for t in tasks for _, e, _ in t[0]])
+        state_means[k], state_covs[k] = _mean_cov(_chunk_moments(states))
+        param_means[k], param_covs[k] = _mean_cov(_chunk_moments(params))
         if store_samples:
-            samples_states[k] = states
-            samples_params[k] = params
+            samples_states[k] = states.T
+            samples_params[k] = params.T
         if k in record_at:
-            records[k] = np.hstack([states, params])
+            records[k] = np.hstack([states.T, params.T])
 
-    tasks = [
-        reduced([(a, *_init_trials(prior, theta_knowledge, plan, b - a, a)) for a, b in spans])
-        for spans in task_spans
+    blocks = [
+        (a, *_init_trials(prior, theta_knowledge, plan, b - a, a))
+        for a, b in zip(cuts[:-1], cuts[1:])
+        if b > a
     ]
-    workers = min(threads, len(tasks))
+    workers = min(threads, len(blocks))
     executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     mapper = map if executor is None else executor.map
     try:
         summarize(0)
         for k in range(1, n_steps + 1):
-            tasks = list(mapper(lambda task: advance(task, k), tasks))
+            blocks = list(mapper(lambda block: advance(block, k), blocks))
             summarize(k)
     finally:
         if executor is not None:
@@ -419,9 +397,8 @@ def mc_sequential(
     max_store_bytes: int = 1 << 30,
 ) -> McRunResult:
     """Time-major Monte Carlo: the trials advance together, split into
-    `threads` near-equal blocks that start and end on chunk boundaries
-    (so fewer blocks when the trials span fewer chunks), run on as many
-    threads.
+    `threads` near-equal blocks (one per trial when there are fewer trials
+    than threads), run on as many threads.
 
     Memory use is independent of the number of time steps unless
     store_samples is requested; the stored samples, and the samples of the
@@ -429,7 +406,7 @@ def mc_sequential(
     """
     return _run_blocks(
         measurements, model, prior, theta_knowledge, plan, trials,
-        threads, False, store_samples, record_at, max_store_bytes,
+        threads, threads, store_samples, record_at, max_store_bytes,
     )
 
 
@@ -451,5 +428,5 @@ def mc_batch(
     RngStreamPlan the result is bit-identical to mc_sequential."""
     return _run_blocks(
         measurements, model, prior, theta_knowledge, plan, trials,
-        1, True, store_samples, record_at, max_store_bytes,
+        1, trials, store_samples, record_at, max_store_bytes,
     )

@@ -193,7 +193,7 @@ class TestSamplingLayout:
 
     @pytest.mark.parametrize("name", ["augmented-tank", "linear-three-states"])
     def test_c_ordered_draws_give_the_same_bytes(self, monkeypatch, name):
-        monkeypatch.setattr(gum_mc, "_CHUNK", 8)  # threads=3 runs three blocks
+        monkeypatch.setattr(gum_mc, "_CHUNK", 8)  # chunks span the blocks of threads=3
         ys, model, prior = self.problem(name)
         default = self.outputs(ys, model, prior)
         normal_rows = RngStreamPlan.normal_rows

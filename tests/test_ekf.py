@@ -29,6 +29,7 @@ from gumkf import (
     split_update,
     state_prior,
 )
+from gumkf import kalman
 from gumkf.kalman import _scan
 
 from conftest import rand_pd, rand_psd, rel_err
@@ -537,6 +538,30 @@ class TestLinearizedGumPropagation:
         )
         assert rel_err(gum.mean, step.corrected.mean) < 1e-12
         assert rel_err(gum.cov, step.corrected.cov) < 1e-12
+
+    def test_independent_of_the_filter_prediction(self, monkeypatch):
+        # the reference must not run the EKF's own prediction, so criterion
+        # 04 checks the prediction as well as the correction
+        cfg = TankConfig(n_steps=50)
+        record = simulate(cfg, RngStreamPlan(42))
+        aug, belief = augmented_model(cfg)
+        ys = record.measurements.reshape(-1, 1)
+        priors, corrected = [], []
+        for k, y in enumerate(ys, start=1):
+            priors.append(belief)
+            belief = ekf_correct(ekf_predict(belief, aug.model, k=k), y, aug.model, k=k).corrected
+            corrected.append(belief)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the reference ran kalman._predict_stack")
+
+        monkeypatch.setattr(kalman, "_predict_stack", refuse)
+        for k, (prior, y, step) in enumerate(zip(priors, ys, corrected), start=1):
+            gum = propagate_nonlinear_gum_linearized(
+                prior, GaussianBelief(y, [[cfg.sigma**2]]), aug.model, k
+            )
+            assert rel_err(gum.mean, step.mean) < 1e-12
+            assert rel_err(gum.cov, step.cov) < 1e-12
 
 
 class TestParameterVarianceMonotone:

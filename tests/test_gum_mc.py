@@ -477,6 +477,20 @@ class TestThetaBehaviour:
         assert np.all(theta0 != theta_n)
 
 
+def spy_block_starts(monkeypatch):
+    """Patch gum_mc.mc_step to collect (trials, trial_start) of every block
+    advanced to time index 1."""
+    starts = set()
+
+    def spy(ensemble, *args, trial_start=0):
+        if args[4] == 1:
+            starts.add((ensemble.trial_count, trial_start))
+        return mc_step(ensemble, *args, trial_start=trial_start)
+
+    monkeypatch.setattr(gum_mc, "mc_step", spy)
+    return starts
+
+
 class TestBatchSequentialEquivalence:
     def test_bit_identical_trials(self):
         cfg = TankConfig(n_steps=25)
@@ -535,20 +549,48 @@ class TestBatchSequentialEquivalence:
         self.assert_layouts_bit_identical()
 
     def test_chunk_spanning_layouts_bit_identical(self, monkeypatch):
-        # With chunks of 8 the 20 trials span three chunks: threads=3 and
-        # threads=7 run the blocks [0, 8), [8, 16), [16, 20), threads=1 one
-        # block, and mc_batch 20 blocks gathered into the three chunks.
+        # With chunks of 8 the 20 trials span three chunks: threads=3 runs
+        # the blocks [0, 7), [7, 13), [13, 20), threads=1 one block and
+        # mc_batch 20, so every chunk is split across blocks.
         monkeypatch.setattr(gum_mc, "_CHUNK", 8)
-        starts = set()
-
-        def spy(ensemble, *args, trial_start=0):
-            if args[4] == 1:
-                starts.add((ensemble.trial_count, trial_start))
-            return mc_step(ensemble, *args, trial_start=trial_start)
-
-        monkeypatch.setattr(gum_mc, "mc_step", spy)
+        starts = spy_block_starts(monkeypatch)
         self.assert_layouts_bit_identical()
-        assert {(8, 0), (8, 8), (4, 16), (20, 0), (1, 19)} <= starts
+        assert {(7, 0), (6, 7), (7, 13), (20, 0), (1, 19)} <= starts
+
+    def test_threads_split_trials_into_equal_blocks(self, monkeypatch):
+        # the block bounds ignore the chunks: 10^4 trials on two threads
+        # run two blocks of 5000
+        cfg = TankConfig(n_steps=1)
+        plan = RngStreamPlan(42)
+        record = simulate(cfg, plan)
+        starts = spy_block_starts(monkeypatch)
+        mc_sequential(
+            record.measurements, linear_model(cfg), state_prior(cfg),
+            frequency_knowledge(cfg), plan, 10_000, threads=2,
+        )
+        assert starts == {(5000, 0), (5000, 5000)}
+
+    def test_more_threads_than_trials_run_one_trial_blocks(self, monkeypatch):
+        cfg = TankConfig(n_steps=5)
+        plan = RngStreamPlan(42)
+        record = simulate(cfg, plan)
+        args = (record.measurements, linear_model(cfg), state_prior(cfg),
+                frequency_knowledge(cfg), plan, 3)
+        kwargs = dict(store_samples=True, record_at=(0, 2, cfg.n_steps))
+        serial = mc_sequential(*args, **kwargs)
+        starts = spy_block_starts(monkeypatch)
+        threaded = mc_sequential(*args, threads=7, **kwargs)
+        assert starts == {(1, 0), (1, 1), (1, 2)}
+        for name in (
+            "state_means", "state_covs", "param_means", "param_covs",
+            "samples_states", "samples_params",
+        ):
+            np.testing.assert_array_equal(
+                getattr(serial, name), getattr(threaded, name), err_msg=name
+            )
+        assert serial.records.keys() == threaded.records.keys()
+        for k in serial.records:
+            np.testing.assert_array_equal(serial.records[k], threaded.records[k])
 
     @staticmethod
     def assert_layouts_bit_identical():

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .core import CapacityError, ConfigError, NumericError, RngStreamPlan
-from .particle import marginal_histogram
+from .particle import marginal_histogram, weighted_moments
 from .watertank import (
     COMPONENTS,
     SCENARIOS,
@@ -40,16 +40,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _fmt(value: float) -> str:
-    return f"{float(value):.17g}"
-
-
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+def _write_csv(path: Path, header: Sequence[str], table: np.ndarray) -> None:
+    """The 2-D float table under a header row, CRLF line ends as csv's."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",", newline="\r\n",
+                   header=",".join(header), comments="")
 
 
 def _write_manifest(path: Path, payload: dict) -> None:
@@ -146,12 +141,10 @@ def _cmd_simulate(args) -> int:
     config = _load_config(args)
     outdir = _outdir(args)
     record = simulate(config, RngStreamPlan(args.seed))
-    rows = []
-    for k in range(config.n_steps + 1):
-        y = record.measurements[k - 1] if k >= 1 else float("nan")
-        rows.append((record.times[k], record.states[k, 0], record.states[k, 1], y))
+    y = np.concatenate([[np.nan], record.measurements])  # no measurement at k = 0
+    table = np.column_stack([record.times, record.states[:, 0], record.states[:, 1], y])
     csv_name = "simulation.csv"
-    _write_csv(outdir / csv_name, ["t", "xL_true", "xs_true", "y"], rows)
+    _write_csv(outdir / csv_name, ["t", "xL_true", "xs_true", "y"], table)
     _write_manifest(
         outdir / "simulation_manifest.json",
         _manifest_payload(args, "simulate", config, [csv_name], started),
@@ -160,23 +153,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _report_rows(report: EstimationReport):
-    has_theta = report.theta_est is not None
     header = ["t", "xL_est", "xL_u", "xs_est", "xs_u"]
-    if has_theta:
+    columns = [report.times, report.state_est[:, 0], report.state_u[:, 0],
+               report.state_est[:, 1], report.state_u[:, 1]]
+    if report.theta_est is not None:
         header += ["theta_est", "theta_u"]
-    rows = []
-    for k in range(report.times.shape[0]):
-        row = [
-            report.times[k],
-            report.state_est[k, 0],
-            report.state_u[k, 0],
-            report.state_est[k, 1],
-            report.state_u[k, 1],
-        ]
-        if has_theta:
-            row += [report.theta_est[k], report.theta_u[k]]
-        rows.append(row)
-    return header, rows
+        columns += [report.theta_est, report.theta_u]
+    return header, np.column_stack(columns)
 
 
 def _cmd_estimate(args) -> int:
@@ -192,9 +175,9 @@ def _cmd_estimate(args) -> int:
         gamma=args.gamma,
         threads=args.threads,
     )
-    header, rows = _report_rows(report)
+    header, table = _report_rows(report)
     csv_name = f"{args.scenario}.csv"
-    _write_csv(outdir / csv_name, header, rows)
+    _write_csv(outdir / csv_name, header, table)
     extra = {"scenario": args.scenario, "gamma": args.gamma}
     if args.scenario in ("mc-lkf-uncertain", "mc-ekf"):
         extra["trials"] = args.trials
@@ -280,12 +263,13 @@ def _cmd_pdf_marginal(args) -> int:
         _write_csv(
             outdir / name,
             ["bin_lo", "bin_hi", "density"],
-            zip(edges[:-1], edges[1:], density),
+            np.column_stack([edges[:-1], edges[1:], density]),
         )
         outputs.append(name)
-        mean = float(weights @ values)
-        std = float(np.sqrt(weights @ (values - mean) ** 2))
-        summaries[f"t={t:g}"] = {"weighted_mean": mean, "weighted_std": std}
+        mean, var = weighted_moments(values[:, np.newaxis], weights)
+        summaries[f"t={t:g}"] = {
+            "weighted_mean": float(mean[0]), "weighted_std": float(np.sqrt(var[0, 0]))
+        }
     extra = {
         "scenario": args.scenario,
         "component": args.component,

@@ -16,7 +16,7 @@ ensembles stay trial-axis-last: mc_step's states are an (M, n) view of its
 the per-step mean and covariance over fixed chunks of trials, the absolute
 ranges [c * _CHUNK, (c + 1) * _CHUNK), each summed pairwise and combined in
 trial order by the pairwise update of Chan, Golub & LeVeque; stored samples
-and recorded rows are the same joined ensemble.  mc_sequential (time-major,
+and recorded rows are rows of one sample store.  mc_sequential (time-major,
 online) runs one block per thread and mc_batch (trial-major) one block per
 trial, so both, threaded or not, give bit-identical results.  Models are
 evaluated on whole blocks, once per linearization and step: every model
@@ -308,7 +308,8 @@ def _run_blocks(
     trial-axis-last and reduces the joined ensemble over the chunks of
     _chunk_moments, combined in trial order (_mean_cov).  The chunks are
     absolute trial ranges of the joined ensemble, so the block layout does
-    not change a single bit of the result.
+    not change a single bit of the result.  The records and stored samples
+    are views of one C store, shape (stored steps, trials, n + n_t).
     """
     if trials < 2:
         raise ConfigError(f"Monte Carlo needs at least 2 trials, got {trials}")
@@ -318,24 +319,20 @@ def _run_blocks(
     n_steps = ys.shape[0]
     n = prior.dim
     n_t = theta_knowledge.dim if theta_knowledge is not None else 0
-    record_at = set(int(r) for r in record_at)
-    recorded = sum(0 <= r <= n_steps for r in record_at)
-    _check_store(recorded, trials, n + n_t, max_store_bytes, "record_at", "record fewer steps")
-
+    record_at = sorted(r for r in set(map(int, record_at)) if 0 <= r <= n_steps)
     if store_samples:
-        _check_store(n_steps + 1, trials, n + n_t, max_store_bytes,
-                     "full sample store", "disable store_samples")
-        samples_states = np.empty((n_steps + 1, trials, n))
-        samples_params = np.empty((n_steps + 1, trials, n_t))
+        stored, what, remedy = range(n_steps + 1), "full sample store", "disable store_samples"
     else:
-        samples_states = samples_params = None
+        stored, what, remedy = record_at, "record_at", "record fewer steps"
+    _check_store(len(stored), trials, n + n_t, max_store_bytes, what, remedy)
+    slot = {k: i for i, k in enumerate(stored)}
+    store = np.empty((len(stored), trials, n + n_t))
 
     cuts = np.rint(np.linspace(0, trials, n_blocks + 1)).astype(int).tolist()
     state_means = np.empty((n_steps + 1, n))
     state_covs = np.empty((n_steps + 1, n, n))
     param_means = np.empty((n_steps + 1, n_t))
     param_covs = np.empty((n_steps + 1, n_t, n_t))
-    records: Dict[int, np.ndarray] = {}
 
     # a block is (a, ensemble, covs)
     def advance(block, k):
@@ -345,20 +342,20 @@ def _run_blocks(
     def summarize(k):
         # the blocks are McEnsembles that mc_step or _init_trials validated
         states = _trial_last([e.states for _, e, _ in blocks])
-        params = _trial_last([e.params for _, e, _ in blocks])
         state_means[k], state_covs[k] = _mean_cov(_chunk_moments(states))
-        param_means[k], param_covs[k] = _mean_cov(_chunk_moments(params))
-        if store_samples:
-            samples_states[k] = states.T
-            samples_params[k] = params.T
-        if k in record_at:
-            records[k] = np.hstack([states.T, params.T])
+        if k in slot:
+            store[slot[k], :, :n] = states.T
 
     blocks = [
         (a, *_init_trials(prior, theta_knowledge, plan, b - a, a))
         for a, b in zip(cuts[:-1], cuts[1:])
         if b > a
     ]
+    # mc_step hands every trial's parameters back unchanged, so their
+    # moments and stored columns are those of step 0 at every step
+    params = _trial_last([e.params for _, e, _ in blocks])
+    param_means[:], param_covs[:] = _mean_cov(_chunk_moments(params))
+    store[:, :, n:] = params.T
     workers = min(threads, len(blocks))
     executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     mapper = map if executor is None else executor.map
@@ -377,9 +374,9 @@ def _run_blocks(
         param_means,
         param_covs,
         trials,
-        samples_states,
-        samples_params,
-        records,
+        store[:, :, :n] if store_samples else None,
+        store[:, :, n:] if store_samples else None,
+        {k: store[slot[k]] for k in record_at},
     )
 
 
@@ -401,8 +398,9 @@ def mc_sequential(
     than threads), run on as many threads.
 
     Memory use is independent of the number of time steps unless
-    store_samples is requested; the stored samples, and the samples of the
-    record_at steps, must each fit max_store_bytes (else CapacityError).
+    store_samples is requested; the one sample store, every step with
+    store_samples and else the record_at steps, must fit max_store_bytes
+    (else CapacityError).
     """
     return _run_blocks(
         measurements, model, prior, theta_knowledge, plan, trials,

@@ -341,6 +341,25 @@ def test_criterion_12_deterministic_mode_byte_identical_outputs(tmp_path):
             "--at", "0.2,0.4", "--config", str(cfg_path), "--deterministic",
             "--particles", "500",
         ],
+        ["estimate", "ekf-augmented", "--config", str(cfg_path), "--deterministic"],
+        [
+            "estimate", "mc-lkf-uncertain", "--config", str(cfg_path), "--deterministic",
+            "--trials", "200",
+        ],
+        [
+            "estimate", "pf", "--config", str(cfg_path), "--deterministic",
+            "--particles", "500",
+        ],
+        [
+            "pdf-marginal", "--scenario", "mc-ekf", "--component", "theta",
+            "--at", "0.2,0.4", "--config", str(cfg_path), "--deterministic",
+            "--trials", "200",
+        ],
+        [
+            "pdf-marginal", "--scenario", "mc-lkf-uncertain", "--component", "theta",
+            "--at", "0.2,0.4", "--config", str(cfg_path), "--deterministic",
+            "--trials", "200",
+        ],
     ]
     outputs = {}
     for rep in ("a", "b"):

@@ -231,6 +231,39 @@ class TestPdfMarginal:
         total = np.sum((data[:, 1] - data[:, 0]) * data[:, 2])
         assert total == pytest.approx(1.0, rel=1e-9)
 
+    def test_summary_independent_of_sample_layout(self, tmp_path, monkeypatch):
+        # the same samples, handed to the summary F- and C-ordered, give the
+        # same manifest: weighted_moments of the recorded column
+        cfg = small_config(tmp_path, n_steps=40)
+        manifests, reports = {}, {}
+        for layout in (np.asfortranarray, np.ascontiguousarray):
+
+            def relaid(*args, **kwargs):
+                report = scenario(*args, **kwargs)
+                for t, (samples, weights) in report.marginals.items():
+                    report.marginals[t] = (layout(samples), weights)
+                reports[layout] = report
+                return report
+
+            monkeypatch.setattr(gumkf.cli, "scenario", relaid)
+            out = tmp_path / layout.__name__
+            code = run(
+                [
+                    "pdf-marginal", "--scenario", "mc-lkf-uncertain", "--component", "theta",
+                    "--at", "0.1,0.4", "--config", cfg, "--out", str(out),
+                    "--trials", "2000", "--deterministic",
+                ]
+            )
+            assert code == 0
+            manifests[layout] = (out / "mc-lkf-uncertain_theta_marginal_manifest.json").read_bytes()
+        assert manifests[np.asfortranarray] == manifests[np.ascontiguousarray]
+        summaries = json.loads(manifests[np.ascontiguousarray])["summaries"]
+        for t, (samples, weights) in reports[np.asfortranarray].marginals.items():
+            mean, var = gumkf.weighted_moments(samples[:, 2:3], weights)
+            assert summaries[f"t={t:g}"] == {
+                "weighted_mean": float(mean[0]), "weighted_std": float(np.sqrt(var[0, 0]))
+            }
+
     # a malformed list, two times on one step, a non-finite time, one time
     # twice, a negative time that rounds to step 0
     @pytest.mark.parametrize("at", ["2;8", "0.1,0.101", "nan", "0.1,0.1", "-0.004"])
@@ -241,6 +274,37 @@ class TestPdfMarginal:
         )
         assert code == 1
         assert "gumkf: config error" in capsys.readouterr().err
+
+
+class TestThreadsByteIdentical:
+    HEADERS = {
+        "mc-ekf.csv": b"t,xL_est,xL_u,xs_est,xs_u,theta_est,theta_u",
+        "mc-lkf-uncertain.csv": b"t,xL_est,xL_u,xs_est,xs_u,theta_est,theta_u",
+    }
+
+    def test_outputs_independent_of_thread_count(self, tmp_path):
+        cfg = small_config(tmp_path, n_steps=30)
+        outputs = {}
+        for threads in ("1", "3"):
+            out = tmp_path / f"threads{threads}"
+            common = [
+                "--config", cfg, "--out", str(out), "--deterministic",
+                "--trials", "300", "--threads", threads,
+            ]
+            for name in ("mc-ekf", "mc-lkf-uncertain"):
+                assert run(["estimate", name, *common]) == 0
+                assert run(
+                    ["pdf-marginal", "--scenario", name, "--at", "0.1,0.3", *common]
+                ) == 0
+            outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert sorted(outputs["1"]) == sorted(outputs["3"])
+        assert len(outputs["1"]) == 10
+        for name, blob in outputs["1"].items():
+            assert outputs["3"][name] == blob, f"{name} differs between 1 and 3 threads"
+            if name.endswith(".csv"):
+                lines = blob.split(b"\r\n")
+                assert lines[-1] == b"" and not any(b"\n" in line for line in lines)
+                assert lines[0] == self.HEADERS.get(name, b"bin_lo,bin_hi,density")
 
 
 class TestExitCodes:

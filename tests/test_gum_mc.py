@@ -723,6 +723,35 @@ class TestCapacityAndMemory:
 
         assert peak(80) < 1.5 * peak(20)
 
+    def test_records_and_samples_share_one_store(self):
+        cfg = TankConfig(n_steps=40)
+        plan = RngStreamPlan(1)
+        n = cfg.n_steps
+        args = (
+            simulate(cfg, plan).measurements,
+            linear_model(cfg),
+            state_prior(cfg),
+            frequency_knowledge(cfg),
+            plan,
+            5000,
+        )
+        res = mc_sequential(*args, store_samples=True, record_at=(0, 7, n))
+        assert sorted(res.records) == [0, 7, n]
+        assert np.shares_memory(res.records[7], res.samples_states)
+        for k in (0, 7, n):
+            joined = np.hstack([res.samples_states[k], res.samples_params[k]])
+            np.testing.assert_array_equal(res.records[k], joined)
+
+        def peak(**kwargs):
+            tracemalloc.start()
+            mc_sequential(*args, store_samples=True, **kwargs)
+            _, top = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            return top
+
+        # recording every step adds nothing to the full sample store
+        assert peak(record_at=range(n + 1)) <= 1.05 * peak()
+
 
 class TestMcSequentialContracts:
     @pytest.mark.parametrize("trials, threads", [(0, 1), (1, 1), (10, 0), (10, -2)])

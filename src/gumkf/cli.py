@@ -41,10 +41,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_csv(path: Path, header: Sequence[str], table: np.ndarray) -> None:
-    """The 2-D float table under a header row, CRLF line ends as csv's."""
+    """The 2-D float table under a header row, CRLF line ends as csv's,
+    each value as "%.17g" of its Python float.  Rows are formatted one at a
+    time, so no copy of the whole table or text is held."""
+    row = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        np.savetxt(fh, table, fmt="%.17g", delimiter=",", newline="\r\n",
-                   header=",".join(header), comments="")
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row % tuple(values.tolist()) for values in table)
 
 
 def _write_manifest(path: Path, payload: dict) -> None:

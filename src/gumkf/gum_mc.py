@@ -80,6 +80,14 @@ class McEnsemble:
     def trial_count(self) -> int:
         return self.states.shape[0]
 
+    def _derived(self, states: np.ndarray, k: int) -> "McEnsemble":
+        """The ensemble at time index k of the (M, n) states, which the
+        caller has checked, and this ensemble's gated parameters."""
+        out = object.__new__(McEnsemble)
+        for name, value in (("states", states), ("params", self.params), ("k", k)):
+            object.__setattr__(out, name, value)
+        return out
+
     def joined(self) -> np.ndarray:
         if self.params.shape[1]:
             return np.hstack([self.states, self.params])
@@ -195,8 +203,10 @@ def finalize_stats(
 # the per-step Monte Carlo propagation
 
 
-# Overflow and invalid results end as non-finite values, which the checks of
-# s, S and the samples reject with a NumericError naming the time index.
+# The step's one error scope, which covers the model callables and the
+# `kalman` stack functions it calls (they enter none of their own): overflow
+# and invalid results end as non-finite values, which the checks of s, S and
+# the samples reject with a NumericError naming the time index.
 @np.errstate(over="ignore", invalid="ignore")
 def mc_step(
     ensemble: McEnsemble,
@@ -218,7 +228,9 @@ def mc_step(
     and correction are `kalman`'s stack functions, the filters' own, run on
     the block with the trials as the last axis, so a trial's covariance is
     the LKF's or EKF's bit for bit.  The returned states are the (M, n)
-    transposed view of the (n, M) result stack, not a copy.
+    transposed view of the (n, M) result stack, not a copy; the step's
+    per-trial finiteness check is their only one, and the parameters are
+    the input ensemble's.
     """
     states, params = ensemble.states, ensemble.params
     m_trials, n = states.shape
@@ -241,7 +253,7 @@ def mc_step(
     if bad.any():
         first = int(np.argmax(bad))
         raise NumericError(f"non-finite sample in trial {trial_start + first} at time index {k}")
-    return McEnsemble(x_new.T, params, k), cov_new.transpose(2, 0, 1)
+    return ensemble._derived(x_new.T, k), cov_new.transpose(2, 0, 1)
 
 
 def _init_trials(prior, theta_knowledge, plan, trials, trial_start):

@@ -16,7 +16,11 @@ own, for kf_* and ekf_* (in `ekf`); `_scan` runs it over a whole record on M
 filters at once, the `watertank` filter scenarios with M = 1, and gates its
 stored beliefs in blocks (256 steps of one filter, fewer steps of many) with
 the same check, `core._require_beliefs`; `gum_mc.mc_step` runs it on a block
-of trials.  `kf_gain` and `joseph_update` keep the matrix formulas for the
+of trials.  The stack functions and the kernel enter no error scope: each
+of these callers is one np.errstate(over="ignore", invalid="ignore") scope,
+`_scan` per record, `_predict`/`_correct` per step and `mc_step` per block
+step, so an overflow, in a model callable too, ends as non-finite values
+for the gates.  `kf_gain` and `joseph_update` keep the matrix formulas for the
 analytic propagations, the filters' independent references; `kf_gain` solves
 with numpy behind a Cholesky gate of its own.
 """
@@ -66,7 +70,6 @@ def _first_bad(s_mat: np.ndarray) -> int:
     return next(m for m, s in enumerate(s_mat) if not _pd(s))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _update(x, P, y, h, H, R, k: int, trial_start=None):
     """Correction of the stacks x (n, M) and P (n, n, M) by measurements y
     with predicted observations h (p, M), H (p, n, .) and R (p, p, .);
@@ -74,8 +77,10 @@ def _update(x, P, y, h, H, R, k: int, trial_start=None):
 
     The gain is H P / s for p = 1 and a batched solve after a finiteness and
     Cholesky check of S for p > 1.  A failed check names k and, unless
-    `trial_start` is None, the trial; overflow ends as non-finite values for
-    the callers' gates.
+    `trial_start` is None, the trial.  The kernel, like `_predict_stack`,
+    enters no error scope of its own: its callers run it under
+    np.errstate(over="ignore", invalid="ignore"), one scope per loop or
+    one-step call, so overflow ends as non-finite values for their gates.
     The Joseph form (I - K H) P (I - K H)' + K R K' is evaluated without
     I - K H, as A P + (K R - A P H') K' with A P = P - K (H P), which is the
     same for any K and costs O(n^2 p) per trial instead of O(n^3).  Only
@@ -87,9 +92,8 @@ def _update(x, P, y, h, H, R, k: int, trial_start=None):
     s_mat += R
     if s_mat.shape[0] == 1:
         s = s_mat[0, 0]
-        bad = ~(np.isfinite(s) & (s > 0.0))
-        if bad.any():
-            first = int(np.argmax(bad))
+        if not (s.min() > 0.0 and s.max() < np.inf):  # NaN fails both
+            first = int(np.argmax(~(np.isfinite(s) & (s > 0.0))))
             trial = "" if trial_start is None else f"in trial {trial_start + first} "
             raise NumericError(
                 f"innovation variance {s[first]:g} is not finite and positive "
@@ -118,7 +122,6 @@ def _update(x, P, y, h, H, R, k: int, trial_start=None):
     return x_new, sym, gain, innovation
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _predict_stack(x, P, Q, model, theta, k: int, where: str):
     """(f(x), F, F P F' + Q) for the states x, one vector (n,) or an (M, n)
     batch, with (f(x), F) = linearize at x and P an (n, n, M) stack; F is
@@ -147,12 +150,14 @@ def _correct_stack(x, P, y, R, model, theta, k: int, where: str, trial_start=Non
     return _update(x, P, y, hx, _soa(H), _soa(R), k, trial_start)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _predict(prev: GaussianBelief, model, theta, k: int, where: str) -> GaussianBelief:
     """`_predict_stack` of one belief."""
     mean, _, cov = _predict_stack(prev.mean, _soa(prev.cov), model.Q(k), model, theta, k, where)
     return _named(where, GaussianBelief, mean, cov[:, :, 0])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _correct(predicted: GaussianBelief, y, model, theta, k: int, where: str) -> KalmanStep:
     """`_correct_stack` of one belief by y."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -170,6 +175,7 @@ def _correct(predicted: GaussianBelief, y, model, theta, k: int, where: str) -> 
 _GATE_BLOCK = 256
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _scan(ys, model, x, P, theta, name: str):
     """Filter M nodes over the measurement record ys, (K, p) or (K,), from
     the prior means x (M, n) and covariances P (M, n, n); theta is None, one
@@ -180,15 +186,18 @@ def _scan(ys, model, x, P, theta, name: str):
     Each step k runs `_predict_stack` and `_correct_stack` on the (n, M) and
     (n, n, M) stacks, named "{name}_predict at k={k}" and "{name}_correct at
     k={k}" as kf_*/ekf_* name theirs, so a node's values are those of the
-    one-step functions bit for bit.  Every predicted and corrected belief
-    passes GaussianBelief's gate, `_require_beliefs`: the loop checks only
-    that each half is finite, and stops before a non-finite value reaches a
-    model callable; the rest runs on blocks of max(1, _GATE_BLOCK // M)
-    steps, in the order predicted 1, corrected 1, predicted 2, ...  When the
-    loop stops, early or at an exception, the steps not yet gated are gated
-    first, so an error names the first step that fails.  Only the beliefs
-    of one block are kept for the gate, 2 * max(_GATE_BLOCK, M) * (n + n^2)
-    doubles at most.
+    one-step functions bit for bit.  The whole scan, its gates too, is one
+    error scope, np.errstate(over="ignore", invalid="ignore"), so overflow
+    in a model callable or the kernel ends as non-finite values.  Every
+    predicted and corrected belief passes GaussianBelief's gate,
+    `_require_beliefs`: the loop checks only that each half's means are
+    finite, since the model callables see only means and theta, and stops
+    before a non-finite one reaches them; the rest, covariances included,
+    runs on blocks of max(1, _GATE_BLOCK // M) steps, in the order predicted
+    1, corrected 1, predicted 2, ...  When the loop stops, early or at an
+    exception, the steps not yet gated are gated first, so an error names
+    the first step that fails.  Only the beliefs of one block are kept for
+    the gate, 2 * max(_GATE_BLOCK, M) * (n + n^2) doubles at most.
     """
     ys = _normalize_measurements(ys)
     m, n = x.shape
@@ -215,7 +224,7 @@ def _scan(ys, model, x, P, theta, name: str):
             x, _, P = _predict_stack(x, P, model.Q(k), model, theta, k, f"{name}_predict at k={k}")
             gate_x[count], gate_p[count] = x, P.transpose(2, 0, 1)
             count += 1
-            if not (np.isfinite(x).all() and np.isfinite(P).all()):
+            if not np.isfinite(x).all():
                 break
             x, P, _, _ = _correct_stack(
                 x, P, ys[k - 1], model.R(k), model, theta, k, f"{name}_correct at k={k}"
@@ -224,7 +233,7 @@ def _scan(ys, model, x, P, theta, name: str):
             means[k] = gate_x[count] = x
             covs[k] = gate_p[count] = P.transpose(2, 0, 1)
             count += 1
-            if not (np.isfinite(x).all() and np.isfinite(P).all()):
+            if not np.isfinite(x).all():
                 break
             if count == halves:
                 gate()

@@ -304,11 +304,14 @@ class TestScanGate:
     """The scan refuses what the one-step functions refuse, GaussianBelief's
     gate on every predicted and corrected belief, with the same message:
     the TestPsdGate and TestNonFiniteGate faults, switched on at step K, in
-    the first gate block, at its last step and after it."""
+    the first gate block, at its last step and after it, and a covariance
+    that turns non-finite while the mean and S stay finite."""
 
     FAULTS = {  # (half, fault): (model changes at K, NaN measurement at K, error, message)
         ("predict", "non-finite"): (lambda K: dict(F=1e200 * np.eye(2)), False, NumericError,
                                     "mean or covariance is not finite"),
+        ("predict", "non-finite-covariance"): (lambda K: dict(Q=np.diag([0.0, np.inf])), False,
+                                               NumericError, "mean or covariance is not finite"),
         ("predict", "asymmetric"): (lambda K: dict(Q=[[1.0, 1e-6], [0.0, 1.0]]), False,
                                     DimensionError,
                                     "covariance is asymmetric beyond 1e-12 relative"),
@@ -373,6 +376,28 @@ class TestScanGate:
         with pytest.raises(NumericError, match=rf"not finite \(ekf_{half} at k=3\)$"):
             _scan(ys, model, np.zeros((1, 2)), np.eye(2)[np.newaxis], None, "ekf")
         assert seen and all(seen)
+
+    @pytest.mark.parametrize("half", ["predict", "correct"])
+    def test_model_overflow_named_not_warned(self, half):
+        # a model callable that overflows at k = 3 gives a non-finite mean,
+        # which the gate names, in either half, in the scan and in the
+        # one-step functions alike
+        def overflowing(k, value):
+            return np.full_like(value, 1e200) * 1e200 if k == 3 else value
+
+        model = NonlinearModel(
+            lambda x, th, k: overflowing(k, x) if half == "predict" else x,
+            lambda x, th, k: overflowing(k, x[..., :1]) if half == "correct" else x[..., :1],
+            np.zeros((2, 2)),
+            np.eye(1),
+            state_jacobian=lambda x, th, k: np.eye(2),
+            obs_jacobian=lambda x, th, k: np.array([[1.0, 0.0]]),
+        )
+        ys = np.zeros(10)
+        expected = rf"^mean or covariance is not finite \(ekf_{half} at k=3\)$"
+        with pytest.raises(NumericError, match=expected):
+            _scan(ys, model, np.zeros((1, 2)), np.eye(2)[np.newaxis], None, "ekf")
+        assert re.match(expected, str(one_step_error("ekf", model, ys)))
 
     def test_node_named_when_several(self):
         # the unobserved amplitude keeps its prior variance: 2 - 1 passes,

@@ -305,7 +305,7 @@ class TestScanGate:
     gate on every predicted and corrected belief, with the same message:
     the TestPsdGate and TestNonFiniteGate faults, switched on at step K, in
     the first gate block, at its last step and after it, and a covariance
-    that turns non-finite while the mean and S stay finite."""
+    that turns non-finite while the mean stays finite."""
 
     FAULTS = {  # (half, fault): (model changes at K, NaN measurement at K, error, message)
         ("predict", "non-finite"): (lambda K: dict(F=1e200 * np.eye(2)), False, NumericError,

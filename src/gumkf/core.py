@@ -19,6 +19,7 @@ a C-ordered x.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Tuple, Union
@@ -442,7 +443,12 @@ class RngStreamPlan:
     master_seed: int
 
     def __post_init__(self):
-        if int(self.master_seed) < 0 or int(self.master_seed) >= 2**64:
+        seed = self.master_seed
+        if (
+            isinstance(seed, bool)
+            or not isinstance(seed, numbers.Integral)
+            or not 0 <= seed < 2**64
+        ):
             raise ConfigError("master_seed must be a 64-bit non-negative integer")
 
     def _bitgen(self, k: int, label: str) -> Philox:

@@ -237,10 +237,8 @@ def _scan(ys, model, x, P, theta, name: str):
                 break
             if count == halves:
                 gate()
-    except Exception:
-        gate()  # a failure before the exception is the one to report
-        raise
-    gate()
+    finally:
+        gate()  # on an exception too: a failure before it is the one to report
     return means, covs
 
 

@@ -9,10 +9,10 @@ previous one ended; the ancestors are those of the uniforms in draw order.
 
 The particle states stay trial-axis-last from the draw on: they are the
 (N, n) view of a C (n, N) stack, as `core.normal_rows` and `mvn_sample`
-return it, and propagation, weighting and resampling keep that layout.  Only
-the weighted mean, a BLAS product whose summation order follows its
-operand's layout, gets a C-ordered (N, n) copy.  A set that pf_weight or
-resampling derives from a gated one is not gated again; its new weights are.
+return it, and propagation, weighting and resampling keep that layout.  The
+weighted moments sum contiguous particle-axis-last rows in one fixed order,
+so no layout decides their bits.  A set that pf_weight or resampling derives
+from a gated one is not gated again; its new weights are.
 """
 
 from __future__ import annotations
@@ -192,28 +192,18 @@ class PfRunResult:
     records: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
-def _c_ordered(states: np.ndarray) -> np.ndarray:
-    """The (M, n) states C-ordered: themselves, or a copy made column by
-    column, cheaper than np.ascontiguousarray of an (n, M) stack's view."""
-    if states.flags.c_contiguous:
-        return states
-    rows = np.empty(states.shape)
-    for i in range(states.shape[1]):
-        rows[:, i] = states[:, i]
-    return rows
-
-
 def weighted_moments(states: np.ndarray, weights: np.ndarray):
     """Weighted mean and covariance of the (M, n) states, whatever their
     layout.
 
-    The mean is a BLAS product, whose summation order follows its operand's
-    layout, so it always gets C-ordered (M, n) states.  Each upper-triangle
-    covariance entry is one pairwise np.add.reduce over contiguous,
-    particle-axis-last rows of the weighted deviations, mirrored below the
-    diagonal, so the covariance is exactly symmetric."""
-    mean = weights @ _c_ordered(states)
-    dev = np.ascontiguousarray(states.T) - mean[:, np.newaxis]
+    The states are copied once to contiguous, particle-axis-last (n, M) rows.
+    Each mean entry is one pairwise np.add.reduce over a row of the weighted
+    states, and each upper-triangle covariance entry one over a row of the
+    weighted deviations, mirrored below the diagonal, so every moment sums in
+    one fixed order and the covariance is exactly symmetric."""
+    rows = np.ascontiguousarray(states.T)
+    mean = np.add.reduce(weights * rows, axis=1)
+    dev = rows - mean[:, np.newaxis]
     wdev = weights * dev
     n = dev.shape[0]
     cov = np.empty((n, n))

@@ -316,6 +316,17 @@ class TestRngStreamPlan:
         with pytest.raises(ConfigError):
             RngStreamPlan(2**64)
 
+    @pytest.mark.parametrize("seed", [0.5, 1.0, True, "7"])
+    def test_non_integer_seed_rejected(self, seed):
+        # int() would alias 0.5 to seed 0 and True to seed 1
+        with pytest.raises(ConfigError, match="master_seed"):
+            RngStreamPlan(seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        a = RngStreamPlan(np.uint64(2**64 - 1)).normal_rows(5, "lbl", 0, 4, 3)
+        b = RngStreamPlan(2**64 - 1).normal_rows(5, "lbl", 0, 4, 3)
+        assert a.tobytes() == b.tobytes()
+
     def test_bit_identical_across_instances(self):
         a = RngStreamPlan(99).normal_rows(5, "lbl", 0, 4, 3)
         b = RngStreamPlan(99).normal_rows(5, "lbl", 0, 4, 3)

@@ -265,7 +265,7 @@ class TestWeightedMoments:
         w = rng.random(10_000) ** 8
         w /= w.sum()
         mean, cov = weighted_moments(states, w)
-        assert np.array_equal(mean, w @ states)
+        assert np.array_equal(mean, np.add.reduce(w * np.ascontiguousarray(states.T), axis=1))
         assert np.array_equal(cov, cov.T)
         wl, xl = w.astype(np.longdouble), states.astype(np.longdouble)
         ref_mean = wl @ xl
@@ -275,15 +275,24 @@ class TestWeightedMoments:
         assert rel_err(cov, ref_cov.astype(float)) < 1e-10
 
     def test_memory_order_does_not_change_a_bit(self, rng):
-        # the mean is a BLAS product, whose sums follow its operand's layout,
-        # and the particle states are the (N, n) view of an (n, N) stack
+        # the particle states are the (N, n) view of a C (n, N) stack, and
+        # pdf-marginal passes one strided (N, 1) column of a C record
         states = rng.standard_normal((10_000, 3))
         w = rng.random(10_000)
         w /= w.sum()
         f_ordered = np.asfortranarray(states)
         assert f_ordered.flags.f_contiguous and not f_ordered.flags.c_contiguous
-        for got, want in zip(weighted_moments(f_ordered, w), weighted_moments(states, w)):
-            assert got.tobytes() == want.tobytes()
+        stack_view = np.ascontiguousarray(states.T).T
+        assert not stack_view.flags.c_contiguous
+        column = states[:, 2:3]
+        assert not column.flags.c_contiguous and not column.flags.f_contiguous
+        for layout, c_copy in (
+            (f_ordered, states),
+            (stack_view, states),
+            (column, np.ascontiguousarray(column)),
+        ):
+            for got, want in zip(weighted_moments(layout, w), weighted_moments(c_copy, w)):
+                assert got.tobytes() == want.tobytes()
 
 
 class TestMarginalHistogram:

@@ -24,6 +24,7 @@ from .core import CapacityError, ConfigError, NumericError, RngStreamPlan
 from .particle import marginal_histogram, weighted_moments
 from .watertank import (
     COMPONENTS,
+    SAMPLED,
     SCENARIOS,
     EstimationReport,
     TankConfig,
@@ -56,35 +57,11 @@ def _write_manifest(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _load_config(args) -> TankConfig:
-    if getattr(args, "config", None):
-        return TankConfig.load(args.config)
-    return TankConfig()
-
-
 def _outdir(args) -> Path:
-    out = getattr(args, "out", None) or os.environ.get(OUTDIR_ENV) or "."
+    out = args.out or os.environ.get(OUTDIR_ENV) or "."
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _manifest_payload(args, command, config, outputs, started, extra=None):
-    payload = {
-        "schema_version": 1,
-        "tool_version": __version__,
-        "command": command,
-        "master_seed": args.seed,
-        "deterministic": bool(getattr(args, "deterministic", False)),
-        "config": config.to_dict(),
-        "outputs": sorted(outputs),
-        "duration_seconds": (
-            None if getattr(args, "deterministic", False) else time.monotonic() - started
-        ),
-    }
-    if extra:
-        payload.update(extra)
-    return payload
 
 
 def _add_common(parser):
@@ -129,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pdf.add_argument(
         "--scenario",
         default="pf",
-        choices=("mc-lkf-uncertain", "mc-ekf", "pf"),
+        choices=tuple(SAMPLED),
         help="sample-based scenario to draw the marginal from",
     )
     p_pdf.add_argument("--component", default="theta", choices=sorted(COMPONENTS))
@@ -139,20 +116,57 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_simulate(args) -> int:
+def _run_command(args, command) -> int:
+    """The start and end of every command but compare: load the config,
+    create the output directory, run command(args, config), which returns
+    its tables {file name: (header, table)}, its manifest stem and its extra
+    manifest fields, then write each table and <stem>_manifest.json."""
     started = time.monotonic()
-    config = _load_config(args)
+    config = TankConfig.load(args.config) if args.config else TankConfig()
     outdir = _outdir(args)
+    tables, stem, extra = command(args, config)
+    for name, (header, table) in tables.items():
+        _write_csv(outdir / name, header, table)
+    payload = {
+        "schema_version": 1,
+        "tool_version": __version__,
+        "command": args.command,
+        "master_seed": args.seed,
+        "deterministic": args.deterministic,
+        "config": config.to_dict(),
+        "outputs": sorted(tables),
+        "duration_seconds": None if args.deterministic else time.monotonic() - started,
+        **extra,
+    }
+    _write_manifest(outdir / f"{stem}_manifest.json", payload)
+    return 0
+
+
+def _simulate(args, config):
     record = simulate(config, RngStreamPlan(args.seed))
     y = np.concatenate([[np.nan], record.measurements])  # no measurement at k = 0
     table = np.column_stack([record.times, record.states[:, 0], record.states[:, 1], y])
-    csv_name = "simulation.csv"
-    _write_csv(outdir / csv_name, ["t", "xL_true", "xs_true", "y"], table)
-    _write_manifest(
-        outdir / "simulation_manifest.json",
-        _manifest_payload(args, "simulate", config, [csv_name], started),
+    return {"simulation.csv": (["t", "xL_true", "xs_true", "y"], table)}, "simulation", {}
+
+
+def _scenario(args, config, record_at_times=()):
+    """The scenario run of estimate and pdf-marginal, with the manifest
+    fields they share: scenario, gamma and the scenario's sample count."""
+    report = scenario(
+        args.scenario,
+        config,
+        RngStreamPlan(args.seed),
+        trials=args.trials,
+        n_particles=args.particles,
+        gamma=args.gamma,
+        record_at_times=record_at_times,
+        threads=args.threads,
     )
-    return 0
+    extra = {"scenario": args.scenario, "gamma": args.gamma}
+    count = SAMPLED.get(args.scenario)
+    if count:
+        extra[count] = getattr(args, count)
+    return report, extra
 
 
 def _report_rows(report: EstimationReport):
@@ -165,35 +179,13 @@ def _report_rows(report: EstimationReport):
     return header, np.column_stack(columns)
 
 
-def _cmd_estimate(args) -> int:
-    started = time.monotonic()
-    config = _load_config(args)
-    outdir = _outdir(args)
-    report = scenario(
-        args.scenario,
-        config,
-        RngStreamPlan(args.seed),
-        trials=args.trials,
-        n_particles=args.particles,
-        gamma=args.gamma,
-        threads=args.threads,
-    )
-    header, table = _report_rows(report)
-    csv_name = f"{args.scenario}.csv"
-    _write_csv(outdir / csv_name, header, table)
-    extra = {"scenario": args.scenario, "gamma": args.gamma}
-    if args.scenario in ("mc-lkf-uncertain", "mc-ekf"):
-        extra["trials"] = args.trials
-    if args.scenario == "pf":
-        extra["particles"] = args.particles
+def _estimate(args, config):
+    report, extra = _scenario(args, config)
+    if report.ess is not None:
         extra["ess_min"] = float(report.ess.min())
         extra["ess_pre_resample_min"] = float(report.ess_pre_resample.min())
         extra["resample_events"] = int(report.resampled.sum())
-    _write_manifest(
-        outdir / f"{args.scenario}_manifest.json",
-        _manifest_payload(args, "estimate", config, [csv_name], started, extra),
-    )
-    return 0
+    return {f"{args.scenario}.csv": _report_rows(report)}, args.scenario, extra
 
 
 def _cmd_compare(args) -> int:
@@ -237,73 +229,41 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _cmd_pdf_marginal(args) -> int:
-    started = time.monotonic()
-    config = _load_config(args)
-    outdir = _outdir(args)
+def _pdf_marginal(args, config):
     try:
         times = tuple(float(t) for t in args.at.split(","))
     except ValueError as exc:
         raise ConfigError(f"invalid --at value {args.at!r}") from exc
-    report = scenario(
-        args.scenario,
-        config,
-        RngStreamPlan(args.seed),
-        trials=args.trials,
-        n_particles=args.particles,
-        gamma=args.gamma,
-        record_at_times=times,
-        threads=args.threads,
-    )
+    report, extra = _scenario(args, config, times)
     comp = COMPONENTS[args.component]
-    outputs = []
+    tables = {}
     summaries = {}
     for t in times:
         samples, weights = report.marginals[t]
         values = samples[:, comp]
         edges, density = marginal_histogram(values, weights)
-        name = f"{args.scenario}_{args.component}_t{t:g}s.csv"
-        _write_csv(
-            outdir / name,
+        tables[f"{args.scenario}_{args.component}_t{t:g}s.csv"] = (
             ["bin_lo", "bin_hi", "density"],
             np.column_stack([edges[:-1], edges[1:], density]),
         )
-        outputs.append(name)
         mean, var = weighted_moments(values[:, np.newaxis], weights)
         summaries[f"t={t:g}"] = {
             "weighted_mean": float(mean[0]), "weighted_std": float(np.sqrt(var[0, 0]))
         }
-    extra = {
-        "scenario": args.scenario,
-        "component": args.component,
-        "times_s": list(times),
-        "gamma": args.gamma,
-        "summaries": summaries,
-    }
-    if args.scenario == "pf":
-        extra["particles"] = args.particles
-    else:
-        extra["trials"] = args.trials
-    _write_manifest(
-        outdir / f"{args.scenario}_{args.component}_marginal_manifest.json",
-        _manifest_payload(args, "pdf-marginal", config, outputs, started, extra),
-    )
-    return 0
+    extra.update(component=args.component, times_s=list(times), summaries=summaries)
+    return tables, f"{args.scenario}_{args.component}_marginal", extra
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "estimate": _cmd_estimate,
-    "compare": _cmd_compare,
-    "pdf-marginal": _cmd_pdf_marginal,
-}
+_COMMANDS = {"simulate": _simulate, "estimate": _estimate, "pdf-marginal": _pdf_marginal}
 
 
 def run(argv: Optional[List[str]] = None) -> int:
     """Parse arguments and execute; returns the process exit code."""
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        if args.command == "compare":
+            return _cmd_compare(args)
+        return _run_command(args, _COMMANDS[args.command])
     except ConfigError as exc:
         print(f"gumkf: config error: {exc}", file=sys.stderr)
         return 1

@@ -69,21 +69,23 @@ def symmetrize(cov: np.ndarray) -> np.ndarray:
 def assert_psd(cov: np.ndarray, tol: float = 1e-10) -> bool:
     """Check positive semidefiniteness of a symmetric matrix.
 
-    Returns True iff the smallest eigenvalue is >= -tol * ||cov||.
+    Returns True iff every entry is finite and the smallest eigenvalue is
+    >= -tol * ||cov||.
     Raises DimensionError for non-square or significantly asymmetric input.
     """
     a = np.asarray(cov, dtype=float)
     scale = _scale(a)
-    return _psd(np.linalg.eigvalsh((a + a.T) / 2.0), scale, tol)
+    return bool(np.isfinite(scale)) and _psd(np.linalg.eigvalsh((a + a.T) / 2.0), scale, tol)
 
 
 def _scale(a: np.ndarray) -> float:
     """Largest absolute entry of a, refusing a non-square or significantly
-    asymmetric matrix as assert_psd does."""
+    asymmetric matrix as assert_psd does; inf or nan, unchecked for
+    symmetry, if an entry is not finite."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     scale = np.abs(a).max() if a.size else 0.0
-    if scale > 0 and np.abs(a - a.T).max() > 1e-8 * scale:
+    if 0 < scale < np.inf and np.abs(a - a.T).max() > 1e-8 * scale:
         raise DimensionError("matrix is asymmetric beyond tolerance")
     return scale
 
@@ -129,11 +131,14 @@ def psd_sqrt(cov: np.ndarray) -> np.ndarray:
     """Square-root factor L with L @ L.T == cov for PSD cov.
 
     One eigendecomposition serves the factor and require_psd's gate (1e-10,
-    NumericError naming psd_sqrt); the eigenvalues that pass it below zero
-    are clamped, so exactly singular covariances (zero rows/columns) work.
+    NumericError naming psd_sqrt, as also for a non-finite cov); the
+    eigenvalues that pass it below zero are clamped, so exactly singular
+    covariances (zero rows/columns) work.
     """
     a = np.asarray(cov, dtype=float)
     scale = _scale(a)
+    if not np.isfinite(scale):
+        raise NumericError("covariance is not finite (psd_sqrt)")
     w, v = np.linalg.eigh((a + a.T) / 2.0)
     if not _psd(w, scale, 1e-10):
         raise NumericError("covariance is not positive semidefinite (psd_sqrt)")
@@ -327,6 +332,8 @@ class ParameterKnowledge:
         cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
         if cov.shape != (est.shape[0], est.shape[0]):
             raise DimensionError("parameter covariance shape mismatch")
+        if not np.isfinite(est).all():
+            raise NumericError("estimate is not finite (ParameterKnowledge)")
         require_psd(cov, 1e-10, "ParameterKnowledge")
         est.setflags(write=False)
         cov.setflags(write=False)

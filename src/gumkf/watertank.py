@@ -31,6 +31,8 @@ from .particle import pf_run
 
 SCHEMA_VERSION = 1
 SCENARIOS = ("lkf-known", "mc-lkf-uncertain", "ekf-augmented", "mc-ekf", "pf")
+# the sample-based scenarios, each with the option that counts its samples
+SAMPLED = {"mc-lkf-uncertain": "trials", "mc-ekf": "trials", "pf": "particles"}
 COMPONENTS = {"xL": 0, "xs": 1, "theta": 2}
 
 
@@ -56,7 +58,8 @@ class TankConfig:
         for name in (f.name for f in fields(self) if f.name != "n_steps"):
             value = getattr(self, name)
             real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if value is not None and not (real and math.isfinite(value)):
+            default = value is None and name in ("u_theta", "alpha")
+            if not (default or real and math.isfinite(value)):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.u_theta is None:
             object.__setattr__(self, "u_theta", 0.01 * self.theta)
@@ -84,10 +87,7 @@ class TankConfig:
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls(**data)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

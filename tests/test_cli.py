@@ -22,6 +22,14 @@ def small_config(tmp_path, **kwargs):
     return str(path)
 
 
+def subprocess_env():
+    """The environment of a fresh interpreter importing this checkout's gumkf."""
+    src = str(Path(gumkf.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -186,15 +194,26 @@ class TestCompare:
 class TestImportFootprint:
     def test_import_loads_no_scipy_linalg(self):
         # a fresh interpreter: this one has loaded scipy.stats for other tests
-        src = str(Path(gumkf.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])
-        ))
         code = "import sys, gumkf, gumkf.cli; print('scipy.linalg' in sys.modules)"
         out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True,
+            check=True,
         )
         assert out.stdout.strip() == "False"
+
+
+class TestMain:
+    def test_exit_status_is_run_return_code(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"schema_version": 1, "bogus": 3}))
+        for config, code in ((small_config(tmp_path), 0), (str(bad), 1)):
+            argv = ["simulate", "--config", config, "--out", str(tmp_path / "out")]
+            assert run(argv) == code
+            proc = subprocess.run(
+                [sys.executable, "-m", "gumkf.cli", *argv], env=subprocess_env(),
+                capture_output=True,
+            )
+            assert proc.returncode == code
 
 
 class TestPdfMarginal:
@@ -360,6 +379,13 @@ class TestExitCodes:
         assert "gumkf: config error" in capsys.readouterr().err
         assert not (tmp_path / f"{name}.csv").exists()
         assert not (tmp_path / f"{name}_manifest.json").exists()
+
+    def test_null_number_in_config_is_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"schema_version": 1, "L0": None}))
+        assert run(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 1
+        assert "gumkf: config error: L0 must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "simulation.csv").exists()
 
     def test_numeric_failure_exit_code(self, tmp_path):
         # zero process and measurement noise make the innovation covariance

@@ -100,6 +100,11 @@ class TestPsdSqrt:
         with pytest.raises(DimensionError, match="asymmetric"):
             psd_sqrt(np.array([[1.0, 1.0], [0.0, 1.0]]))
         psd_sqrt(np.diag([1.0, -1e-12]))  # within the 1e-10 relative tolerance
+        # a non-finite cov is refused before its symmetry test, without a warning
+        for cov in ([[np.inf]], np.diag([0.0, np.inf]), [[np.nan]]):
+            with pytest.raises(NumericError, match=r"^covariance is not finite \(psd_sqrt\)$"):
+                psd_sqrt(cov)
+            assert assert_psd(cov) is False
 
 
 class TestMvnSample:
@@ -273,6 +278,16 @@ class TestParameterKnowledge:
     def test_shape_mismatch_raises(self):
         with pytest.raises(DimensionError):
             ParameterKnowledge(np.zeros(2), np.eye(3))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_estimate_raises(self, value):
+        with pytest.raises(NumericError, match=r"^estimate is not finite \(ParameterKnowledge\)$"):
+            ParameterKnowledge(np.array([value]), np.array([[1e-4]]))
+
+    def test_indefinite_cov_raises(self):
+        match = r"^covariance is not positive semidefinite \(ParameterKnowledge\)$"
+        with pytest.raises(NumericError, match=match):
+            ParameterKnowledge([0.8], [[-1e-4]])
 
     def test_scalar_accepted(self):
         pk = ParameterKnowledge(np.array([0.8]), np.array([[1e-4]]))

@@ -413,6 +413,13 @@ class TestMcStep:
         ):
             mc_step(ens, np.zeros(n), model, covs, RngStreamPlan(5), 1)
 
+    def test_non_finite_noise_covariance_named(self):
+        model = LinearModel(np.eye(2), np.eye(2), np.diag([0.0, np.inf]), np.eye(2))
+        ens = McEnsemble(np.zeros((4, 2)), np.zeros((4, 0)), 0)
+        covs = np.repeat(np.eye(2)[np.newaxis], 4, axis=0)
+        with pytest.raises(NumericError, match=r"^covariance is not finite \(mc_step at k=3\)$"):
+            mc_step(ens, np.zeros(2), model, covs, RngStreamPlan(5), 3)
+
     def test_zero_innovation_variance_named(self):
         # zero Q, zero R and, for trials 2 and 3, a zero covariance make the
         # scalar innovation variance s = 0
@@ -438,6 +445,27 @@ class TestMcStep:
         ens = McEnsemble(np.array([[1e200]]), np.zeros((1, 0)), 0)
         with pytest.raises(NumericError, match="trial 0 at time index 1"):
             mc_step(ens, [0.0], model, np.array([[[1.0]]]), plan, 1)
+
+    def test_non_finite_sample_named(self):
+        # f puts inf in trial 2's amplitude, which H = [1, 0] never observes,
+        # so only the step's own sample check can see it
+        def state_fn(x, _theta, _k):
+            out = np.array(x, dtype=float)
+            out[2, 1] = np.inf
+            return out
+
+        model = NonlinearModel(
+            state_fn,
+            lambda x, _theta, _k: x[..., :1],
+            np.zeros((2, 2)),
+            np.eye(1),
+            state_jacobian=lambda _x, _theta, _k: np.eye(2),
+            obs_jacobian=lambda _x, _theta, _k: np.array([[1.0, 0.0]]),
+        )
+        ens = McEnsemble(np.zeros((4, 2)), np.zeros((4, 0)), 0)
+        covs = np.repeat(np.eye(2)[np.newaxis], 4, axis=0)
+        with pytest.raises(NumericError, match=r"^non-finite sample in trial 10 at time index 1$"):
+            mc_step(ens, [0.0], model, covs, RngStreamPlan(5), 1, trial_start=8)
 
 
 class TestThetaBehaviour:

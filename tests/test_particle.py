@@ -102,6 +102,12 @@ class TestPfPropagate:
         with pytest.raises(NumericError, match=match):
             pf_propagate(uniform_particles(np.zeros((4, 2))), model, RngStreamPlan(1), 2)
 
+    def test_non_finite_process_noise_named(self):
+        # the draw's gate, not the particle gate after it, refuses the inf
+        model = LinearModel(np.eye(1), np.eye(1), np.array([[np.inf]]), np.eye(1))
+        with pytest.raises(NumericError, match=r"^covariance is not finite \(pf_propagate at k=3\)$"):
+            pf_propagate(uniform_particles(np.zeros((4, 1))), model, RngStreamPlan(1), 3)
+
 
 class TestPfWeight:
     def test_identical_states_uniform(self):

@@ -68,6 +68,18 @@ class TestTankConfig:
         with pytest.raises(ConfigError):
             TankConfig(**kwargs)
 
+    def test_non_numbers_refused_in_post_init(self):
+        # None stands for a default only in u_theta and alpha; from_dict passes
+        # every value to the constructor, whose own check refuses the bad ones
+        for name in ("L0", "xs", "theta", "tau", "sigma", "dt", "u_theta", "alpha"):
+            values = ["0.5", [0.5], True] + ([] if name in ("u_theta", "alpha") else [None])
+            for value in values:
+                with pytest.raises(ConfigError) as info:
+                    TankConfig.from_dict({"schema_version": 1, name: value})
+                assert str(info.value) == f"{name} must be a finite number, got {value!r}"
+                assert info.traceback[-1].name == "__post_init__"
+        assert TankConfig(u_theta=None, alpha=None) == TankConfig()
+
 
 class TestLinearModel:
     def test_state_matrix_at_first_step(self):

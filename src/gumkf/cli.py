@@ -234,6 +234,11 @@ def _pdf_marginal(args, config):
         times = tuple(float(t) for t in args.at.split(","))
     except ValueError as exc:
         raise ConfigError(f"invalid --at value {args.at!r}") from exc
+    names = {}  # outputs are named by %g of the time, six significant digits
+    for t in times:
+        other = names.setdefault(f"{t:g}", t)
+        if other != t:
+            raise ConfigError(f"--at times {other} and {t} would share the output name t{t:g}s")
     report, extra = _scenario(args, config, times)
     comp = COMPONENTS[args.component]
     tables = {}

@@ -18,15 +18,47 @@ a C-ordered x.
 
 from __future__ import annotations
 
+import _imp
 import hashlib
 import numbers
+import os
+import sys
+import types
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
+import scipy
 from numpy.random import Generator, Philox, SeedSequence
-from scipy.special import ndtri
+
+
+def _load_ndtri():
+    """scipy.special.ndtri, the same ufunc object, taken from the extension
+    module scipy.special._ufuncs without running scipy/special/__init__.py,
+    whose array-API layer (numpy.testing, numpy.f2py, numpy.ma, unittest)
+    costs about half of gumkf's import.  An empty stand-in package holds the
+    name scipy.special, under the import lock so that no other thread sees
+    it, until _ufuncs is loaded; a later import scipy.special runs the real
+    package, which finds the same _ufuncs.  A real scipy.special that is
+    already loaded, or loading in another thread, is used as is, imported
+    after the lock is released so as not to wait on that thread holding it."""
+    stub = types.ModuleType("scipy.special")
+    stub.__path__ = [os.path.join(scipy.__path__[0], "special")]
+    _imp.acquire_lock()
+    if sys.modules.setdefault("scipy.special", stub) is not stub:
+        _imp.release_lock()
+        from scipy.special import ndtri
+        return ndtri
+    try:
+        from scipy.special._ufuncs import ndtri
+        return ndtri
+    finally:
+        del sys.modules["scipy.special"]
+        _imp.release_lock()
+
+
+ndtri = _load_ndtri()
 
 
 class DimensionError(ValueError):

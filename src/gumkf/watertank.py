@@ -10,8 +10,8 @@ uncertainty, which is what the different scenarios exercise.
 from __future__ import annotations
 
 import json
-import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Dict, Optional, Tuple
 
@@ -59,7 +59,8 @@ class TankConfig:
             value = getattr(self, name)
             real = isinstance(value, numbers.Real) and not isinstance(value, bool)
             default = value is None and name in ("u_theta", "alpha")
-            if not (default or real and math.isfinite(value)):
+            # abs() <= max also refuses an int too large for a float
+            if not (default or real and abs(value) <= sys.float_info.max):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.u_theta is None:
             object.__setattr__(self, "u_theta", 0.01 * self.theta)
@@ -78,6 +79,8 @@ class TankConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TankConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"a config must be a JSON object, got {type(data).__name__}")
         data = dict(data)
         version = data.pop("schema_version", None)
         if version != SCHEMA_VERSION:
@@ -97,7 +100,11 @@ class TankConfig:
     @classmethod
     def load(cls, path) -> "TankConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except ValueError as exc:  # malformed JSON or UTF-8, or an over-long integer
+                raise ConfigError(f"{path}: not a JSON config: {exc}") from exc
+        return cls.from_dict(data)
 
 
 # ---------------------------------------------------------------------------

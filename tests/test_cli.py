@@ -201,6 +201,35 @@ class TestImportFootprint:
         )
         assert out.stdout.strip() == "False"
 
+    def test_import_loads_no_scipy_special_package(self):
+        # core takes ndtri from the extension module scipy.special._ufuncs
+        # without running scipy/special/__init__.py and its array-API layer
+        code = (
+            "import sys, gumkf, gumkf.cli; "
+            "print('scipy.special' in sys.modules, 'scipy._lib._array_api' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False False"
+
+    @pytest.mark.parametrize("first", ["gumkf", "scipy.special"])
+    def test_ndtri_is_scipy_special_ndtri(self, first):
+        # either import order gives the one ufunc object, leaves every
+        # scipy.special module file-backed (no stand-in package) and keeps
+        # scipy.stats working in the same process
+        code = "\n".join([
+            "import sys",
+            f"import {first}",
+            "import gumkf, scipy.special, scipy.stats",
+            "assert gumkf.core.ndtri is scipy.special.ndtri",
+            "assert all(getattr(m, '__file__', None) for name, m in sys.modules.items()",
+            "           if name.startswith('scipy.special'))",
+            "assert scipy.stats.norm.ppf(0.975) == gumkf.core.ndtri(0.975)",
+        ])
+        subprocess.run([sys.executable, "-c", code], env=subprocess_env(), check=True)
+
 
 class TestMain:
     def test_exit_status_is_run_return_code(self, tmp_path):
@@ -294,6 +323,15 @@ class TestPdfMarginal:
         assert code == 1
         assert "gumkf: config error" in capsys.readouterr().err
 
+    def test_times_sharing_an_output_name_refused(self, tmp_path, capsys):
+        # steps 250000 and 250001 at dt = 4e-7, both "0.1" under %g
+        cfg = small_config(tmp_path, dt=4e-7, n_steps=250_010)
+        argv = ["pdf-marginal", "--at", "0.1,0.1000004", "--config", cfg, "--out", str(tmp_path)]
+        assert run(argv + ["--particles", "16"]) == 1  # few particles, should the check fail
+        err = capsys.readouterr().err
+        assert "gumkf: config error" in err and "0.1 and 0.1000004" in err
+        assert not list(tmp_path.glob("*.csv"))
+
 
 class TestThreadsByteIdentical:
     HEADERS = {
@@ -385,6 +423,17 @@ class TestExitCodes:
         bad.write_text(json.dumps({"schema_version": 1, "L0": None}))
         assert run(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 1
         assert "gumkf: config error: L0 must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "simulation.csv").exists()
+
+    @pytest.mark.parametrize(
+        "text", ["[1]", '"abc"', '{"schema_version": 1, "L0": 1' + "0" * 400 + "}", "{bad"],
+        ids=["list", "string", "integer-beyond-float", "malformed"],
+    )
+    def test_unusable_config_file_is_config_error(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert run(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 1
+        assert "gumkf: config error" in capsys.readouterr().err
         assert not (tmp_path / "simulation.csv").exists()
 
     def test_numeric_failure_exit_code(self, tmp_path):

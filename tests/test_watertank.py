@@ -70,9 +70,11 @@ class TestTankConfig:
 
     def test_non_numbers_refused_in_post_init(self):
         # None stands for a default only in u_theta and alpha; from_dict passes
-        # every value to the constructor, whose own check refuses the bad ones
+        # every value to the constructor, whose own check refuses the bad ones,
+        # an int beyond the float range too
         for name in ("L0", "xs", "theta", "tau", "sigma", "dt", "u_theta", "alpha"):
-            values = ["0.5", [0.5], True] + ([] if name in ("u_theta", "alpha") else [None])
+            values = ["0.5", [0.5], True, 10**400]
+            values += [] if name in ("u_theta", "alpha") else [None]
             for value in values:
                 with pytest.raises(ConfigError) as info:
                     TankConfig.from_dict({"schema_version": 1, name: value})

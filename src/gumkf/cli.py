@@ -58,6 +58,9 @@ def _write_manifest(path: Path, payload: dict) -> None:
 
 
 def _outdir(args) -> Path:
+    """The output directory, created with its parents.  Commands call it
+    once their options are checked, just before the first output is
+    written, so a refused run leaves no directory behind."""
     out = args.out or os.environ.get(OUTDIR_ENV) or "."
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
@@ -118,13 +121,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_command(args, command) -> int:
     """The start and end of every command but compare: load the config,
-    create the output directory, run command(args, config), which returns
-    its tables {file name: (header, table)}, its manifest stem and its extra
-    manifest fields, then write each table and <stem>_manifest.json."""
+    run command(args, config), which returns its tables {file name:
+    (header, table)}, its manifest stem and its extra manifest fields, then
+    create the output directory and write each table and
+    <stem>_manifest.json."""
     started = time.monotonic()
     config = TankConfig.load(args.config) if args.config else TankConfig()
-    outdir = _outdir(args)
     tables, stem, extra = command(args, config)
+    outdir = _outdir(args)
     for name, (header, table) in tables.items():
         _write_csv(outdir / name, header, table)
     payload = {
@@ -196,7 +200,6 @@ def _cmd_compare(args) -> int:
     for i, name in enumerate(args.csvs):
         if prefixes[i] in prefixes[:i]:
             raise ConfigError(f"{name}: given twice; its columns would repeat")
-    outdir = _outdir(args)
     tables = []
     for name, prefix in zip(args.csvs, prefixes):
         with open(name, "r", newline="", encoding="utf-8") as fh:
@@ -222,7 +225,7 @@ def _cmd_compare(args) -> int:
         for _, _, rows in tables:
             row += rows[i][1:]
         out_rows.append(row)
-    with open(outdir / args.name, "w", newline="", encoding="utf-8") as fh:
+    with open(_outdir(args) / args.name, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(out_rows)

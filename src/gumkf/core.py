@@ -245,6 +245,11 @@ def _eval_matrix(spec: MatrixSpec, *args) -> np.ndarray:
     return np.asarray(spec, dtype=float)
 
 
+def _at_least_2d(a: np.ndarray) -> np.ndarray:
+    """np.atleast_2d of an array, called only when it has fewer axes."""
+    return a if a.ndim >= 2 else np.atleast_2d(a)
+
+
 def _apply(matrix: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(matrix x, matrix) for a matrix or (M, r, c) stack and one vector or
     an (M, c) batch; a matrix that does not fit x is a DimensionError.
@@ -281,7 +286,7 @@ class LinearModel:
         return _eval_matrix(self.state_matrix, k, theta)
 
     def H(self, x: np.ndarray, theta, k: int) -> np.ndarray:
-        return np.atleast_2d(_eval_matrix(self.obs_matrix, k, theta))
+        return _at_least_2d(_eval_matrix(self.obs_matrix, k, theta))
 
     def linearize(self, x: np.ndarray, theta, k: int) -> Tuple[np.ndarray, np.ndarray]:
         return _apply(self.F(x, theta, k), x)
@@ -311,7 +316,13 @@ class NonlinearModel:
     callables return (..., rows, n) stacks, or one matrix that holds for
     every trial.  Jacobians are optional; central finite differences are
     used as fallback.  linearize(x, theta, k) is (f(x), F) and
-    linearize_obs(x, theta, k) is (h(x), H), as for LinearModel.
+    linearize_obs(x, theta, k) is (h(x), H), as for LinearModel.  The
+    optional `linearization(x, theta, k)` returns the pair (f(x), F) in one
+    call, so that a model can share the work of the two, e.g. cos and sin of
+    one argument; when it is set, linearize calls it alone, and it must
+    return state_fn's and F's values bit for bit.  f and F still call
+    state_fn and the Jacobian (the particle filter calls f alone), so the
+    separate callables stay the joint one's reference.
     """
 
     state_fn: Callable
@@ -320,6 +331,7 @@ class NonlinearModel:
     obs_noise: MatrixSpec
     state_jacobian: Optional[Callable] = None
     obs_jacobian: Optional[Callable] = None
+    linearization: Optional[Callable] = None
 
     def f(self, x: np.ndarray, theta, k: int) -> np.ndarray:
         out = np.asarray(self.state_fn(x, theta, k), dtype=float)
@@ -336,11 +348,15 @@ class NonlinearModel:
 
     def H(self, x: np.ndarray, theta, k: int) -> np.ndarray:
         if self.obs_jacobian is not None:
-            return np.atleast_2d(np.asarray(self.obs_jacobian(x, theta, k), dtype=float))
+            return _at_least_2d(np.asarray(self.obs_jacobian(x, theta, k), dtype=float))
         return finite_difference_jacobian(lambda v: self.obs_fn(v, theta, k), x)
 
     def linearize(self, x: np.ndarray, theta, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        return self.f(x, theta, k), self.F(x, theta, k)
+        if self.linearization is None:
+            return self.f(x, theta, k), self.F(x, theta, k)
+        fx, F = self.linearization(x, theta, k)
+        fx = np.asarray(fx, dtype=float).reshape(np.shape(x)[:-1] + (-1,))
+        return fx, np.asarray(F, dtype=float)
 
     def linearize_obs(self, x: np.ndarray, theta, k: int) -> Tuple[np.ndarray, np.ndarray]:
         return self.h(x, theta, k), self.H(x, theta, k)
@@ -534,9 +550,16 @@ class RngStreamPlan:
 
 def _soa(matrix: np.ndarray) -> np.ndarray:
     """(r, c, M) stack of a (M, r, c) per-trial stack, or (r, c, 1) for one
-    matrix shared by every trial."""
-    if type(matrix) is np.ndarray and matrix.ndim == 2 and matrix.dtype == np.float64:
-        return matrix[:, :, np.newaxis]  # the filters' step, without re-wrapping
+    matrix shared by every trial.  A float64 array is taken as it is when
+    its stack is a view of it: a matrix, or a per-trial stack filled trial
+    axis last, as the tank's Jacobian is."""
+    if type(matrix) is np.ndarray and matrix.dtype == np.float64:  # without re-wrapping
+        if matrix.ndim == 2:
+            return matrix[:, :, np.newaxis]  # the filters' Q, R and H
+        if matrix.ndim == 3:
+            a = matrix.transpose(1, 2, 0)
+            if a.flags.c_contiguous:  # e.g. a Jacobian filled trial axis last
+                return a
     a = np.atleast_2d(np.asarray(matrix, dtype=float))
     if a.ndim == 2:
         return a[:, :, np.newaxis]
@@ -568,10 +591,10 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     through one reused product buffer, with fewer temporaries than the
     (i, l, j, M) product.
     """
-    i, l, j = a.shape[0], a.shape[1], b.shape[1]
+    (i, l, m_a), (_, j, m_b) = a.shape, b.shape
     if l == 1:
         return a * b
-    if 1 < l < _ORDERED_TERMS and i * l * j * max(a.shape[2], b.shape[2]) <= _SMALL_PRODUCT:
+    if 1 < l < _ORDERED_TERMS and i * l * j * (m_a if m_a > m_b else m_b) <= _SMALL_PRODUCT:
         return np.add.reduce(a[:, :, np.newaxis] * b[np.newaxis], axis=1, initial=-0.0)
     out = a[:, :1] * b[:1]
     if l > 1:

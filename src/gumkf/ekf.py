@@ -25,7 +25,7 @@ from .core import (
     symmetrize,
 )
 from .core import _named
-from .kalman import KalmanStep, _correct, _predict, joseph_update, kf_gain
+from .kalman import KalmanStep, _correct, _predict, _require_index, joseph_update, kf_gain
 
 
 def ekf_predict(
@@ -64,7 +64,9 @@ def propagate_nonlinear_gum_linearized(
     nonlinear estimation equation; coincides with ekf_predict + ekf_correct
     when y.cov equals the model's measurement noise covariance.  Written in
     matrix form, as propagate_linear_gum is, so it shares no step with the
-    EKF it checks."""
+    EKF it checks.  A k that is not an integer, e.g. theta and k swapped, is
+    a TypeError."""
+    _require_index(k, "propagate_nonlinear_gum_linearized(prev, y, model, k=0, theta=None)")
     where = f"propagate_nonlinear_gum_linearized at k={k}"
     F = model.F(prev.mean, theta, k)
     x_pred = model.f(prev.mean, theta, k)
@@ -130,9 +132,8 @@ def augment(
     q_theta = (alpha**2) * np.eye(n_theta)
 
     def q_aug(k):
-        Q = np.atleast_2d(model.Q(k))
         out = np.zeros((n, n))
-        out[:n_x, :n_x] = Q
+        out[:n_x, :n_x] = model.Q(k)  # broadcast as its np.atleast_2d would be
         out[n_x:, n_x:] = q_theta
         return out
 

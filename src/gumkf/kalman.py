@@ -7,16 +7,20 @@ given the same matrices agree bit for bit, also where `core._mm` takes its
 one-reduce form for the small stack and its term loop for the large one.
 `_predict_stack` (f(x), F and F P F' + Q) and `_correct_stack` take one state
 vector or an (M, n) batch, fetch (f(x), F) = linearize or (h(x), H) =
-linearize_obs in one call, and refuse a pair, Q or R of the wrong shape
-naming the step and k.  Their kernel `_update` is a Joseph-form correction
-that stays PSD under rounding, evaluated as rank-p corrections of P at
-O(n^2 p) per trial rather than as O(n^3) products with I - K H.  `_predict`
-and `_correct` run the step on one belief, whose one gate is GaussianBelief's
-own, for kf_* and ekf_* (in `ekf`); `_scan` runs it over a whole record on M
-filters at once, the `watertank` filter scenarios with M = 1, and gates its
-stored beliefs in blocks (256 steps of one filter, fewer steps of many) with
-the same check, `core._require_beliefs`; `gum_mc.mc_step` runs it on a block
-of trials.  The stack functions and the kernel enter no error scope: each
+linearize_obs in one call (one model callable for a NonlinearModel with a
+joint `linearization`, such as the tank's), and refuse a pair, Q or R of the
+wrong shape naming the step and k.  On a filter's small stacks the step is
+bound by per-call overhead, so it takes float64 matrices and C-contiguous
+trial-last views as they are, without re-wrapping them, and forms H' once;
+no floating-point operation depends on that.  Their kernel `_update` is a
+Joseph-form correction that stays PSD under rounding, evaluated as rank-p
+corrections of P at O(n^2 p) per trial rather than as O(n^3) products with
+I - K H.  `_predict` and `_correct` run the step on one belief, whose one
+gate is GaussianBelief's own, for kf_* and ekf_* (in `ekf`); `_scan` runs it
+over a whole record on M filters at once, the `watertank` filter scenarios
+with M = 1, and gates its stored beliefs in blocks (256 steps of one filter,
+fewer steps of many) with the same check, `core._require_beliefs`;
+`gum_mc.mc_step` runs it on a block of trials.  The stack functions and the kernel enter no error scope: each
 of these callers is one np.errstate(over="ignore", invalid="ignore") scope,
 `_scan` per record, `_predict`/`_correct` per step and `mc_step` per block
 step, so an overflow, in a model callable too, ends as non-finite values
@@ -27,6 +31,7 @@ with numpy behind a Cholesky gate of its own.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +43,16 @@ from .core import (
     NumericError,
     symmetrize,
 )
-from .core import _mm, _mv, _named, _normalize_measurements, _require_beliefs, _soa, _t
+from .core import (
+    _at_least_2d,
+    _mm,
+    _mv,
+    _named,
+    _normalize_measurements,
+    _require_beliefs,
+    _soa,
+    _t,
+)
 
 
 @dataclass(frozen=True)
@@ -87,12 +101,13 @@ def _update(x, P, y, h, H, R, k: int, trial_start=None):
     the kernel's own temporaries are updated in place, never x, P, y, h or
     the matrices, which may be views of a caller's or a model's arrays.
     """
-    hp = _mm(H, P)  # H P, (p, n, M)
-    s_mat = _mm(hp, _t(H))
+    hp, ht = _mm(H, P), _t(H)  # H P, (p, n, M), and H'
+    s_mat = _mm(hp, ht)
     s_mat += R
     if s_mat.shape[0] == 1:
         s = s_mat[0, 0]
-        if not (s.min() > 0.0 and s.max() < np.inf):  # NaN fails both
+        # NaN fails both bounds; one trial's s is compared without reduces
+        if not (0.0 < s[0] < np.inf if s.shape[0] == 1 else s.min() > 0.0 and s.max() < np.inf):
             first = int(np.argmax(~(np.isfinite(s) & (s > 0.0))))
             trial = "" if trial_start is None else f"in trial {trial_start + first} "
             raise NumericError(
@@ -112,7 +127,7 @@ def _update(x, P, y, h, H, R, k: int, trial_start=None):
     ap = _mm(gain, hp)
     np.subtract(P, ap, out=ap)  # (I - K H) P
     kr = _mm(gain, R)
-    kr -= _mm(ap, _t(H))
+    kr -= _mm(ap, ht)
     cov = _mm(kr, _t(gain))
     cov += ap
     sym = cov + _t(cov)
@@ -126,7 +141,7 @@ def _predict_stack(x, P, Q, model, theta, k: int, where: str):
     """(f(x), F, F P F' + Q) for the states x, one vector (n,) or an (M, n)
     batch, with (f(x), F) = linearize at x and P an (n, n, M) stack; F is
     returned as the (n, n, M) or (n, n, 1) stack."""
-    n, Q = P.shape[0], np.atleast_2d(Q)
+    n, Q = P.shape[0], _at_least_2d(Q)
     fx, F = model.linearize(x, theta, k)
     if fx.shape != x.shape or F.shape not in ((n, n), x.shape[:-1] + (n, n)) or Q.shape != (n, n):
         raise DimensionError(f"f {fx.shape}, F {F.shape} or Q {Q.shape} do not fit n={n} ({where})")
@@ -140,13 +155,14 @@ def _correct_stack(x, P, y, R, model, theta, k: int, where: str, trial_start=Non
     """`_update` of the states x, one vector (n,) or an (M, n) batch, and the
     (n, n, M) stack P by the measurements y, (p,) or (M, p), with (h(x), H)
     = linearize_obs at x; returns `_update`'s stacks."""
-    n, p, lead, R = P.shape[0], y.shape[-1], x.shape[:-1], np.atleast_2d(R)
+    n, p, lead, R = P.shape[0], y.shape[-1], x.shape[:-1], _at_least_2d(R)
     hx, H = model.linearize_obs(x, theta, k)
     if hx.shape != lead + (p,) or H.shape not in ((p, n), lead + (p, n)) or R.shape != (p, p):
         raise DimensionError(
             f"h {hx.shape}, H {H.shape} or R {R.shape} do not fit p={p}, n={n} ({where})"
         )
-    x, y, hx = (a.reshape(-1, a.shape[-1]).T for a in (x, y, hx))  # (d, M) views
+    # (d, M) views
+    x, y, hx = x.reshape(-1, x.shape[-1]).T, y.reshape(-1, p).T, hx.reshape(-1, p).T
     return _update(x, P, y, hx, _soa(H), _soa(R), k, trial_start)
 
 
@@ -197,7 +213,8 @@ def _scan(ys, model, x, P, theta, name: str):
     1, corrected 1, predicted 2, ...  When the loop stops, early or at an
     exception, the steps not yet gated are gated first, so an error names
     the first step that fails.  Only the beliefs of one block are kept for
-    the gate, 2 * max(_GATE_BLOCK, M) * (n + n^2) doubles at most.
+    the gate, 2 * max(_GATE_BLOCK, M) * (n + n^2) doubles at most; a block's
+    corrected beliefs are copied into the results once it passes.
     """
     ys = _normalize_measurements(ys)
     m, n = x.shape
@@ -212,11 +229,13 @@ def _scan(ys, model, x, P, theta, name: str):
         half = ("predict", "correct")[j % 2] + (f" of node {node}" if m > 1 else "")
         return f"{name}_{half} at k={first + j // 2}"
 
-    def gate():
+    def gate():  # and copy the block's corrected beliefs, which passed, into the results
         nonlocal first, count
         stored, count = count, 0  # a failed gate leaves nothing to gate again
         _require_beliefs(gate_x[:stored].reshape(-1, n), gate_p[:stored].reshape(-1, n, n), where)
-        first += stored // 2
+        last = first + stored // 2
+        means[first:last], covs[first:last] = gate_x[1:stored:2], gate_p[1:stored:2]
+        first = last
 
     P = _soa(P)
     try:
@@ -230,8 +249,7 @@ def _scan(ys, model, x, P, theta, name: str):
                 x, P, ys[k - 1], model.R(k), model, theta, k, f"{name}_correct at k={k}"
             )
             x = x.T
-            means[k] = gate_x[count] = x
-            covs[k] = gate_p[count] = P.transpose(2, 0, 1)
+            gate_x[count], gate_p[count] = x, P.transpose(2, 0, 1)
             count += 1
             if not np.isfinite(x).all():
                 break
@@ -240,6 +258,15 @@ def _scan(ys, model, x, P, theta, name: str):
     finally:
         gate()  # on an exception too: a failure before it is the one to report
     return means, covs
+
+
+def _require_index(k, signature: str) -> None:
+    """Refuse a time index k that is not an integer, a bool included,
+    naming the function by its signature: the analytic references take
+    theta and k in opposite orders, and a swapped pair would otherwise fail
+    inside a model callable."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise TypeError(f"{signature}: k must be an integer time index, got {k!r}")
 
 
 def kf_predict(
@@ -306,8 +333,10 @@ def propagate_linear_gum(
 
     The inputs (previous state and measurement) must be independent.  The
     result coincides with kf_predict followed by kf_correct when y.cov equals
-    the model's measurement noise covariance.
+    the model's measurement noise covariance.  A k that is not an integer,
+    e.g. theta and k swapped, is a TypeError.
     """
+    _require_index(k, "propagate_linear_gum(prev, y, model, theta=None, k=0)")
     F = model.F(prev.mean, theta, k)
     Q = model.Q(k)
     H = model.H(prev.mean, theta, k)

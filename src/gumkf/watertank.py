@@ -121,8 +121,8 @@ def linear_model(config: TankConfig) -> LinearModel:
             th = np.asarray(config.theta, dtype=float)
         else:
             th = np.asarray(theta, dtype=float)[..., 0]
-        t = (k - 1) * dt
-        coupling = 2.0 * np.pi * th * np.cos(2.0 * np.pi * th * t)
+        w = 2.0 * np.pi * th
+        coupling = w * np.cos(w * ((k - 1) * dt))
         out = np.zeros(np.shape(th) + (2, 2))
         out[..., 0, 0] = 1.0
         out[..., 0, 1] = coupling
@@ -143,8 +143,18 @@ def _augmented_closed_forms(config: TankConfig) -> dict:
     their Jacobians.  They use linear_model's floating-point expressions, so
     they equal augment's generic functions of linear_model bit for bit.  The
     state Jacobian is filled trial axis last, (3, 3, M), and returned as its
-    (M, 3, 3) transposed view, which _soa takes without a copy."""
+    (M, 3, 3) transposed view, which _soa takes without a copy.
+    `linearization` returns (state_fn, state_jacobian) in one call, with
+    w = 2 pi theta, u = w t, cos u, sin u and w cos u evaluated once in the
+    two's expressions and order, so its bits are theirs."""
     dt = config.dt
+
+    def _jacobian(z, xs, w_cos, u, c, s):
+        out = np.zeros((3, 3) + z.shape[:-1])
+        out[0, 0] = out[1, 1] = out[2, 2] = 1.0
+        out[0, 1] = w_cos
+        out[0, 2] = xs * 2.0 * np.pi * (c - u * s)
+        return out.transpose(tuple(range(2, out.ndim)) + (0, 1))
 
     def state_fn(z, _theta, k):
         z = np.asarray(z, dtype=float)
@@ -164,18 +174,29 @@ def _augmented_closed_forms(config: TankConfig) -> dict:
         th = z[..., 2]
         u = 2.0 * np.pi * th * t
         c = np.cos(u)
-        s = np.sin(u)
-        out = np.zeros((3, 3) + z.shape[:-1])
-        out[0, 0] = out[1, 1] = out[2, 2] = 1.0
-        out[0, 1] = 2.0 * np.pi * th * c
-        out[0, 2] = xs * 2.0 * np.pi * (c - u * s)
-        return out.transpose(tuple(range(2, out.ndim)) + (0, 1))
+        return _jacobian(z, xs, 2.0 * np.pi * th * c, u, c, np.sin(u))
+
+    def linearization(z, _theta, k):
+        z = np.asarray(z, dtype=float)
+        t = (k - 1) * dt
+        xs = z[..., 1]
+        w = 2.0 * np.pi * z[..., 2]
+        u = w * t
+        c = np.cos(u)
+        w_cos = w * c
+        out = z.copy(order="K")
+        out[..., 0] += w_cos * xs
+        return out, _jacobian(z, xs, w_cos, u, c, np.sin(u))
 
     def obs_jacobian(_z, _theta, _k):
         return np.array([[1.0, 0.0, 0.0]])
 
     return dict(
-        state_fn=state_fn, obs_fn=obs_fn, state_jacobian=state_jacobian, obs_jacobian=obs_jacobian
+        state_fn=state_fn,
+        obs_fn=obs_fn,
+        state_jacobian=state_jacobian,
+        obs_jacobian=obs_jacobian,
+        linearization=linearization,
     )
 
 

@@ -436,6 +436,29 @@ class TestExitCodes:
         assert "gumkf: config error" in capsys.readouterr().err
         assert not (tmp_path / "simulation.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["estimate", "lkf-known", "--trials", "1"], 1),
+            (["pdf-marginal", "--at", "abc"], 1),
+            (["compare", "missing.csv"], 3),
+        ],
+        ids=["estimate", "pdf-marginal", "compare"],
+    )
+    def test_refused_run_creates_no_output_directory(self, tmp_path, monkeypatch, argv, code):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv + ["--out", "d"]) == code
+        assert not (tmp_path / "d").exists()
+
+    def test_nested_output_directory_created_on_success(self, tmp_path):
+        cfg = small_config(tmp_path, n_steps=5)
+        out = tmp_path / "a" / "b"
+        assert run(["estimate", "lkf-known", "--config", cfg, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["lkf-known.csv", "lkf-known_manifest.json"]
+        joined = tmp_path / "c" / "d"
+        assert run(["compare", str(out / "lkf-known.csv"), "--out", str(joined)]) == 0
+        assert [p.name for p in joined.iterdir()] == ["compare.csv"]
+
     def test_numeric_failure_exit_code(self, tmp_path):
         # zero process and measurement noise make the innovation covariance
         # exactly singular

@@ -430,6 +430,29 @@ class TestReferenceGainGate:
             self.RUNS[name](lin, nl, belief, y)
 
 
+class TestReferenceArgumentOrder:
+    """The analytic references take theta and k in opposite orders; a
+    swapped pair is refused before it reaches a model callable."""
+
+    def test_linearized_gum_refuses_theta_in_place_of_k(self):
+        cfg = TankConfig()
+        aug, belief = augmented_model(cfg)
+        y = GaussianBelief([cfg.L0], [[cfg.sigma**2]])
+        expected = r"^propagate_nonlinear_gum_linearized\(prev, y, model, k=0, theta=None\): "
+        with pytest.raises(TypeError, match=expected + "k must be an integer time index, got None$"):
+            propagate_nonlinear_gum_linearized(belief, y, aug.model, None, 3)
+        propagate_nonlinear_gum_linearized(belief, y, aug.model, 3, None)
+
+    @pytest.mark.parametrize("k", [np.array([0.8]), True, 3.0])
+    def test_linear_gum_refuses_a_k_that_is_not_an_integer(self, k):
+        cfg = TankConfig()
+        belief, y = state_prior(cfg), GaussianBelief([cfg.L0], [[cfg.sigma**2]])
+        expected = r"^propagate_linear_gum\(prev, y, model, theta=None, k=0\): k must be an integer"
+        with pytest.raises(TypeError, match=expected):
+            propagate_linear_gum(belief, y, linear_model(cfg), 3, k)
+        propagate_linear_gum(belief, y, linear_model(cfg), np.array([0.8]), np.int64(3))
+
+
 class TestAugment:
     def test_tank_dimensions_and_blocks(self):
         cfg = TankConfig()

@@ -13,6 +13,7 @@ from gumkf import (
     TankConfig,
     augment,
     augmented_model,
+    ekf_predict,
     finite_difference_jacobian,
     frequency_knowledge,
     kf_correct,
@@ -23,7 +24,11 @@ from gumkf import (
     simulate,
     state_prior,
 )
-from gumkf.core import _soa
+from gumkf.core import DimensionError, _soa
+from gumkf.gum_mc import mc_sequential
+from gumkf.kalman import _scan
+from gumkf.particle import pf_run
+from gumkf.watertank import _augmented_closed_forms
 
 from conftest import rel_err
 
@@ -168,6 +173,79 @@ class TestLinearization:
             jac = finite_difference_jacobian(lambda v: model.f(v, None, k), z)
             assert rel_err(F, jac) < 1e-6
             assert np.shares_memory(_soa(F), F)
+
+
+def tank_points(cfg, layout):
+    """Augmented tank states: one vector, a C (16, 3) batch or the (16, 3)
+    view of a C (3, 16) stack."""
+    rng = np.random.default_rng(11)
+    shape = (3,) if layout == "vector" else (16, 3)
+    z = [cfg.L0, cfg.xs, cfg.theta] + rng.standard_normal(shape) * [1.0, 0.01, 0.05]
+    return np.ascontiguousarray(z.T).T if layout == "stack view" else z
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestJointLinearization:
+    """The tank's `linearization`, (f(x), F) in one call."""
+
+    @pytest.mark.parametrize("layout", ["vector", "batch", "stack view"])
+    @pytest.mark.parametrize("k", [1, 2, 500])
+    def test_equals_state_fn_and_state_jacobian_bit_for_bit(self, layout, k):
+        cfg = TankConfig()
+        forms = _augmented_closed_forms(cfg)
+        z = tank_points(cfg, layout)
+        fx, F = forms["linearization"](z, None, k)
+        assert same_bits(fx, forms["state_fn"](z, None, k))
+        assert same_bits(F, forms["state_jacobian"](z, None, k))
+        assert np.shares_memory(_soa(F), F)  # the trial-last transposed view
+
+    def test_scan_and_mc_sequential_bits_without_it(self):
+        cfg = TankConfig(n_steps=40)
+        aug, belief = augmented_model(cfg)
+        ys = simulate(cfg, RngStreamPlan(9)).measurements
+
+        def outputs(model):
+            scanned = _scan(ys, model, belief.mean[np.newaxis], belief.cov[np.newaxis], None, "ekf")
+            mc = mc_sequential(ys, model, belief, None, RngStreamPlan(9), 64)
+            arrays = scanned + (mc.state_means, mc.state_covs, mc.param_means, mc.param_covs)
+            return b"".join(a.tobytes() for a in arrays)
+
+        assert outputs(aug.model) == outputs(replace(aug.model, linearization=None))
+
+    def test_particle_filter_never_calls_it(self):
+        cfg = TankConfig(n_steps=10)
+        aug, belief = augmented_model(cfg)
+        calls = []
+
+        def linearization(z, theta, k):
+            calls.append(k)
+            return aug.model.linearization(z, theta, k)
+
+        model = replace(aug.model, linearization=linearization)
+        ys = simulate(cfg, RngStreamPlan(4)).measurements
+        pf_run(ys, model, belief, 200, 0.9, RngStreamPlan(4))
+        assert calls == []
+        model.linearize(belief.mean, None, 3)  # the wrapper counts
+        assert calls == [3]
+
+    @pytest.mark.parametrize("bad", ["f", "F"])
+    def test_pair_of_the_wrong_shape_refused_naming_step_and_k(self, bad):
+        cfg = TankConfig(n_steps=5)
+        aug, belief = augmented_model(cfg)
+
+        def linearization(z, theta, k):
+            fx, F = aug.model.linearization(z, theta, k)
+            return (fx[..., :2], F) if bad == "f" else (fx, F[..., :2, :])
+
+        model = replace(aug.model, linearization=linearization)
+        with pytest.raises(DimensionError, match=r"\(ekf_predict at k=4\)$"):
+            ekf_predict(belief, model, k=4)
+        ys = simulate(cfg, RngStreamPlan(4)).measurements
+        with pytest.raises(DimensionError, match=r"\(ekf_predict at k=1\)$"):
+            _scan(ys, model, belief.mean[np.newaxis], belief.cov[np.newaxis], None, "ekf")
 
 
 def simulate_step_by_step(config, plan):

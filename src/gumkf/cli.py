@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import os
 import sys
@@ -61,10 +62,27 @@ def _outdir(args) -> Path:
     """The output directory, created with its parents.  Commands call it
     once their options are checked, just before the first output is
     written, so a refused run leaves no directory behind."""
-    out = args.out or os.environ.get(OUTDIR_ENV) or "."
-    path = Path(out)
+    path = _outpath(args)
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _outpath(args) -> Path:
+    return Path(args.out or os.environ.get(OUTDIR_ENV) or ".")
+
+
+def _check_outdir(args) -> None:
+    """Refuse at once, with the OSError that creating or writing it would
+    raise, an output directory whose nearest existing ancestor (the
+    directory itself, if it exists) is not a writable directory.  Creates
+    nothing."""
+    base = _outpath(args).absolute()
+    while not os.path.lexists(base):
+        base = base.parent
+    if not base.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(base))
+    if not os.access(base, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(base))
 
 
 def _add_common(parser):
@@ -124,9 +142,11 @@ def _run_command(args, command) -> int:
     run command(args, config), which returns its tables {file name:
     (header, table)}, its manifest stem and its extra manifest fields, then
     create the output directory and write each table and
-    <stem>_manifest.json."""
+    <stem>_manifest.json.  An output directory that could not be created
+    or written is refused before the command runs."""
     started = time.monotonic()
     config = TankConfig.load(args.config) if args.config else TankConfig()
+    _check_outdir(args)
     tables, stem, extra = command(args, config)
     outdir = _outdir(args)
     for name, (header, table) in tables.items():

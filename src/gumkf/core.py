@@ -11,9 +11,13 @@ sums its terms in one fixed order, bit for bit alike in its two forms: one
 broadcast product and one reduce for a small stack, such as a filter's
 (M = 1), and a loop over the terms for a large one, such as a Monte Carlo
 block of 1e4 trials.  The sampling path is trial-axis-last too: a block of
-normal_rows and the draws of mvn_sample are the (M, n) views of C (n, M)
-stacks, and _apply gives its einsum, whose sums follow the batch's layout,
-a C-ordered x.
+normal_rows and the draws of mvn_rows and mvn_sample are the (M, n) views
+of C (n, M) stacks, and _apply gives its einsum, whose sums follow the
+batch's layout, a C-ordered x.  mvn_rows, the gated draw of the Monte Carlo
+steps and the particle filter, factors each distinct covariance once
+(_factor_columns, a bounded cache of psd_sqrt keyed by its bytes) and
+draws, converts and transforms only the variates of the factor's nonzero
+columns: a third fewer for the tank's Q = diag(0, tau^2, alpha^2).
 """
 
 from __future__ import annotations
@@ -175,6 +179,22 @@ def psd_sqrt(cov: np.ndarray) -> np.ndarray:
     if not _psd(w, scale, 1e-10):
         raise NumericError("covariance is not positive semidefinite (psd_sqrt)")
     return v * np.sqrt(np.maximum(w, 0.0))  # np.clip's own ufunc, without its wrapper
+
+
+@lru_cache(maxsize=32)
+def _factor_columns(data: bytes, shape: Tuple[int, int]) -> Tuple[np.ndarray, Tuple[int, ...]]:
+    """(factor, used) for the float64 covariance of these bytes and shape:
+    psd_sqrt's factor kept to its columns `used`, those with a nonzero
+    entry, read only.  A bounded cache, safe to share between threads,
+    keyed by the covariance's exact bytes: psd_sqrt's gate (its errors
+    naming mvn_rows) runs once per distinct covariance and is as strong as
+    before, since only bytes that passed it are reused; a covariance it
+    refuses is not cached and raises on every call."""
+    factor = _named("mvn_rows", psd_sqrt, np.frombuffer(data).reshape(shape))
+    used = tuple(int(c) for c in np.flatnonzero((factor != 0).any(axis=0)))
+    factor = factor[:, list(used)]
+    factor.setflags(write=False)
+    return factor, used
 
 
 def finite_difference_jacobian(
@@ -490,6 +510,11 @@ class RngStreamPlan:
     stream.  Normal variates are produced from uniforms via the inverse CDF so
     every variate consumes exactly one 64-bit counter step: trial m of a block
     draw is bit-identical to a single-trial draw advanced to offset m.
+    normal_rows reads the raw Philox words and converts and transforms only
+    the lanes of the columns asked for; the others, and the padding lanes
+    that align each trial to a counter step, are generated but never
+    converted.  mvn_rows asks for the columns that its covariance's cached
+    factor uses, so no variate is transformed only to be multiplied by 0.
     step_normals draws one variate for each of many time indices in one pass
     (the simulator's whole record), equal to the single-trial draws bit for
     bit; its keys and first Philox output are computed on arrays over k.
@@ -506,33 +531,68 @@ class RngStreamPlan:
         ):
             raise ConfigError("master_seed must be a 64-bit non-negative integer")
 
-    def _bitgen(self, k: int, label: str) -> Philox:
-        return Philox(SeedSequence([int(self.master_seed), 1, int(k), _label_id(label)]))
-
-    def uniform_rows(self, k: int, label: str, start: int, count: int) -> np.ndarray:
-        # Philox advances in 128-bit counter steps of 4 uint64 outputs, one
-        # output per double; offsets must therefore be multiples of 4.
+    def _bitgen(self, k: int, label: str, start: int) -> Philox:
+        """The Philox stream (k, label) advanced by `start` outputs.  Philox
+        advances in 128-bit counter steps of 4 uint64 outputs, one output
+        per double; offsets must therefore be multiples of 4."""
         if start % 4:
             raise ConfigError("uniform_rows offset must be a multiple of 4")
-        bg = self._bitgen(k, label)
+        bg = Philox(SeedSequence([int(self.master_seed), 1, int(k), _label_id(label)]))
         if start:
             bg.advance(int(start) // 4)
-        return Generator(bg).random(count)
+        return bg
+
+    def uniform_rows(self, k: int, label: str, start: int, count: int) -> np.ndarray:
+        return Generator(self._bitgen(k, label, start)).random(count)
 
     def normal_rows(
-        self, k: int, label: str, start_trial: int, trials: int, width: int
+        self, k: int, label: str, start_trial: int, trials: int, width: int, columns=None
     ) -> np.ndarray:
         """Standard-normal block of shape (trials, width) for trials starting
         at `start_trial`; row m equals the draw of absolute trial start+m.
 
-        The block is the (trials, width) view of a C (width, trials) stack,
-        trial axis last: the uniforms are clamped straight into it and
-        transformed in place."""
+        Trial m owns the counter-aligned run of `stride` Philox outputs from
+        (start_trial + m) * stride, lane c its variate of column c.  Only the
+        lanes of `columns` (default: all `width`), in their order, are read
+        with random_raw, converted as numpy's next_double, (w >> 11) * 2**-53,
+        clamped and transformed, so normal_rows(..., columns=c) equals
+        normal_rows(...)[:, c] bit for bit and returns (trials, len(c)).  The
+        block is the view of a C (len(c), trials) stack, trial axis last."""
         stride = ((width + 3) // 4) * 4  # counter-aligned per-trial stride
-        u = self.uniform_rows(k, label, start_trial * stride, trials * stride)
-        rows = np.empty((width, trials))
-        np.maximum(u.reshape(trials, stride)[:, :width].T, np.nextafter(0.0, 1.0), out=rows)
+        cols = range(width) if columns is None else list(columns)
+        if not all(0 <= c < width for c in cols):
+            raise DimensionError(f"normal_rows: columns {cols} outside width {width}")
+        words = self._bitgen(k, label, start_trial * stride).random_raw(trials * stride)
+        words = words.reshape(trials, stride)
+        rows, bits = np.empty((len(cols), trials)), np.empty(trials, np.int64)
+        for row, c in zip(rows, cols):
+            np.right_shift(words[:, c], 11, out=bits, casting="unsafe")  # < 2**53: exact
+            np.multiply(bits, 2.0**-53, out=row)
+        np.maximum(rows, np.nextafter(0.0, 1.0), out=rows)
         return ndtri(rows, out=rows).T
+
+    def mvn_rows(
+        self, k: int, label: str, start_trial: int, trials: int, mean: np.ndarray, cov: np.ndarray
+    ) -> np.ndarray:
+        """Draws from N(mean, cov), shape (trials, n), for the trials of
+        normal_rows(k, label, start_trial, trials, n): the gated draw of the
+        Monte Carlo steps and the particle filter.
+
+        cov is factored by _factor_columns, psd_sqrt's factor (and gate,
+        NumericError naming mvn_rows) cached per distinct covariance, kept
+        to its nonzero columns; only those columns' variates are drawn and
+        transformed.  The result is mvn_sample(mean, cov, normal_rows(k,
+        label, start_trial, trials, n)) bit for bit but for the sign of an
+        exactly zero entry where mean is -0.0: a skipped term is a zero
+        column times a finite variate, +-0.  It is the (trials, n) view of
+        a C (n, trials) stack."""
+        mean = np.atleast_1d(np.asarray(mean, dtype=float))
+        cov = np.atleast_2d(np.asarray(cov, dtype=float))
+        if cov.shape != (mean.shape[0], mean.shape[0]):
+            raise DimensionError("mvn_rows: cov shape does not match mean")
+        factor, used = _factor_columns(cov.tobytes(), cov.shape)
+        z = self.normal_rows(k, label, start_trial, trials, mean.shape[0], columns=used)
+        return _affine(mean, factor, z)
 
     def uniforms(self, k: int, label: str, count: int) -> np.ndarray:
         return self.uniform_rows(k, label, 0, count)
@@ -620,16 +680,25 @@ def mvn_sample(mean: np.ndarray, cov: np.ndarray, z: np.ndarray) -> np.ndarray:
 
     Gated by psd_sqrt, which lets semidefinite covs pass (a zero cov returns
     the mean).  Row m depends on row m of z only, bit for bit, whatever z's
-    layout; for z from normal_rows the result is the (M, n) view of a C
-    (n, M) stack, as z is.
+    layout; the result is the (M, n) view of a C (n, M) stack.  The gated
+    draw RngStreamPlan.mvn_rows shares its product, _affine.
     """
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     z = np.atleast_2d(np.asarray(z, dtype=float))
     if cov.shape != (mean.shape[0], mean.shape[0]) or z.shape[1] != mean.shape[0]:
         raise DimensionError("mvn_sample: cov or z shape does not match mean")
-    factor = _named("mvn_sample", psd_sqrt, cov)
-    rows = _mv(_soa(factor), z.T)
+    return _affine(mean, _named("mvn_sample", psd_sqrt, cov), z)
+
+
+def _affine(mean: np.ndarray, factor: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """mean + factor z for each row z of the (M, l) block z and an (n, l)
+    factor, its l terms summed in column order (_mv); the (M, n) view of a
+    C (n, M) stack.  With no columns, every row is the mean."""
+    if factor.shape[1]:
+        rows = _mv(_soa(factor), z.T)
+    else:
+        rows = np.zeros((factor.shape[0], z.shape[0]))
     rows += mean[:, np.newaxis]
     return rows.T
 

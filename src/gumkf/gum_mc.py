@@ -40,7 +40,6 @@ from .core import (
     NumericError,
     ParameterKnowledge,
     RngStreamPlan,
-    mvn_sample,
     symmetrize,
 )
 from .core import _named, _normalize_measurements, _soa
@@ -220,10 +219,11 @@ def mc_step(
     """Advance every trial from k-1 to k.
 
     For each trial: draw a measurement sample from N(y_hat, R) and a
-    process-noise sample from N(0, Q) through mvn_sample, whose PSD gate
-    refuses an indefinite Q or R naming mc_step and k; add the noise in place
-    to the dynamics' push-forward ("x tilde", carrying the state-covariance
-    contribution) and correct x tilde with the gain of the trial's own
+    process-noise sample from N(0, Q) through the plan's gated draw
+    mvn_rows, whose PSD gate runs once per distinct Q or R and refuses an
+    indefinite one on every call, naming mc_step and k; add the noise in
+    place to the dynamics' push-forward ("x tilde", carrying the
+    state-covariance contribution) and correct x tilde with the gain of the trial's own
     covariance recursion, `filter_state` (M, n, n) in and out.  Prediction
     and correction are `kalman`'s stack functions, the filters' own, run on
     the block with the trials as the last axis, so a trial's covariance is
@@ -236,10 +236,9 @@ def mc_step(
     m_trials, n = states.shape
     where = f"mc_step at k={k}"
     Q, R = model.Q(k), model.R(k)
-    z = plan.normal_rows(k, LABEL_PROCESS, trial_start, m_trials, n)
-    x_tilde = _named(where, mvn_sample, np.zeros(n), Q, z)
-    y_samples = plan.normal_rows(k, LABEL_OBS, trial_start, m_trials, np.size(y_hat))
-    y_samples = _named(where, mvn_sample, y_hat, R, y_samples)
+    block = (trial_start, m_trials)
+    x_tilde = _named(where, plan.mvn_rows, k, LABEL_PROCESS, *block, np.zeros(n), Q)
+    y_samples = _named(where, plan.mvn_rows, k, LABEL_OBS, *block, y_hat, R)
 
     theta = params if params.shape[1] else None
     # F is held to the step's end: freed before the correction, it made the heap re-fault
@@ -257,11 +256,11 @@ def mc_step(
 
 
 def _init_trials(prior, theta_knowledge, plan, trials, trial_start):
-    z0 = plan.normal_rows(0, LABEL_INIT_STATE, trial_start, trials, prior.dim)
-    states = mvn_sample(prior.mean, prior.cov, z0)
+    states = plan.mvn_rows(0, LABEL_INIT_STATE, trial_start, trials, prior.mean, prior.cov)
     if theta_knowledge is not None and theta_knowledge.dim > 0:
-        zt = plan.normal_rows(0, LABEL_INIT_PARAM, trial_start, trials, theta_knowledge.dim)
-        params = mvn_sample(theta_knowledge.estimate, theta_knowledge.cov, zt)
+        params = plan.mvn_rows(
+            0, LABEL_INIT_PARAM, trial_start, trials, theta_knowledge.estimate, theta_knowledge.cov
+        )
     else:
         params = np.zeros((trials, 0))
     covs = np.repeat(prior.cov[np.newaxis], trials, axis=0)

@@ -8,8 +8,8 @@ in the cumulative weights in sorted order, so each search starts where the
 previous one ended; the ancestors are those of the uniforms in draw order.
 
 The particle states stay trial-axis-last from the draw on: they are the
-(N, n) view of a C (n, N) stack, as `core.normal_rows` and `mvn_sample`
-return it, and propagation, weighting and resampling keep that layout.  The
+(N, n) view of a C (n, N) stack, as the plan's gated draw `mvn_rows`
+returns it, and propagation, weighting and resampling keep that layout.  The
 weighted moments sum contiguous particle-axis-last rows in one fixed order,
 so no layout decides their bits.  A set that pf_weight or resampling derives
 from a gated one is not gated again; its new weights are.
@@ -29,7 +29,6 @@ from .core import (
     NonlinearModel,
     NumericError,
     RngStreamPlan,
-    mvn_sample,
 )
 from .core import _named, _normalize_measurements
 
@@ -91,8 +90,8 @@ def pf_propagate(
     """Advance every particle through the dynamics plus process noise;
     weights unchanged."""
     n = particles.states.shape[1]
-    z = plan.normal_rows(k, LABEL_PROCESS, 0, particles.size, n)
-    new_states = _named(f"pf_propagate at k={k}", mvn_sample, np.zeros(n), model.Q(k), z)
+    draw = (k, LABEL_PROCESS, 0, particles.size, np.zeros(n), model.Q(k))
+    new_states = _named(f"pf_propagate at k={k}", plan.mvn_rows, *draw)
     new_states += model.f(particles.states, None, k)  # in place: one (M, n) array fewer
     return ParticleSet(new_states, particles.weights, k)
 
@@ -238,8 +237,7 @@ def pf_run(
     n_steps = ys.shape[0]
     record_at = set(int(r) for r in record_at)
 
-    states = plan.normal_rows(0, LABEL_INIT, 0, n_particles, prior.dim)
-    states = mvn_sample(prior.mean, prior.cov, states)
+    states = plan.mvn_rows(0, LABEL_INIT, 0, n_particles, prior.mean, prior.cov)
     particles = ParticleSet(states, np.full(n_particles, 1.0 / n_particles), 0)
 
     means = np.empty((n_steps + 1, prior.dim))

@@ -459,6 +459,22 @@ class TestExitCodes:
         assert run(["compare", str(out / "lkf-known.csv"), "--out", str(joined)]) == 0
         assert [p.name for p in joined.iterdir()] == ["compare.csv"]
 
+    @pytest.mark.parametrize("out", ["blocked", "blocked/sub", "blocked/sub/deeper"])
+    def test_unwritable_output_refused_before_the_run(self, tmp_path, monkeypatch, out):
+        # an --out under a file fails at once: the scenario never runs and
+        # nothing is created
+        def never(*args, **kwargs):
+            raise AssertionError("scenario ran")
+
+        monkeypatch.setattr(gumkf.cli, "scenario", never)
+        cfg = small_config(tmp_path)
+        (tmp_path / "blocked").write_text("not a directory")
+        before = sorted(tmp_path.rglob("*"))
+        argv = ["estimate", "mc-ekf", "--trials", "2000", "--config", cfg]
+        assert run(argv + ["--out", str(tmp_path / out)]) == 3
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "blocked").read_text() == "not a directory"
+
     def test_numeric_failure_exit_code(self, tmp_path):
         # zero process and measurement noise make the innovation covariance
         # exactly singular

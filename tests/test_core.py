@@ -158,11 +158,141 @@ class TestMvnSample:
         np.testing.assert_array_equal(a, b)
 
 
+def gated_draw_case(seed, n, rank, zeros, mean_kind):
+    """A PSD covariance of width n and rank at most `rank`, its rows and
+    columns `zeros` set to zero, and a mean that is zero or nonzero (never
+    -0.0, whose sign mvn_rows may not keep where a noise entry is 0)."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, rank))
+    cov = a @ a.T
+    cov = (cov + cov.T) / 2.0
+    cov[list(zeros), :] = 0.0
+    cov[:, list(zeros)] = 0.0
+    mean = np.zeros(n) if mean_kind == "zero" else rng.standard_normal(n)
+    return mean, cov
+
+
+class TestMvnRows:
+    """RngStreamPlan.mvn_rows, the gated draw: psd_sqrt's factor cached per
+    distinct covariance and kept to its nonzero columns, whose variates
+    alone are drawn.  It equals mvn_sample over normal_rows bit for bit."""
+
+    @staticmethod
+    def assert_matches_mvn_sample(seed, n, rank, zeros, mean_kind, k, start, trials):
+        mean, cov = gated_draw_case(seed, n, rank, zeros, mean_kind)
+        plan = RngStreamPlan(seed)
+        draws = plan.mvn_rows(k, "lbl", start, trials, mean, cov)
+        expected = mvn_sample(mean, cov, plan.normal_rows(k, "lbl", start, trials, n))
+        assert draws.shape == expected.shape == (trials, n)
+        assert draws.T.flags["C_CONTIGUOUS"]
+        assert np.ascontiguousarray(draws).tobytes() == np.ascontiguousarray(expected).tobytes()
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 5).flatmap(lambda n: st.tuples(
+            st.just(n), st.integers(0, n), st.sets(st.integers(0, n - 1), max_size=n))),
+        st.sampled_from(["zero", "nonzero"]),
+        st.integers(0, 1000),
+        st.integers(0, 50),
+        st.integers(1, 40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_mvn_sample_of_normal_rows(self, seed, shape, mean_kind, k, start, trials):
+        n, rank, zeros = shape
+        self.assert_matches_mvn_sample(seed, n, rank, zeros, mean_kind, k, start, trials)
+
+    @pytest.mark.parametrize(
+        "seed, n, rank, zeros",
+        [
+            (11, 3, 3, {0}),  # the tank's Q = diag(0, tau^2, alpha^2) in shape
+            (12, 4, 2, set()),  # rank deficient, no zero row
+            (13, 5, 3, {1, 4}),
+            (14, 2, 0, set()),  # the zero matrix
+            (15, 1, 1, {0}),  # a zero 1 x 1 covariance
+            (16, 5, 5, set()),  # full rank: every column used
+        ],
+    )
+    @pytest.mark.parametrize("mean_kind", ["zero", "nonzero"])
+    def test_seeded_cases_equal_mvn_sample(self, seed, n, rank, zeros, mean_kind):
+        self.assert_matches_mvn_sample(seed, n, rank, zeros, mean_kind, 7, 13, 300)
+
+    def test_zero_columns_are_not_drawn(self):
+        # Q = diag(0, tau^2, alpha^2): the level's column of the factor is 0,
+        # so only the variates of columns 1 and 2 are drawn
+        cov = np.diag([0.0, 1e-4, 6.4e-9])
+        factor, used = core._factor_columns(cov.tobytes(), cov.shape)
+        assert used == (1, 2) and factor.shape == (3, 2)
+        assert not factor.flags.writeable
+        zero = np.zeros((3, 3))
+        factor, used = core._factor_columns(zero.tobytes(), zero.shape)
+        assert used == () and factor.shape == (3, 0)
+        draws = RngStreamPlan(1).mvn_rows(0, "lbl", 0, 4, np.array([1.0, -2.0, 0.5]), zero)
+        assert draws.tolist() == [[1.0, -2.0, 0.5]] * 4
+
+    @given(
+        st.integers(1, 5).flatmap(lambda w: st.tuples(
+            st.just(w), st.lists(st.integers(0, w - 1), max_size=6))),
+        st.integers(0, 30),
+        st.integers(0, 20),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_normal_rows_columns_select_the_full_block(self, width_columns, start, trials):
+        width, columns = width_columns
+        plan = RngStreamPlan(4242)
+        block = plan.normal_rows(3, "lbl", start, trials, width, columns=columns)
+        full = plan.normal_rows(3, "lbl", start, trials, width)
+        assert block.shape == (trials, len(columns))
+        assert block.T.flags["C_CONTIGUOUS"]
+        expected = np.ascontiguousarray(full[:, columns])
+        assert np.ascontiguousarray(block).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("columns", [[3], [-1], [0, 5]])
+    def test_columns_outside_the_width_refused(self, columns):
+        with pytest.raises(DimensionError, match="outside width 3"):
+            RngStreamPlan(1).normal_rows(0, "lbl", 0, 4, 3, columns=columns)
+
+    def test_psd_sqrt_runs_once_per_distinct_covariance_over_a_pf_run(self, monkeypatch):
+        factored = []
+
+        def counted(cov):
+            factored.append(np.asarray(cov).tobytes())
+            return psd_sqrt(cov)
+
+        core._factor_columns.cache_clear()
+        monkeypatch.setattr(core, "psd_sqrt", counted)
+        cfg = TankConfig(n_steps=30)
+        aug, prior = augmented_model(cfg)
+        ys = simulate(cfg, RngStreamPlan(42)).measurements
+        pf_run(ys, aug.model, prior, 500, 0.9, RngStreamPlan(42))
+        # the prior covariance once, the process noise Q once for 30 steps
+        assert len(factored) == len(set(factored)) == 2
+
+    def test_indefinite_noise_raises_on_every_call(self):
+        model = LinearModel(np.eye(2), np.eye(2), np.diag([1.0, -1.0]), np.eye(2))
+        particles = particle.ParticleSet(np.zeros((4, 2)), np.full(4, 0.25), 0)
+        ens = gum_mc.McEnsemble(np.zeros((4, 2)), np.zeros((4, 0)), 0)
+        covs = np.repeat(np.eye(2)[np.newaxis], 4, axis=0)
+        message = r"^covariance is not positive semidefinite \({}\)$"
+        for k in (2, 2, 5):
+            with pytest.raises(NumericError, match=message.format(f"pf_propagate at k={k}")):
+                particle.pf_propagate(particles, model, RngStreamPlan(1), k)
+            with pytest.raises(NumericError, match=message.format(f"mc_step at k={k}")):
+                gum_mc.mc_step(ens, np.zeros(2), model, covs, RngStreamPlan(1), k)
+        for _ in range(2):
+            with pytest.raises(NumericError, match=message.format("mvn_rows")):
+                RngStreamPlan(1).mvn_rows(0, "lbl", 0, 4, np.zeros(2), np.diag([1.0, -1.0]))
+
+    def test_shape_mismatch_refused(self):
+        with pytest.raises(DimensionError, match="^mvn_rows: cov shape does not match mean$"):
+            RngStreamPlan(1).mvn_rows(0, "lbl", 0, 4, np.zeros(2), np.eye(3))
+
+
 class TestSamplingLayout:
     """The draws, the particle set and the Monte Carlo states are (M, n)
     views of (n, M) stacks.  No bit may depend on that: with normal_rows and
-    mvn_sample returning C-ordered (M, n) copies, the old layout, the
-    particle filter and every Monte Carlo mode give the same bytes."""
+    the gated draw mvn_rows returning C-ordered (M, n) copies, the old
+    layout, the particle filter and every Monte Carlo mode give the same
+    bytes."""
 
     @staticmethod
     def problem(name):
@@ -201,14 +331,12 @@ class TestSamplingLayout:
         monkeypatch.setattr(gum_mc, "_CHUNK", 8)  # chunks span the blocks of threads=3
         ys, model, prior = self.problem(name)
         default = self.outputs(ys, model, prior)
-        normal_rows = RngStreamPlan.normal_rows
 
         def c_ordered(fn):
-            return lambda *args: np.ascontiguousarray(fn(*args))
+            return lambda *args, **kwargs: np.ascontiguousarray(fn(*args, **kwargs))
 
-        monkeypatch.setattr(RngStreamPlan, "normal_rows", c_ordered(normal_rows))
-        for module in (gum_mc, particle):
-            monkeypatch.setattr(module, "mvn_sample", c_ordered(mvn_sample))
+        for name in ("normal_rows", "mvn_rows"):  # mvn_rows passes `columns` by keyword
+            monkeypatch.setattr(RngStreamPlan, name, c_ordered(getattr(RngStreamPlan, name)))
         assert self.outputs(ys, model, prior) == default
 
 

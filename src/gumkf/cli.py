@@ -298,6 +298,9 @@ def run(argv: Optional[List[str]] = None) -> int:
     except (NumericError, CapacityError) as exc:
         print(f"gumkf: numeric failure: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"gumkf: out of memory: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"gumkf: I/O error: {exc}", file=sys.stderr)
         return 3

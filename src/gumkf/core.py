@@ -518,6 +518,7 @@ class RngStreamPlan:
     step_normals draws one variate for each of many time indices in one pass
     (the simulator's whole record), equal to the single-trial draws bit for
     bit; its keys and first Philox output are computed on arrays over k.
+    uniform_rows is the one uniform draw (the particle filter's resampling).
     """
 
     master_seed: int
@@ -593,9 +594,6 @@ class RngStreamPlan:
         factor, used = _factor_columns(cov.tobytes(), cov.shape)
         z = self.normal_rows(k, label, start_trial, trials, mean.shape[0], columns=used)
         return _affine(mean, factor, z)
-
-    def uniforms(self, k: int, label: str, count: int) -> np.ndarray:
-        return self.uniform_rows(k, label, 0, count)
 
     def step_normals(self, ks, label: str) -> np.ndarray:
         """One standard normal per time index of ks, in one pass: entry i

@@ -11,8 +11,12 @@ The particle states stay trial-axis-last from the draw on: they are the
 (N, n) view of a C (n, N) stack, as the plan's gated draw `mvn_rows`
 returns it, and propagation, weighting and resampling keep that layout.  The
 weighted moments sum contiguous particle-axis-last rows in one fixed order,
-so no layout decides their bits.  A set that pf_weight or resampling derives
-from a gated one is not gated again; its new weights are.
+so no layout decides their bits; the likelihood uses core's ordered product,
+so no BLAS kernel decides a weight.  pf_propagate and pf_weight each run in
+one error scope, as mc_step does: an overflow, in a model callable too, ends
+as a non-finite value, refused where it is made, naming the particle and k.
+A set that pf_weight or resampling derives from a gated one is not gated
+again: its weights are valid by construction.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .core import (
     NumericError,
     RngStreamPlan,
 )
-from .core import _named, _normalize_measurements
+from .core import _mv, _named, _normalize_measurements, _soa
 
 LABEL_INIT = "pf/init"
 LABEL_PROCESS = "pf/process"
@@ -63,8 +67,8 @@ class ParticleSet:
 
     def _derived(self, states: np.ndarray, weights: np.ndarray, k: int) -> "ParticleSet":
         """A set at time index k whose states (N, n) come from this set's
-        gated ones, so only the new weights (N,) are checked."""
-        _require_weights(weights)
+        gated ones and whose weights (N,) are valid by construction (pf_weight's
+        lie in [0, 1], resampling's are 1/N), so neither is checked again."""
         out = object.__new__(ParticleSet)
         for name, value in (("states", states), ("weights", weights), ("k", k)):
             object.__setattr__(out, name, value)
@@ -81,6 +85,7 @@ def _require_normalized(weights: np.ndarray) -> None:
         raise ValueError("particle weights are not normalized")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def pf_propagate(
     particles: ParticleSet,
     model: Union[LinearModel, NonlinearModel],
@@ -105,12 +110,19 @@ def _log_likelihood(model, states, y_hat, k):
         raise NumericError(
             f"observation noise covariance is not positive definite (pf_weight at k={k})"
         ) from exc
-    white = (y_hat - model.h(states, None, k)) @ np.linalg.inv(chol).T
-    quad = np.einsum("mi,mi->m", white, white)
+    h = model.h(states, None, k)
+    if not np.all(np.isfinite(h)):
+        first = int(np.argmax(~np.all(np.isfinite(h), axis=1)))
+        raise NumericError(
+            f"non-finite predicted observation in particle {first} (pf_weight at k={k})"
+        )
+    white = _mv(_soa(np.linalg.inv(chol)), (y_hat - h).T)  # (p, N)
+    quad = np.add.reduce(white * white, axis=0)  # the p rows, in order
     logdet = 2.0 * np.log(np.diagonal(chol)).sum()
     return -0.5 * (quad + logdet + p * np.log(2.0 * np.pi))
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # divide: log(0)
 def pf_weight(
     particles: ParticleSet,
     y_hat: np.ndarray,
@@ -118,11 +130,12 @@ def pf_weight(
     k: int,
 ) -> ParticleSet:
     """Multiply weights by the Gaussian measurement likelihood and
-    renormalize; all arithmetic in the log domain."""
+    renormalize; all arithmetic in the log domain.  A non-finite h(x) is
+    refused, naming its first particle and k; the weights exp(log w - max) /
+    sum, for a max that must be finite, lie in [0, 1] by construction."""
     y_hat = np.atleast_1d(np.asarray(y_hat, dtype=float))
     log_lik = _log_likelihood(model, particles.states, y_hat, k)
-    with np.errstate(divide="ignore"):
-        log_w = np.log(particles.weights) + log_lik
+    log_w = np.log(particles.weights) + log_lik
     top = log_w.max()
     if not np.isfinite(top):
         raise NumericError(
@@ -153,7 +166,7 @@ def _resample(particles: ParticleSet, plan: RngStreamPlan) -> ParticleSet:
     cumulative weights cum (cum[-1] = 1) and the uniforms u; the uniforms
     are looked up in sorted order and the indices scattered back.  The
     states are gathered along the particle axis of their (n, N) stack."""
-    u = plan.uniforms(particles.k, LABEL_RESAMPLE, particles.size)
+    u = plan.uniform_rows(particles.k, LABEL_RESAMPLE, 0, particles.size)
     cum = np.cumsum(particles.weights)
     cum[-1] = 1.0
     order = np.argsort(u)

@@ -10,6 +10,7 @@ uncertainty, which is what the different scenarios exercise.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -41,7 +42,9 @@ class TankConfig:
     """Benchmark parameters; defaults are the reference values of the system.
 
     u_theta defaults to 1% of theta, alpha (artificial process noise on the
-    augmented frequency state) to u_theta / 100.
+    augmented frequency state) to u_theta / 100.  The noise standard
+    deviations tau, sigma, u_theta and alpha must lie in [0, sqrt(max
+    float)], so that their squares, the variances, are finite.
     """
 
     L0: float = 100.0
@@ -68,6 +71,9 @@ class TankConfig:
             object.__setattr__(self, "alpha", self.u_theta / 100.0)
         if self.tau < 0 or self.sigma < 0 or self.u_theta < 0 or self.alpha < 0:
             raise ConfigError("noise standard deviations must be non-negative")
+        for name in ("tau", "sigma", "u_theta", "alpha"):  # each is squared to a variance
+            if getattr(self, name) > math.sqrt(sys.float_info.max):
+                raise ConfigError(f"{name} is too large: its square overflows a float")
         if self.dt <= 0:
             raise ConfigError("sampling interval dt must be positive")
         n = self.n_steps

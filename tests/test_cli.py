@@ -475,6 +475,23 @@ class TestExitCodes:
         assert sorted(tmp_path.rglob("*")) == before
         assert (tmp_path / "blocked").read_text() == "not a directory"
 
+    def test_noise_whose_variance_overflows_is_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"schema_version": 1, "sigma": 1e200}))
+        assert run(["estimate", "pf", "--config", str(bad), "--out", str(tmp_path)]) == 1
+        assert "gumkf: config error: sigma is too large" in capsys.readouterr().err
+        assert not (tmp_path / "pf.csv").exists()
+
+    def test_out_of_memory_exit_code(self, tmp_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB")
+
+        monkeypatch.setattr(gumkf.cli, "scenario", exhausted)
+        out = tmp_path / "d"
+        assert run(["estimate", "ekf-augmented", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "gumkf: out of memory: Unable to allocate 745. GiB\n"
+        assert not out.exists()
+
     def test_numeric_failure_exit_code(self, tmp_path):
         # zero process and measurement noise make the innovation covariance
         # exactly singular

@@ -507,7 +507,7 @@ class TestRngStreamPlan:
             RngStreamPlan(1).uniform_rows(0, "lbl", 2, 4)
 
     def test_uniforms_in_unit_interval(self):
-        u = RngStreamPlan(1).uniforms(0, "lbl", 1000)
+        u = RngStreamPlan(1).uniform_rows(0, "lbl", 0, 1000)
         assert np.all((u >= 0.0) & (u < 1.0))
 
 

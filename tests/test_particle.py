@@ -1,12 +1,17 @@
 """Sequential-importance-resampling particle filter."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
 from gumkf import (
     GaussianBelief,
     LinearModel,
+    NonlinearModel,
     NumericError,
     ParticleSet,
     RngStreamPlan,
@@ -56,13 +61,10 @@ class TestParticleSet:
         with pytest.raises(NumericError):
             ParticleSet(np.zeros((3, 1)), np.array([0.5, 0.5]), 0)
 
-    def test_derived_set_checks_its_new_weights(self):
+    def test_derived_set_takes_gated_states(self):
         # pf_weight and resampling derive sets from gated states, whose
-        # state gate they skip; the new weights are checked as before
+        # state gate they skip, with weights valid by construction
         base = uniform_particles(np.zeros((2, 1)))
-        for bad in ([np.nan, 1.0], [1.5, -0.5]):
-            with pytest.raises(NumericError, match="weights must be finite and non-negative"):
-                base._derived(base.states, np.array(bad), 1)
         derived = base._derived(base.states, np.array([0.25, 0.75]), 1)
         assert derived.states is base.states and derived.k == 1
 
@@ -156,6 +158,101 @@ class TestPfWeight:
         np.testing.assert_allclose(out.weights, expect / expect.sum(), rtol=1e-12)
 
 
+class TestModelFaultsNamed:
+    """pf_propagate and pf_weight each run in one error scope, so a model
+    callable that overflows or returns a non-finite value ends in a
+    NumericError naming the particle and k, not in a warning."""
+
+    @staticmethod
+    def model(f=None, h=None):
+        return NonlinearModel(
+            lambda x, th, k: x if f is None else f(x, k),
+            lambda x, th, k: x[..., :1] if h is None else h(x, k),
+            0.01 * np.eye(2),
+            np.eye(1),
+        )
+
+    @staticmethod
+    def overflowing(x, k):
+        return np.full_like(x, 1e200) * 1e200 if k == 3 else x
+
+    @staticmethod
+    def bad_at_particle_7(value):
+        def h(x, k):
+            out = x[..., :1].copy()
+            if k == 3:
+                out[7] = value
+            return out
+
+        return h
+
+    EXPECTED = {
+        "propagate": r"^non-finite state in particle 0 at k=3$",
+        "weight": r"^non-finite predicted observation in particle 0 \(pf_weight at k=3\)$",
+    }
+
+    @pytest.mark.parametrize("half", EXPECTED)
+    def test_model_overflow_named_not_warned(self, half):
+        expected = self.EXPECTED[half]
+        if half == "propagate":
+            model = self.model(f=self.overflowing)
+        else:
+            model = self.model(h=lambda x, k: self.overflowing(x[..., :1], k))
+        prior = GaussianBelief(np.zeros(2), np.eye(2))
+        p = uniform_particles(np.ones((10, 2)), k=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=expected):
+                pf_run(np.zeros(10), model, prior, 10, 0.5, RngStreamPlan(3))
+            with pytest.raises(NumericError, match=expected):
+                if half == "propagate":
+                    pf_propagate(p, model, RngStreamPlan(3), 3)
+                else:
+                    pf_weight(p, [0.0], model, 3)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_one_non_finite_observation_named(self, value):
+        model = self.model(h=self.bad_at_particle_7(value))
+        p = uniform_particles(np.arange(20.0).reshape(10, 2), k=2)
+        expected = r"^non-finite predicted observation in particle 7 \(pf_weight at k=3\)$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=expected):
+                pf_weight(p, [0.0], model, 3)
+            prior = GaussianBelief(np.zeros(2), np.eye(2))
+            with pytest.raises(NumericError, match=expected):
+                pf_run(np.zeros(10), model, prior, 10, 0.5, RngStreamPlan(3))
+
+
+# a particle is alive (positive prior weight, squared residual finite) or dead
+# (zero prior weight, or a residual whose square overflows to a -inf
+# log-likelihood); alive residuals span log-likelihoods up to 1e300 apart
+_ALIVE = st.tuples(st.floats(1e-300, 1.0), st.floats(-1e150, 1e150))
+_DEAD = st.one_of(
+    st.tuples(st.just(0.0), st.floats(-1e150, 1e150)),
+    st.tuples(st.floats(1e-300, 1.0), st.sampled_from([-1e200, 1e200])),
+)
+
+
+class TestPfWeightProperty:
+    @given(st.lists(st.one_of(_ALIVE, _DEAD), min_size=2, max_size=40))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_weights_valid_by_construction(self, particles):
+        w0, x = (np.array(column) for column in zip(*particles))
+        p = ParticleSet(x[:, np.newaxis], w0 / w0.sum() if w0.any() else w0, 1)
+        alive = (w0 > 0) & (np.abs(x) <= 1e150)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if not alive.any():
+                with pytest.raises(NumericError, match="all particle weights vanished at k=1"):
+                    pf_weight(p, [0.0], identity_model(), 1)
+                return
+            w = pf_weight(p, [0.0], identity_model(), 1).weights
+        assert np.all(np.isfinite(w)) and np.all(w >= 0)
+        assert abs(w.sum() - 1.0) <= 1e-12
+        assert np.all(w[~alive] == 0)
+
+
 class TestPfEss:
     def test_uniform(self):
         assert pf_ess(uniform_particles(np.zeros((100, 1)))) == pytest.approx(100.0)
@@ -221,7 +318,7 @@ class TestMultinomialAddressing:
         out = pf_resample(ParticleSet(states, weights, self.K), 1.0, plan)
         cum = np.cumsum(weights)
         cum[-1] = 1.0
-        u = plan.uniforms(self.K, "pf/resample", self.N)
+        u = plan.uniform_rows(self.K, "pf/resample", 0, self.N)
         np.testing.assert_array_equal(out.states, states[np.searchsorted(cum, u, side="right")])
         assert np.all(weights[out.states[:, 0].astype(int)] > 0)  # no zero-weight ancestor
         return out
@@ -241,7 +338,7 @@ class TestMultinomialAddressing:
         np.testing.assert_array_equal(out.states[:, 0], 417.0)
 
     def test_cumulative_sums_equal_to_uniforms_resolve_right(self):
-        u = RngStreamPlan(5).uniforms(self.K, "pf/resample", self.N)
+        u = RngStreamPlan(5).uniform_rows(self.K, "pf/resample", 0, self.N)
         # two drawn uniforms within a factor of two, so cum = a, then a + (b - a) = b
         # exactly (Sterbenz); zero weights between them repeat each cumulative sum
         a, b = np.sort(u[(u > 0.3) & (u < 0.6)])[[0, -1]]

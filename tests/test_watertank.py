@@ -1,5 +1,7 @@
 """Water-tank benchmark: configuration, simulation, and the five scenarios."""
 
+import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -72,6 +74,28 @@ class TestTankConfig:
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             TankConfig(**kwargs)
+
+    # each is squared to a variance; theta's default u_theta is 0.01 theta
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            (dict(tau=1e200), "tau"),
+            (dict(sigma=1e200), "sigma"),
+            (dict(u_theta=1e200), "u_theta"),
+            (dict(alpha=1e200), "alpha"),
+            (dict(theta=1e300), "u_theta"),
+        ],
+    )
+    def test_noise_whose_variance_overflows_refused(self, kwargs, name):
+        with pytest.raises(ConfigError, match=rf"^{name} is too large: its square overflows"):
+            TankConfig(**kwargs)
+
+    def test_largest_noise_whose_variance_is_finite_accepted(self):
+        edge = math.sqrt(sys.float_info.max)
+        cfg = TankConfig(tau=edge, sigma=edge, u_theta=edge, alpha=edge)
+        assert cfg.tau**2 <= sys.float_info.max
+        with pytest.raises(ConfigError, match="^tau is too large"):
+            TankConfig(tau=math.nextafter(edge, math.inf))
 
     def test_non_numbers_refused_in_post_init(self):
         # None stands for a default only in u_theta and alpha; from_dict passes

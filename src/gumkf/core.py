@@ -95,11 +95,14 @@ def _named(where: str, fn: Callable, *args):
 
 
 def symmetrize(cov: np.ndarray) -> np.ndarray:
-    """Return the symmetric part (A + A.T) / 2 of a square matrix."""
+    """The symmetric part (A + A.T) / 2 of a square matrix or of each matrix
+    of an (N, d, d) stack, as A / 2 + A.T / 2, so no finite entry overflows;
+    the same bits wherever (A + A.T) / 2 neither overflows nor underflows."""
     a = np.asarray(cov, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    return (a + a.T) / 2.0
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise DimensionError(f"expected a square matrix or stack, got shape {a.shape}")
+    half = a / 2.0
+    return half + np.swapaxes(half, -1, -2)
 
 
 def assert_psd(cov: np.ndarray, tol: float = 1e-10) -> bool:
@@ -111,7 +114,7 @@ def assert_psd(cov: np.ndarray, tol: float = 1e-10) -> bool:
     """
     a = np.asarray(cov, dtype=float)
     scale = _scale(a)
-    return bool(np.isfinite(scale)) and _psd(np.linalg.eigvalsh((a + a.T) / 2.0), scale, tol)
+    return bool(np.isfinite(scale)) and _psd(np.linalg.eigvalsh(symmetrize(a)), scale, tol)
 
 
 def _scale(a: np.ndarray) -> float:
@@ -144,7 +147,7 @@ def _require_beliefs(means: np.ndarray, covs: np.ndarray, where: Callable[[int],
     end = means.shape[0] if finite.all() else int(np.argmin(finite))
     covs, scale = covs[:end], scale[:end]
     asym = np.abs(covs - covs.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0) > 1e-12 * scale
-    w = np.linalg.eigvalsh((covs + covs.transpose(0, 2, 1)) / 2.0)
+    w = np.linalg.eigvalsh(symmetrize(covs))
     bad = asym | ~np.all(w >= -1e-10 * np.maximum(scale, 1e-300)[:, np.newaxis], axis=1)
     if bad.any():
         i = int(np.argmax(bad))
@@ -153,6 +156,15 @@ def _require_beliefs(means: np.ndarray, covs: np.ndarray, where: Callable[[int],
         raise NumericError(f"covariance is not positive semidefinite ({where(i)})")
     if end < means.shape[0]:
         raise NumericError(f"mean or covariance is not finite ({where(end)})")
+
+
+def _finite_moments(moments: Tuple[np.ndarray, np.ndarray], where: str):
+    """The (mean, cov) pair of a reported moment reduction, refused with a
+    NumericError naming `where` unless every entry is finite."""
+    mean, cov = moments
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise NumericError(f"mean or covariance is not finite ({where})")
+    return mean, cov
 
 
 def require_psd(cov: np.ndarray, tol: float = 1e-10, context: str = "") -> np.ndarray:
@@ -175,7 +187,7 @@ def psd_sqrt(cov: np.ndarray) -> np.ndarray:
     scale = _scale(a)
     if not np.isfinite(scale):
         raise NumericError("covariance is not finite (psd_sqrt)")
-    w, v = np.linalg.eigh((a + a.T) / 2.0)
+    w, v = np.linalg.eigh(symmetrize(a))
     if not _psd(w, scale, 1e-10):
         raise NumericError("covariance is not positive semidefinite (psd_sqrt)")
     return v * np.sqrt(np.maximum(w, 0.0))  # np.clip's own ufunc, without its wrapper
@@ -641,30 +653,30 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the sum (((a_0 b_0 + a_1 b_1) + a_2 b_2) + ...) in order of l.
 
     For l = 1 that is one product.  A small product (at most _SMALL_PRODUCT
-    doubles, 1 < l < _ORDERED_TERMS) is one broadcast product and one reduce
+    doubles, l < _ORDERED_TERMS) is one broadcast product and one reduce
     over l: two calls in place of the loop's 2l + 1.  numpy adds such a
     reduce in index order whatever the operands' layout, and its start -0.0
-    (not numpy's +0) keeps signed zeros, as -0 + x = x for every x, -0 too.
-    Any other product adds its terms in the same order, `out += term`,
-    through one reused product buffer, with fewer temporaries than the
-    (i, l, j, M) product.
+    (not numpy's +0) keeps signed zeros, as -0 + x = x for every x, -0 too;
+    the empty product (l = 0) is the empty sum, -0.0.  Any other product
+    adds its terms in the same order, `out += term`, through one reused
+    product buffer, with fewer temporaries than the (i, l, j, M) product.
     """
     (i, l, m_a), (_, j, m_b) = a.shape, b.shape
     if l == 1:
         return a * b
-    if 1 < l < _ORDERED_TERMS and i * l * j * (m_a if m_a > m_b else m_b) <= _SMALL_PRODUCT:
+    if l < _ORDERED_TERMS and i * l * j * (m_a if m_a > m_b else m_b) <= _SMALL_PRODUCT:
         return np.add.reduce(a[:, :, np.newaxis] * b[np.newaxis], axis=1, initial=-0.0)
     out = a[:, :1] * b[:1]
-    if l > 1:
-        term = np.empty_like(out)
-        for t in range(1, l):
-            out += np.multiply(a[:, t : t + 1], b[t : t + 1], out=term)
+    term = np.empty_like(out)
+    for t in range(1, l):
+        out += np.multiply(a[:, t : t + 1], b[t : t + 1], out=term)
     return out
 
 
 def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Per-trial product of an (i, l, .) stack and an (l, M) vector stack."""
-    return _mm(a, v[:, np.newaxis]).reshape(a.shape[0], v.shape[1])  # also for l = 0
+    """Per-trial product of an (i, l, .) stack and an (l, M) vector stack,
+    also for l = 0: _mm's empty sum, an (i, M) stack of -0.0."""
+    return _mm(a, v[:, np.newaxis]).reshape(a.shape[0], v.shape[1])
 
 
 def _t(a: np.ndarray) -> np.ndarray:
@@ -692,11 +704,8 @@ def mvn_sample(mean: np.ndarray, cov: np.ndarray, z: np.ndarray) -> np.ndarray:
 def _affine(mean: np.ndarray, factor: np.ndarray, z: np.ndarray) -> np.ndarray:
     """mean + factor z for each row z of the (M, l) block z and an (n, l)
     factor, its l terms summed in column order (_mv); the (M, n) view of a
-    C (n, M) stack.  With no columns, every row is the mean."""
-    if factor.shape[1]:
-        rows = _mv(_soa(factor), z.T)
-    else:
-        rows = np.zeros((factor.shape[0], z.shape[0]))
+    C (n, M) stack.  With no columns every row is -0.0 + mean, the mean."""
+    rows = _mv(_soa(factor), z.T)
     rows += mean[:, np.newaxis]
     return rows.T
 

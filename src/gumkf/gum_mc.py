@@ -42,7 +42,7 @@ from .core import (
     RngStreamPlan,
     symmetrize,
 )
-from .core import _named, _normalize_measurements, _soa
+from .core import _finite_moments, _named, _normalize_measurements, _soa
 from .kalman import _correct_stack, _predict_stack
 
 LABEL_INIT_STATE = "mc/init-state"
@@ -70,8 +70,10 @@ class McEnsemble:
             params = params.reshape(states.shape[0], -1)
         if params.shape[0] != states.shape[0]:
             raise NumericError("state/parameter trial counts differ")
-        if not (np.all(np.isfinite(states)) and np.all(np.isfinite(params))):
-            raise NumericError(f"non-finite ensemble at time index {self.k}")
+        bad = ~(np.isfinite(states).all(axis=1) & np.isfinite(params).all(axis=1))
+        if bad.any():
+            first = np.argmax(bad)
+            raise NumericError(f"non-finite sample in trial {first} at time index {self.k}")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "params", params)
 
@@ -297,6 +299,9 @@ def _trial_last(arrays):
     return np.concatenate([x.T for x in arrays], axis=1)
 
 
+# The driver's error scope, which covers the moment reductions of the calling
+# thread; numpy's error state is per thread, so mc_step keeps its own.
+@np.errstate(over="ignore", invalid="ignore")
 def _run_blocks(
     measurements,
     model: Union[LinearModel, NonlinearModel],
@@ -319,8 +324,10 @@ def _run_blocks(
     trial-axis-last and reduces the joined ensemble over the chunks of
     _chunk_moments, combined in trial order (_mean_cov).  The chunks are
     absolute trial ranges of the joined ensemble, so the block layout does
-    not change a single bit of the result.  The records and stored samples
-    are views of one C store, shape (stored steps, trials, n + n_t).
+    not change a single bit of the result.  A reduced mean or covariance
+    that is not finite is refused where it is made, naming k, or the
+    parameters for theirs.  The records and stored samples are views of
+    one C store, shape (stored steps, trials, n + n_t).
     """
     if trials < 2:
         raise ConfigError(f"Monte Carlo needs at least 2 trials, got {trials}")
@@ -353,7 +360,8 @@ def _run_blocks(
     def summarize(k):
         # the blocks are McEnsembles that mc_step or _init_trials validated
         states = _trial_last([e.states for _, e, _ in blocks])
-        state_means[k], state_covs[k] = _mean_cov(_chunk_moments(states))
+        moments = _mean_cov(_chunk_moments(states))
+        state_means[k], state_covs[k] = _finite_moments(moments, f"Monte Carlo moments at k={k}")
         if k in slot:
             store[slot[k], :, :n] = states.T
 
@@ -365,7 +373,9 @@ def _run_blocks(
     # mc_step hands every trial's parameters back unchanged, so their
     # moments and stored columns are those of step 0 at every step
     params = _trial_last([e.params for _, e, _ in blocks])
-    param_means[:], param_covs[:] = _mean_cov(_chunk_moments(params))
+    moments = _mean_cov(_chunk_moments(params))
+    where = "Monte Carlo moments of the parameters"
+    param_means[:], param_covs[:] = _finite_moments(moments, where)
     store[:, :, n:] = params.T
     workers = min(threads, len(blocks))
     executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None

@@ -130,8 +130,8 @@ def _update(x, P, y, h, H, R, k: int, trial_start=None):
     kr -= _mm(ap, ht)
     cov = _mm(kr, _t(gain))
     cov += ap
+    cov /= 2.0  # halved before the sum, as in symmetrize, so no finite entry overflows
     sym = cov + _t(cov)
-    sym /= 2.0
     x_new = _mv(gain, innovation)
     x_new += x
     return x_new, sym, gain, innovation

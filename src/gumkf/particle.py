@@ -14,7 +14,9 @@ weighted moments sum contiguous particle-axis-last rows in one fixed order,
 so no layout decides their bits; the likelihood uses core's ordered product,
 so no BLAS kernel decides a weight.  pf_propagate and pf_weight each run in
 one error scope, as mc_step does: an overflow, in a model callable too, ends
-as a non-finite value, refused where it is made, naming the particle and k.
+as a non-finite value, refused where it is made, naming the particle and k;
+pf_run reduces the weighted moments in a scope of its own and refuses a
+non-finite one, naming k.
 A set that pf_weight or resampling derives from a gated one is not gated
 again: its weights are valid by construction.
 """
@@ -34,7 +36,7 @@ from .core import (
     NumericError,
     RngStreamPlan,
 )
-from .core import _mv, _named, _normalize_measurements, _soa
+from .core import _finite_moments, _mv, _named, _normalize_measurements, _soa
 
 LABEL_INIT = "pf/init"
 LABEL_PROCESS = "pf/process"
@@ -231,6 +233,7 @@ def marginal_histogram(samples: np.ndarray, weights: np.ndarray):
     return edges, density
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the moments, refused where made if not finite
 def pf_run(
     measurements,
     model: Union[LinearModel, NonlinearModel],
@@ -260,7 +263,8 @@ def pf_run(
     records: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
     def summarize(k, ess):
-        means[k], covs[k] = weighted_moments(particles.states, particles.weights)
+        moments = weighted_moments(particles.states, particles.weights)
+        means[k], covs[k] = _finite_moments(moments, f"particle moments at k={k}")
         ess_hist[k] = ess
         if k in record_at:
             records[k] = (particles.states.copy(), particles.weights.copy())

@@ -2,7 +2,9 @@
 
 import csv
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ import pytest
 import gumkf
 from gumkf import RngStreamPlan, TankConfig, scenario
 from gumkf.cli import run
+from gumkf.watertank import SCENARIOS
 
 
 def small_config(tmp_path, **kwargs):
@@ -503,3 +506,38 @@ class TestExitCodes:
         blocker = tmp_path / "blocked"
         blocker.write_text("not a directory")
         assert run(["simulate", "--config", cfg, "--out", str(blocker)]) == 3
+
+
+# the runs with one noise standard deviation at sqrt(max float), the largest
+# TankConfig accepts, that finish; every other such run is a numeric failure
+BOUND_RUNS_THAT_FINISH = {
+    ("u_theta", "lkf-known"),
+    ("alpha", "lkf-known"),
+    ("alpha", "mc-lkf-uncertain"),
+    *(("sigma", name) for name in SCENARIOS),
+}
+
+
+class TestNoiseAtTheBound:
+    """Each noise field at the bound, for every scenario: a run writes only
+    finite values, or exits 2 with one line naming k or the parameters and
+    leaves no output directory.  A RuntimeWarning would be an error here."""
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    @pytest.mark.parametrize("field", ["tau", "sigma", "u_theta", "alpha"])
+    def test_finite_outputs_or_a_named_failure(self, tmp_path, capsys, field, name):
+        cfg = small_config(tmp_path, **{field: math.sqrt(sys.float_info.max)})
+        out = tmp_path / "out"
+        argv = ["estimate", name, "--config", cfg, "--trials", "100", "--particles", "100"]
+        code = run(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        if (field, name) in BOUND_RUNS_THAT_FINISH:
+            assert code == 0 and err == ""
+            table = np.array(read_csv(out / f"{name}.csv")[1:], dtype=float)
+            assert table.shape[0] == 21 and np.isfinite(table).all()
+        else:
+            assert code == 2
+            assert re.fullmatch(
+                r"gumkf: numeric failure: .*(k=\d+|time index \d+|the parameters)\)?\n", err
+            ), err
+            assert not out.exists()

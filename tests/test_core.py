@@ -66,6 +66,47 @@ class TestSymmetrize:
         np.testing.assert_allclose(r - a, (a.T - a) / 2.0, atol=1e-15)
 
 
+BIG = np.finfo(float).max
+
+
+class TestOverflowSafeSymmetricPart:
+    """symmetrize is A / 2 + A' / 2, for a matrix or an (N, d, d) stack, and
+    the gates that symmetrize call it, so a finite covariance never
+    overflows there (a RuntimeWarning is an error in this suite)."""
+
+    @pytest.mark.parametrize(
+        "cov", [np.diag([0.0, BIG]), np.array([[BIG]])], ids=["diag(0, max)", "[[max]]"]
+    )
+    def test_largest_finite_variance_passes_every_gate(self, cov):
+        np.testing.assert_array_equal(symmetrize(cov), cov)
+        assert assert_psd(cov) is True
+        factor = psd_sqrt(cov)
+        assert np.isfinite(factor).all()
+        np.testing.assert_allclose(factor @ factor.T, cov, rtol=1e-15, atol=0.0)
+        belief = GaussianBelief(np.zeros(cov.shape[0]), cov)
+        np.testing.assert_array_equal(belief.cov, cov)
+        _require_beliefs(np.zeros((2,) + cov.shape[:1]), np.stack([cov, cov]), str)
+
+    def test_stack_equals_each_matrix(self, rng):
+        scales = np.array([1.0, 1e-300, 1e300, BIG, 1e-310, 3.0])[:, np.newaxis, np.newaxis]
+        stack = rng.uniform(-1.0, 1.0, (6, 3, 3)) * scales
+        out = symmetrize(stack)
+        assert out.shape == stack.shape and np.isfinite(out).all()
+        assert out.tobytes() == np.stack([symmetrize(a) for a in stack]).tobytes()
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_same_bits_as_the_sum_halved(self, seed):
+        # halving first is exact wherever (A + A') / 2 neither overflows nor underflows
+        a = np.random.default_rng(seed).standard_normal((4, 4))
+        assert symmetrize(a).tobytes() == ((a + a.T) / 2.0).tobytes()
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 3), (2, 2, 2, 2)])
+    def test_not_a_matrix_or_stack_raises(self, shape):
+        with pytest.raises(DimensionError):
+            symmetrize(np.zeros(shape))
+
+
 class TestAssertPsd:
     def test_identity_true(self):
         assert assert_psd(np.eye(3)) is True
@@ -156,6 +197,30 @@ class TestMvnSample:
         a = mvn_sample(np.zeros(2), np.eye(2), RngStreamPlan(5).normal_rows(9, "x", 3, 1, 2))
         b = mvn_sample(np.zeros(2), np.eye(2), RngStreamPlan(5).normal_rows(9, "x", 3, 1, 2))
         np.testing.assert_array_equal(a, b)
+
+
+class TestEmptyProduct:
+    """_mm's ordered reduce is also the empty product (l = 0): the empty sum,
+    -0.0, so _mv and the gated draws need no branch for a factor with no
+    columns."""
+
+    def test_mv_with_no_terms_is_negative_zero(self):
+        out = _mv(np.zeros((3, 0, 5)), np.zeros((0, 5)))
+        assert out.shape == (3, 5)
+        assert out.tobytes() == np.full((3, 5), -0.0).tobytes()
+
+    @pytest.mark.parametrize("mean_kind", ["prior", "zero"])
+    def test_zero_process_noise_draws_the_mean(self, mean_kind):
+        aug, belief = augmented_model(TankConfig(tau=0.0, alpha=0.0))
+        q = aug.model.Q(1)
+        assert q.shape == (3, 3) and not q.any()
+        mean = belief.mean if mean_kind == "prior" else np.zeros(3)
+        expected = np.tile(mean, (7, 1)).tobytes()
+        plan = RngStreamPlan(3)
+        rows = plan.mvn_rows(1, "t", 0, 7, mean, q)
+        assert np.ascontiguousarray(rows).tobytes() == expected
+        draws = mvn_sample(mean, q, plan.normal_rows(1, "t", 0, 7, 3))
+        assert np.ascontiguousarray(draws).tobytes() == expected
 
 
 def gated_draw_case(seed, n, rank, zeros, mean_kind):

@@ -15,6 +15,7 @@ from gumkf import (
     McEnsemble,
     NonlinearModel,
     NumericError,
+    ParameterKnowledge,
     RngStreamPlan,
     RunningMoments,
     TankConfig,
@@ -175,6 +176,16 @@ class TestMcEnsemble:
     def test_trial_count_mismatch_rejected(self):
         with pytest.raises(NumericError):
             McEnsemble(np.zeros((3, 1)), np.zeros((2, 1)), 0)
+
+    def test_non_finite_names_the_first_bad_trial(self):
+        # the first trial whose state or parameter row is not finite, named
+        # as mc_step names it
+        states, params = np.zeros((5, 2)), np.zeros((5, 1))
+        states[3, 1], params[1, 0] = np.inf, np.nan
+        with pytest.raises(NumericError, match=r"^non-finite sample in trial 1 at time index 4$"):
+            McEnsemble(states, params, 4)
+        with pytest.raises(NumericError, match=r"^non-finite sample in trial 3 at time index 4$"):
+            McEnsemble(states, np.zeros((5, 0)), 4)
 
     def test_joined_keeps_pairs(self):
         ens = McEnsemble(np.array([[1.0], [2.0]]), np.array([[10.0], [20.0]]), 0)
@@ -811,3 +822,27 @@ class TestMcSequentialContracts:
                 RngStreamPlan(1),
                 10,
             )
+
+
+class TestReportedMomentsChecked:
+    """A mean or covariance reduced over the trials is refused where it is
+    made if it is not finite, naming k, or the parameters, whose moments are
+    reduced once; the overflow that made it is no warning."""
+
+    BIG = np.finfo(float).max
+    MODEL = LinearModel(np.eye(1), np.eye(1), np.zeros((1, 1)), np.eye(1))
+
+    @pytest.mark.parametrize("run", [mc_sequential, mc_batch])
+    def test_overflowing_state_moments_named(self, run):
+        prior = GaussianBelief(np.zeros(1), [[self.BIG]])  # deviations up to ~1e155
+        with pytest.raises(
+            NumericError, match=r"^mean or covariance is not finite \(Monte Carlo moments at k=0\)$"
+        ):
+            run(np.zeros(3), self.MODEL, prior, None, RngStreamPlan(5), 100)
+
+    def test_overflowing_parameter_moments_named(self):
+        prior = GaussianBelief(np.zeros(1), np.eye(1))
+        knowledge = ParameterKnowledge(np.zeros(1), [[self.BIG]])
+        expected = r"^mean or covariance is not finite \(Monte Carlo moments of the parameters\)$"
+        with pytest.raises(NumericError, match=expected):
+            mc_sequential(np.zeros(3), self.MODEL, prior, knowledge, RngStreamPlan(5), 100, threads=2)

@@ -485,3 +485,16 @@ class TestPfRun:
         model, prior, _ = self._linear_instance()
         with pytest.raises(NumericError, match="need at least one measurement"):
             pf_run(np.zeros(0), model, prior, 10, 0.9, RngStreamPlan(3))
+
+
+class TestReportedMomentsChecked:
+    def test_overflowing_weighted_moments_named(self):
+        # the prior's spread 1e140 is scaled to 1e160 at k=1, whose squared
+        # deviations overflow the weighted covariance: refused where it is
+        # made, naming k, and no warning; h = 0 keeps the weights equal
+        model = LinearModel(np.array([[1e20]]), np.zeros((1, 1)), np.zeros((1, 1)), np.eye(1))
+        prior = GaussianBelief(np.zeros(1), [[1e280]])
+        with pytest.raises(
+            NumericError, match=r"^mean or covariance is not finite \(particle moments at k=1\)$"
+        ):
+            pf_run(np.zeros(3), model, prior, 100, 0.5, RngStreamPlan(5))

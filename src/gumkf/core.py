@@ -124,8 +124,9 @@ def _scale(a: np.ndarray) -> float:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     scale = np.abs(a).max() if a.size else 0.0
-    if 0 < scale < np.inf and np.abs(a - a.T).max() > 1e-8 * scale:
-        raise DimensionError("matrix is asymmetric beyond tolerance")
+    with np.errstate(over="ignore"):  # an inf difference exceeds the tolerance too
+        if 0 < scale < np.inf and np.abs(a - a.T).max() > 1e-8 * scale:
+            raise DimensionError("matrix is asymmetric beyond tolerance")
     return scale
 
 
@@ -146,7 +147,8 @@ def _require_beliefs(means: np.ndarray, covs: np.ndarray, where: Callable[[int],
     finite = np.isfinite(scale) & np.isfinite(means).all(axis=1)
     end = means.shape[0] if finite.all() else int(np.argmin(finite))
     covs, scale = covs[:end], scale[:end]
-    asym = np.abs(covs - covs.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0) > 1e-12 * scale
+    with np.errstate(over="ignore"):  # an inf difference exceeds the tolerance too
+        asym = np.abs(covs - covs.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0) > 1e-12 * scale
     w = np.linalg.eigvalsh(symmetrize(covs))
     bad = asym | ~np.all(w >= -1e-10 * np.maximum(scale, 1e-300)[:, np.newaxis], axis=1)
     if bad.any():

@@ -37,7 +37,7 @@ def ekf_predict(
 ) -> GaussianBelief:
     """Prediction through the nonlinear dynamics with Jacobian-propagated
     covariance."""
-    return _predict(prev, model, theta, k, f"ekf_predict at k={k}")
+    return _predict(prev, model, theta, k, "ekf_predict")
 
 
 def ekf_correct(
@@ -50,7 +50,7 @@ def ekf_correct(
 ) -> KalmanStep:
     """Correction with the observation Jacobian H evaluated at the predicted
     estimate; Joseph-form covariance."""
-    return _correct(predicted, y, model, theta, k, f"ekf_correct at k={k}")
+    return _correct(predicted, y, model, theta, k, "ekf_correct")
 
 
 def propagate_nonlinear_gum_linearized(

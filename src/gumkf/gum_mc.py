@@ -184,6 +184,8 @@ def _mean_cov(parts: list) -> Tuple[np.ndarray, np.ndarray]:
     return base + mean, sums / (count - 1)
 
 
+# overflow ends as non-finite moments, which _finite_moments refuses
+@np.errstate(over="ignore", invalid="ignore")
 def finalize_stats(
     ensemble: McEnsemble, probs: Tuple[float, ...] = (0.025, 0.975)
 ) -> Tuple[GaussianBelief, np.ndarray]:
@@ -192,7 +194,7 @@ def finalize_stats(
     if ensemble.trial_count < 2:
         raise NumericError("finalize_stats requires at least 2 samples")
     joined = ensemble.joined()
-    mean, cov = _mean_cov(_chunk_moments(joined.T))
+    mean, cov = _finite_moments(_mean_cov(_chunk_moments(joined.T)), "finalize_stats")
     m = joined.shape[0]
     srt = np.sort(joined, axis=0)
     idx = [min(max(int(np.ceil(p * m)), 1), m) - 1 for p in probs]
@@ -244,10 +246,10 @@ def mc_step(
 
     theta = params if params.shape[1] else None
     # F is held to the step's end: freed before the correction, it made the heap re-fault
-    x_pred, F, cov_pred = _predict_stack(states, _soa(filter_state), Q, model, theta, k, where)
+    x_pred, F, cov_pred = _predict_stack(states, _soa(filter_state), Q, model, theta, k, "mc_step")
     x_tilde += x_pred  # the process-noise draw's own array, added to in place
     x_new, cov_new, _, _ = _correct_stack(
-        x_tilde, cov_pred, y_samples, R, model, theta, k, where, trial_start
+        x_tilde, cov_pred, y_samples, R, model, theta, k, "mc_step", trial_start
     )
 
     bad = ~np.all(np.isfinite(x_new), axis=0)

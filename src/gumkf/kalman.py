@@ -18,8 +18,8 @@ corrections of P at O(n^2 p) per trial rather than as O(n^3) products with
 I - K H.  `_predict` and `_correct` run the step on one belief, whose one
 gate is GaussianBelief's own, for kf_* and ekf_* (in `ekf`); `_scan` runs it
 over a whole record on M filters at once, the `watertank` filter scenarios
-with M = 1, and gates its stored beliefs in blocks (256 steps of one filter,
-fewer steps of many) with the same check, `core._require_beliefs`;
+with M = 1, and gates both halves of every step, kept in one buffer, after
+its loop with the same check, `core._require_beliefs`;
 `gum_mc.mc_step` runs it on a block of trials.  The stack functions and the kernel enter no error scope: each
 of these callers is one np.errstate(over="ignore", invalid="ignore") scope,
 `_scan` per record, `_predict`/`_correct` per step and `mc_step` per block
@@ -137,21 +137,23 @@ def _update(x, P, y, h, H, R, k: int, trial_start=None):
     return x_new, sym, gain, innovation
 
 
-def _predict_stack(x, P, Q, model, theta, k: int, where: str):
+def _predict_stack(x, P, Q, model, theta, k: int, step: str):
     """(f(x), F, F P F' + Q) for the states x, one vector (n,) or an (M, n)
     batch, with (f(x), F) = linearize at x and P an (n, n, M) stack; F is
     returned as the (n, n, M) or (n, n, 1) stack."""
     n, Q = P.shape[0], _at_least_2d(Q)
     fx, F = model.linearize(x, theta, k)
     if fx.shape != x.shape or F.shape not in ((n, n), x.shape[:-1] + (n, n)) or Q.shape != (n, n):
-        raise DimensionError(f"f {fx.shape}, F {F.shape} or Q {Q.shape} do not fit n={n} ({where})")
+        raise DimensionError(
+            f"f {fx.shape}, F {F.shape} or Q {Q.shape} do not fit n={n} ({step} at k={k})"
+        )
     F = _soa(F)
     cov = _mm(_mm(F, P), _t(F))
     cov += _soa(Q)
     return fx, F, cov
 
 
-def _correct_stack(x, P, y, R, model, theta, k: int, where: str, trial_start=None):
+def _correct_stack(x, P, y, R, model, theta, k: int, step: str, trial_start=None):
     """`_update` of the states x, one vector (n,) or an (M, n) batch, and the
     (n, n, M) stack P by the measurements y, (p,) or (M, p), with (h(x), H)
     = linearize_obs at x; returns `_update`'s stacks."""
@@ -159,7 +161,7 @@ def _correct_stack(x, P, y, R, model, theta, k: int, where: str, trial_start=Non
     hx, H = model.linearize_obs(x, theta, k)
     if hx.shape != lead + (p,) or H.shape not in ((p, n), lead + (p, n)) or R.shape != (p, p):
         raise DimensionError(
-            f"h {hx.shape}, H {H.shape} or R {R.shape} do not fit p={p}, n={n} ({where})"
+            f"h {hx.shape}, H {H.shape} or R {R.shape} do not fit p={p}, n={n} ({step} at k={k})"
         )
     # (d, M) views
     x, y, hx = x.reshape(-1, x.shape[-1]).T, y.reshape(-1, p).T, hx.reshape(-1, p).T
@@ -167,28 +169,27 @@ def _correct_stack(x, P, y, R, model, theta, k: int, where: str, trial_start=Non
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _predict(prev: GaussianBelief, model, theta, k: int, where: str) -> GaussianBelief:
+def _predict(prev: GaussianBelief, model, theta, k: int, step: str) -> GaussianBelief:
     """`_predict_stack` of one belief."""
-    mean, _, cov = _predict_stack(prev.mean, _soa(prev.cov), model.Q(k), model, theta, k, where)
-    return _named(where, GaussianBelief, mean, cov[:, :, 0])
+    mean, _, cov = _predict_stack(prev.mean, _soa(prev.cov), model.Q(k), model, theta, k, step)
+    return _named(f"{step} at k={k}", GaussianBelief, mean, cov[:, :, 0])
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _correct(predicted: GaussianBelief, y, model, theta, k: int, where: str) -> KalmanStep:
+def _correct(predicted: GaussianBelief, y, model, theta, k: int, step: str) -> KalmanStep:
     """`_correct_stack` of one belief by y."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     x, P, K, innovation = _correct_stack(
-        predicted.mean, _soa(predicted.cov), y, model.R(k), model, theta, k, where
+        predicted.mean, _soa(predicted.cov), y, model.R(k), model, theta, k, step
     )
-    corrected = _named(where, GaussianBelief, x[:, 0], P[:, :, 0])
+    corrected = _named(f"{step} at k={k}", GaussianBelief, x[:, 0], P[:, :, 0])
     return KalmanStep(predicted, K[:, :, 0], corrected, innovation[:, 0])
 
 
-# Beliefs (steps times nodes) the scan's gate checks in one batched
-# eigendecomposition: enough to share its overhead, few enough that the
-# stored predictions stay small.  The filters (one node) gate 256 steps at a
-# time, a bank of M nodes _GATE_BLOCK // M steps, at least one.
-_GATE_BLOCK = 256
+# Beliefs the scan's gate checks in one batched eigendecomposition: enough
+# to share its overhead, few enough that its temporaries stay small.  The
+# filters (one node) gate 256 steps at a time.
+_GATE_BLOCK = 512
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -202,62 +203,51 @@ def _scan(ys, model, x, P, theta, name: str):
     Each step k runs `_predict_stack` and `_correct_stack` on the (n, M) and
     (n, n, M) stacks, named "{name}_predict at k={k}" and "{name}_correct at
     k={k}" as kf_*/ekf_* name theirs, so a node's values are those of the
-    one-step functions bit for bit.  The whole scan, its gates too, is one
+    one-step functions bit for bit.  The whole scan, its gate too, is one
     error scope, np.errstate(over="ignore", invalid="ignore"), so overflow
-    in a model callable or the kernel ends as non-finite values.  Every
-    predicted and corrected belief passes GaussianBelief's gate,
-    `_require_beliefs`: the loop checks only that each half's means are
-    finite, since the model callables see only means and theta, and stops
-    before a non-finite one reaches them; the rest, covariances included,
-    runs on blocks of max(1, _GATE_BLOCK // M) steps, in the order predicted
-    1, corrected 1, predicted 2, ...  When the loop stops, early or at an
-    exception, the steps not yet gated are gated first, so an error names
-    the first step that fails.  Only the beliefs of one block are kept for
-    the gate, 2 * max(_GATE_BLOCK, M) * (n + n^2) doubles at most; a block's
-    corrected beliefs are copied into the results once it passes.
+    in a model callable or the kernel ends as non-finite values.  Both
+    halves are kept in one buffer, (K + 1, 2, M, n) and (K + 1, 2, M, n, n):
+    row (k, 0) the predicted beliefs of step k, row (k, 1) the corrected
+    ones, row (0, 1) the priors; the results are views of the corrected
+    rows.  The loop checks only that each half's means are finite, since the
+    model callables see only means and theta, and stops before a non-finite
+    one reaches them.  When it stops, at an exception too, every stored
+    belief passes GaussianBelief's gate, `_require_beliefs`, in the order
+    predicted 1, corrected 1, predicted 2, ..., _GATE_BLOCK at a time, so an
+    error names the first that fails.
     """
     ys = _normalize_measurements(ys)
     m, n = x.shape
-    means, covs = np.empty((ys.shape[0] + 1, m, n)), np.empty((ys.shape[0] + 1, m, n, n))
-    means[0], covs[0] = x, P
-    halves = 2 * max(1, _GATE_BLOCK // m)  # per gate block
-    gate_x, gate_p = np.empty((halves, m, n)), np.empty((halves, m, n, n))
-    first, count = 1, 0  # the first step not yet gated, and the halves stored since
+    xs, ps = np.empty((ys.shape[0] + 1, 2, m, n)), np.empty((ys.shape[0] + 1, 2, m, n, n))
+    xs[0, 1], ps[0, 1] = x, P
+    predict, correct = f"{name}_predict", f"{name}_correct"
 
-    def where(i):
+    def where(i):  # belief i in gate order, from predicted 1 of node 0
         j, node = divmod(i, m)
-        half = ("predict", "correct")[j % 2] + (f" of node {node}" if m > 1 else "")
-        return f"{name}_{half} at k={first + j // 2}"
+        half = (predict, correct)[j % 2] + (f" of node {node}" if m > 1 else "")
+        return f"{half} at k={1 + j // 2}"
 
-    def gate():  # and copy the block's corrected beliefs, which passed, into the results
-        nonlocal first, count
-        stored, count = count, 0  # a failed gate leaves nothing to gate again
-        _require_beliefs(gate_x[:stored].reshape(-1, n), gate_p[:stored].reshape(-1, n, n), where)
-        last = first + stored // 2
-        means[first:last], covs[first:last] = gate_x[1:stored:2], gate_p[1:stored:2]
-        first = last
-
+    stored = 0  # halves stored after the priors
     P = _soa(P)
     try:
         for k in range(1, ys.shape[0] + 1):
-            x, _, P = _predict_stack(x, P, model.Q(k), model, theta, k, f"{name}_predict at k={k}")
-            gate_x[count], gate_p[count] = x, P.transpose(2, 0, 1)
-            count += 1
+            x, _, P = _predict_stack(x, P, model.Q(k), model, theta, k, predict)
+            xs[k, 0], ps[k, 0] = x, P.transpose(2, 0, 1)
+            stored += 1
             if not np.isfinite(x).all():
                 break
-            x, P, _, _ = _correct_stack(
-                x, P, ys[k - 1], model.R(k), model, theta, k, f"{name}_correct at k={k}"
-            )
+            x, P, _, _ = _correct_stack(x, P, ys[k - 1], model.R(k), model, theta, k, correct)
             x = x.T
-            gate_x[count], gate_p[count] = x, P.transpose(2, 0, 1)
-            count += 1
+            xs[k, 1], ps[k, 1] = x, P.transpose(2, 0, 1)
+            stored += 1
             if not np.isfinite(x).all():
                 break
-            if count == halves:
-                gate()
-    finally:
-        gate()  # on an exception too: a failure before it is the one to report
-    return means, covs
+    finally:  # on an exception too: a failure before it is the one to report
+        gated_x, gated_p = xs.reshape(-1, n)[2 * m :], ps.reshape(-1, n, n)[2 * m :]
+        for start in range(0, stored * m, _GATE_BLOCK):
+            block = slice(start, min(start + _GATE_BLOCK, stored * m))
+            _require_beliefs(gated_x[block], gated_p[block], lambda i: where(start + i))
+    return xs[:, 1], ps[:, 1]
 
 
 def _require_index(k, signature: str) -> None:
@@ -273,7 +263,7 @@ def kf_predict(
     prev: GaussianBelief, model: LinearModel, *, theta=None, k: int = 0
 ) -> GaussianBelief:
     """Prediction step: mean F x, covariance F P F' + Q."""
-    return _predict(prev, model, theta, k, f"kf_predict at k={k}")
+    return _predict(prev, model, theta, k, "kf_predict")
 
 
 def kf_gain(predicted_cov: np.ndarray, C: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -318,7 +308,7 @@ def kf_correct(
 ) -> KalmanStep:
     """Correction step: mean shifted by gain times innovation, Joseph-form
     covariance."""
-    return _correct(predicted, y, model, theta, k, f"kf_correct at k={k}")
+    return _correct(predicted, y, model, theta, k, "kf_correct")
 
 
 def propagate_linear_gum(

@@ -106,6 +106,20 @@ class TestOverflowSafeSymmetricPart:
         with pytest.raises(DimensionError):
             symmetrize(np.zeros(shape))
 
+    @pytest.mark.parametrize(
+        "gate, message",
+        [
+            (lambda a: GaussianBelief(np.zeros(2), a), r"asymmetric beyond 1e-12 relative"),
+            (psd_sqrt, "matrix is asymmetric beyond tolerance"),
+            (assert_psd, "matrix is asymmetric beyond tolerance"),
+        ],
+        ids=["GaussianBelief", "psd_sqrt", "assert_psd"],
+    )
+    def test_asymmetry_that_overflows_the_difference_raises(self, gate, message):
+        # max - (-max) overflows to inf, which still exceeds the tolerance
+        with pytest.raises(DimensionError, match=message):
+            gate(np.array([[1.0, BIG], [-BIG, 1.0]]))
+
 
 class TestAssertPsd:
     def test_identity_true(self):

@@ -167,6 +167,12 @@ class TestFinalizeStats:
         with pytest.raises(NumericError):
             finalize_stats(McEnsemble(np.zeros((1, 1)), np.zeros((1, 0)), 0))
 
+    def test_overflowing_moments_name_finalize_stats(self):
+        # the squared deviations of +-1e155 overflow: a refusal, not a RuntimeWarning
+        ens = McEnsemble(np.array([[1e155], [-1e155], [0.0]]), np.zeros((3, 0)), 0)
+        with pytest.raises(NumericError, match=r"not finite \(finalize_stats\)$"):
+            finalize_stats(ens)
+
 
 class TestMcEnsemble:
     def test_non_finite_rejected(self):

@@ -302,9 +302,19 @@ class TestScan:
             np.testing.assert_array_equal(means[k, 0], belief.mean)
             np.testing.assert_array_equal(covs[k, 0], belief.cov)
 
+    def test_failure_named_in_a_later_gate_slice(self):
+        # belief 1499 in gate order, predicted k=3 of node 299, is in the third
+        # slice; the amplitude keeps its prior variance, 2 - 1 passes, 0.5 - 1 fails
+        q = lambda k: np.diag([0.0, -1.0]) if k == 3 else np.zeros((2, 2))
+        model = LinearModel(np.eye(2), np.array([[1.0, 0.0]]), q, np.eye(1))
+        x, P = np.zeros((300, 2)), np.array([np.diag([1.0, 2.0])] * 299 + [np.diag([1.0, 0.5])])
+        with pytest.raises(NumericError, match=r"\(kf_predict of node 299 at k=3\)$"):
+            _scan(np.zeros(5), model, x, P, None, "kf")
+
     def test_gate_buffers_shrink_with_the_nodes(self):
-        # 2000 nodes gate one step at a time: a block of 256 steps would hold
-        # 2 * 256 * 2000 * (2 + 4) doubles, 47 MiB, for a 0.55 MiB record
+        # 2000 nodes store both halves of 6 rows, 6 * 2 * 2000 * (2 + 4) doubles,
+        # 1.1 MiB, and gate 512 beliefs at a time: a gate holding 256 steps of
+        # every node would hold 2 * 256 * 2000 * (2 + 4) doubles, 47 MiB
         cfg, m = TankConfig(n_steps=5), 2000
         ys = simulate(cfg, RngStreamPlan(5)).measurements
         theta, x, P, _, _ = tank_nodes(cfg, m)

@@ -12,8 +12,8 @@ broadcast product and one reduce for a small stack, such as a filter's
 (M = 1), and a loop over the terms for a large one, such as a Monte Carlo
 block of 1e4 trials.  The sampling path is trial-axis-last too: a block of
 normal_rows and the draws of mvn_rows and mvn_sample are the (M, n) views
-of C (n, M) stacks, and _apply gives its einsum, whose sums follow the
-batch's layout, a C-ordered x.  mvn_rows, the gated draw of the Monte Carlo
+of C (n, M) stacks; _apply, a LinearModel's f and h, reads them through
+their transpose in _mm's order.  mvn_rows, the gated draw of the Monte Carlo
 steps and the particle filter, factors each distinct covariance once
 (_factor_columns, a bounded cache of psd_sqrt keyed by its bytes) and
 draws, converts and transforms only the variates of the factor's nonzero
@@ -286,29 +286,35 @@ def _at_least_2d(a: np.ndarray) -> np.ndarray:
 
 def _apply(matrix: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(matrix x, matrix) for a matrix or (M, r, c) stack and one vector or
-    an (M, c) batch; a matrix that does not fit x is a DimensionError.
-
-    The einsum gets x C-ordered: from c = 3 on its sums follow the batch's
-    layout, and a Monte Carlo block's states are the (M, c) view of a
-    (c, M) stack, where mc_batch's one-trial blocks are C-ordered."""
-    if matrix.shape[-1:] != np.shape(x)[-1:]:
-        raise DimensionError(f"matrix shape {matrix.shape} does not fit x {np.shape(x)}")
-    return np.einsum("...ij,...j->...i", matrix, np.ascontiguousarray(x)), matrix
+    an (M, c) batch, a DimensionError if they do not fit.  matrix x is _mv's
+    sum on trial-last stacks, x read through its transpose whatever its
+    layout; a filter's step takes _mm's one reduce without their reshapes.
+    A per-trial stack comes back as the view of its trial-last copy."""
+    x = np.asarray(x)
+    if matrix.shape[-1:] != x.shape[-1:]:
+        raise DimensionError(f"matrix shape {matrix.shape} does not fit x {x.shape}")
+    if matrix.ndim == 2 and x.size == x.shape[-1] < _ORDERED_TERMS:  # one state: (c,) or (1, c)
+        return np.add.reduce(matrix * x[..., np.newaxis, :], axis=-1, initial=-0.0), matrix
+    a = _soa(matrix)
+    fx = _mv(a, np.atleast_2d(x).T).T
+    if matrix.ndim == 2:
+        return fx.reshape(x.shape[:-1] + fx.shape[-1:]), matrix
+    return fx, a.transpose(2, 0, 1)
 
 
 @dataclass(frozen=True)
 class LinearModel:
     """Linear state-space system x(k+1) = F x(k) + w, y(k) = H x(k) + v.
 
-    It answers NonlinearModel's contract: f, h, F and H of (x, theta, k),
-    and the pairs (f(x), F) = linearize(x, theta, k) and (h(x), H) =
-    linearize_obs(x, theta, k), which evaluate a matrix callable once.  F
-    and H are the system matrices, exact Jacobians that ignore x.
-    `state_matrix` and `obs_matrix` may be constant arrays or callables of
-    (k, theta); noise covariances may be constant arrays or callables of k.
-    theta is None, one parameter vector, or an (M, n_theta) batch with a
-    leading trial axis; for a batch the matrix callables return (M, ., .)
-    stacks, or one matrix that holds for every trial.
+    It answers NonlinearModel's contract: f, h, F and H of (x, theta, k), and
+    the pairs (f(x), F) = linearize(x, theta, k) and (h(x), H) =
+    linearize_obs(x, theta, k), which evaluate a matrix callable once.  F and
+    H are the system matrices, exact Jacobians that ignore x, applied in _mm's
+    order (_apply).  `state_matrix` and `obs_matrix` may be constant arrays or
+    callables of (k, theta); noise covariances may be constant arrays or
+    callables of k.  theta is None, one parameter vector, or an (M, n_theta)
+    batch with a leading trial axis; for a batch the matrix callables return
+    (M, ., .) stacks, or one matrix that holds for every trial.
     """
 
     state_matrix: MatrixSpec
@@ -622,20 +628,13 @@ class RngStreamPlan:
 
 def _soa(matrix: np.ndarray) -> np.ndarray:
     """(r, c, M) stack of a (M, r, c) per-trial stack, or (r, c, 1) for one
-    matrix shared by every trial.  A float64 array is taken as it is when
-    its stack is a view of it: a matrix, or a per-trial stack filled trial
-    axis last, as the tank's Jacobian is."""
-    if type(matrix) is np.ndarray and matrix.dtype == np.float64:  # without re-wrapping
-        if matrix.ndim == 2:
-            return matrix[:, :, np.newaxis]  # the filters' Q, R and H
-        if matrix.ndim == 3:
-            a = matrix.transpose(1, 2, 0)
-            if a.flags.c_contiguous:  # e.g. a Jacobian filled trial axis last
-                return a
-    a = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if a.ndim == 2:
-        return a[:, :, np.newaxis]
-    return np.ascontiguousarray(a.transpose(1, 2, 0))  # np.moveaxis's view, without its overhead
+    matrix shared by every trial, a view of a float64 matrix or of a stack
+    filled trial axis last, as the tank's Jacobian and a LinearModel's are."""
+    if type(matrix) is not np.ndarray or matrix.dtype != np.float64:  # float64: not re-wrapped
+        matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim == 2:
+        return matrix[:, :, np.newaxis]  # the filters' Q, R and H
+    return np.ascontiguousarray(matrix.transpose(1, 2, 0))  # np.moveaxis's view, or its copy
 
 
 # _mm adds the l terms of a product in one reduce when the (i, l, j, M)
@@ -676,9 +675,9 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Per-trial product of an (i, l, .) stack and an (l, M) vector stack,
-    also for l = 0: _mm's empty sum, an (i, M) stack of -0.0."""
-    return _mm(a, v[:, np.newaxis]).reshape(a.shape[0], v.shape[1])
+    """Per-trial product of an (i, l, .) stack and an (l, .) vector stack,
+    also for l = 0: _mm's empty sum, an (i, .) stack of -0.0."""
+    return _mm(a, v[:, np.newaxis])[:, 0]
 
 
 def _t(a: np.ndarray) -> np.ndarray:

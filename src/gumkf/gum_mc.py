@@ -25,7 +25,6 @@ callable accepts one vector or a batch with a leading trial axis.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
@@ -379,9 +378,12 @@ def _run_blocks(
     where = "Monte Carlo moments of the parameters"
     param_means[:], param_covs[:] = _finite_moments(moments, where)
     store[:, :, n:] = params.T
-    workers = min(threads, len(blocks))
-    executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    mapper = map if executor is None else executor.map
+    workers, executor, mapper = min(threads, len(blocks)), None, map
+    if workers > 1:  # concurrent.futures, with logging and queue, only for threads
+        from concurrent.futures import ThreadPoolExecutor
+
+        executor = ThreadPoolExecutor(max_workers=workers)
+        mapper = executor.map
     try:
         summarize(0)
         for k in range(1, n_steps + 1):

@@ -18,8 +18,9 @@ corrections of P at O(n^2 p) per trial rather than as O(n^3) products with
 I - K H.  `_predict` and `_correct` run the step on one belief, whose one
 gate is GaussianBelief's own, for kf_* and ekf_* (in `ekf`); `_scan` runs it
 over a whole record on M filters at once, the `watertank` filter scenarios
-with M = 1, and gates both halves of every step, kept in one buffer, after
-its loop with the same check, `core._require_beliefs`;
+with M = 1, and gates both halves of every step, kept in one buffer, a
+block at a time as its loop stores them, with the same check,
+`core._require_beliefs`;
 `gum_mc.mc_step` runs it on a block of trials.  The stack functions and the kernel enter no error scope: each
 of these callers is one np.errstate(over="ignore", invalid="ignore") scope,
 `_scan` per record, `_predict`/`_correct` per step and `mc_step` per block
@@ -211,10 +212,12 @@ def _scan(ys, model, x, P, theta, name: str):
     ones, row (0, 1) the priors; the results are views of the corrected
     rows.  The loop checks only that each half's means are finite, since the
     model callables see only means and theta, and stops before a non-finite
-    one reaches them.  When it stops, at an exception too, every stored
-    belief passes GaussianBelief's gate, `_require_beliefs`, in the order
-    predicted 1, corrected 1, predicted 2, ..., _GATE_BLOCK at a time, so an
-    error names the first that fails.
+    one reaches them.  Every stored belief passes GaussianBelief's gate,
+    `_require_beliefs`, in the order predicted 1, corrected 1, predicted 2,
+    ...: each full _GATE_BLOCK of them as soon as it is stored, read from
+    the buffer, and the rest when the loop stops, at an exception too.  So
+    an error names the first belief that fails, and a failing record stops
+    within one gate block.
     """
     ys = _normalize_measurements(ys)
     m, n = x.shape
@@ -227,26 +230,35 @@ def _scan(ys, model, x, P, theta, name: str):
         half = (predict, correct)[j % 2] + (f" of node {node}" if m > 1 else "")
         return f"{half} at k={1 + j // 2}"
 
-    stored = 0  # halves stored after the priors
+    gated_x, gated_p = xs.reshape(-1, n)[2 * m :], ps.reshape(-1, n, n)[2 * m :]
+
+    def gate(start, stop):  # the stored beliefs [start, stop) in gate order
+        _require_beliefs(gated_x[start:stop], gated_p[start:stop], lambda i: where(start + i))
+
+    stored = gated = 0  # beliefs stored after the priors, and gated
     P = _soa(P)
     try:
         for k in range(1, ys.shape[0] + 1):
             x, _, P = _predict_stack(x, P, model.Q(k), model, theta, k, predict)
             xs[k, 0], ps[k, 0] = x, P.transpose(2, 0, 1)
-            stored += 1
+            stored += m
+            while stored - gated >= _GATE_BLOCK:
+                gate(gated, gated + _GATE_BLOCK)
+                gated += _GATE_BLOCK
             if not np.isfinite(x).all():
                 break
             x, P, _, _ = _correct_stack(x, P, ys[k - 1], model.R(k), model, theta, k, correct)
             x = x.T
             xs[k, 1], ps[k, 1] = x, P.transpose(2, 0, 1)
-            stored += 1
+            stored += m
+            while stored - gated >= _GATE_BLOCK:
+                gate(gated, gated + _GATE_BLOCK)
+                gated += _GATE_BLOCK
             if not np.isfinite(x).all():
                 break
     finally:  # on an exception too: a failure before it is the one to report
-        gated_x, gated_p = xs.reshape(-1, n)[2 * m :], ps.reshape(-1, n, n)[2 * m :]
-        for start in range(0, stored * m, _GATE_BLOCK):
-            block = slice(start, min(start + _GATE_BLOCK, stored * m))
-            _require_beliefs(gated_x[block], gated_p[block], lambda i: where(start + i))
+        if 0 < stored - gated < _GATE_BLOCK:  # else none is left, or a full block failed first
+            gate(gated, stored)
     return xs[:, 1], ps[:, 1]
 
 

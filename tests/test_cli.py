@@ -217,6 +217,15 @@ class TestImportFootprint:
         )
         assert out.stdout.strip() == "False False"
 
+    def test_import_loads_no_concurrent_futures(self):
+        # gum_mc imports its thread pool only for a run on two threads or more
+        code = "import sys, gumkf, gumkf.cli; print('concurrent.futures' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
+
     @pytest.mark.parametrize("first", ["gumkf", "scipy.special"])
     def test_ndtri_is_scipy_special_ndtri(self, first):
         # either import order gives the one ufunc object, leaves every

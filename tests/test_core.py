@@ -419,6 +419,57 @@ class TestSamplingLayout:
         assert self.outputs(ys, model, prior) == default
 
 
+class TestLinearModelProduct:
+    """A LinearModel's f(x) and h(x) are `_mv`'s ordered sums on trial-last
+    stacks, bit for bit, whatever the layout of the batch: from n = 3 on an
+    einsum's sums followed the layout, and from n = 8 on a reduce over the
+    row's terms would sum them pairwise."""
+
+    @staticmethod
+    def batches(rng, n, m=64):
+        stack = rng.standard_normal((n, m))  # C (n, M), as a Monte Carlo block's states
+        return {
+            "C (M, n)": np.ascontiguousarray(stack.T),
+            "F-ordered (M, n)": np.asfortranarray(stack.T),
+            "(M, n) view of C (n, M)": stack.T,
+        }
+
+    @pytest.mark.parametrize("n", [3, 4, 8, 9])
+    def test_shared_matrices_sum_in_mv_order(self, n):
+        rng = np.random.default_rng(20261020 + n)
+        F, H = rng.standard_normal((n, n)), rng.standard_normal((2, n))
+        model = LinearModel(F, H, np.eye(n), np.eye(2))
+        for matrix, linearize in ((F, model.linearize), (H, model.linearize_obs)):
+            x = rng.standard_normal(n)
+            want = _mv(_soa(matrix), x[:, np.newaxis])[:, 0]
+            fx, back = linearize(x, None, 0)
+            assert back is matrix and fx.shape == want.shape and fx.tobytes() == want.tobytes()
+            fx, _ = linearize(x[np.newaxis], None, 0)  # one filter's (1, n) state, as _scan's
+            assert fx.shape == (1,) + want.shape and fx.tobytes() == want.tobytes()
+            for layout, batch in self.batches(rng, n).items():
+                fx, _ = linearize(batch, None, 0)
+                want = _mv(_soa(matrix), np.ascontiguousarray(batch.T)).T
+                assert fx.shape == want.shape and fx.tobytes() == want.tobytes(), layout
+
+    @pytest.mark.parametrize("n", [3, 4, 8, 9])
+    def test_per_trial_matrices_reach_the_kernel_with_one_copy(self, n):
+        # the returned stack is the (M, n, n) view of the trial-last copy the
+        # product used, which _soa takes as it is
+        rng = np.random.default_rng(20261021 + n)
+        stacks = {"F": rng.standard_normal((64, n, n)), "H": rng.standard_normal((64, 2, n))}
+        model = LinearModel(lambda k, th: stacks["F"], lambda k, th: stacks["H"], np.eye(n),
+                            np.eye(2))
+        theta = np.zeros((64, 1))
+        for name, linearize in (("F", model.linearize), ("H", model.linearize_obs)):
+            for layout, batch in self.batches(rng, n).items():
+                fx, back = linearize(batch, theta, 0)
+                want = _mv(_soa(stacks[name]), np.ascontiguousarray(batch.T)).T
+                assert fx.shape == want.shape and fx.tobytes() == want.tobytes(), layout
+                np.testing.assert_array_equal(back, stacks[name])
+                trial_last = _soa(back)
+                assert trial_last.flags.c_contiguous and np.shares_memory(trial_last, back)
+
+
 class TestGaussianBelief:
     def test_dimension_mismatch_raises(self):
         with pytest.raises(DimensionError):

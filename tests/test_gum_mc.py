@@ -694,8 +694,8 @@ class TestBatchSequentialEquivalence:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_one_measurement_of_three_or_more_states_bit_identical(self, n):
         # criterion 07 for p = 1 and n >= 3: after one mc_step the states are
-        # the (M, n) view of an (n, M) stack, and the model's einsum must
-        # see them C-ordered as it sees mc_batch's one-trial blocks
+        # the (M, n) view of an (n, M) stack, while mc_batch's one-trial
+        # blocks are C-ordered; the model's product sums in _mm's order on both
         rng = np.random.default_rng(n)
         model = LinearModel(
             state_matrix=np.eye(n) + 0.1 * rng.standard_normal((n, n)),

@@ -311,6 +311,22 @@ class TestScan:
         with pytest.raises(NumericError, match=r"\(kf_predict of node 299 at k=3\)$"):
             _scan(np.zeros(5), model, x, P, None, "kf")
 
+    def test_failing_record_stops_within_one_gate_block(self):
+        # predicted k=3 fails the gate; a full gate block, 256 steps of one
+        # filter, is gated as soon as it is stored, not at the record's end
+        calls = []
+
+        def q(k):
+            calls.append(k)
+            return np.diag([0.0, -1.0]) if k == 3 else np.zeros((2, 2))
+
+        model = LinearModel(np.eye(2), np.array([1.0, 0.0]), q, 1.0)
+        x, P = np.zeros((1, 2)), np.diag([1.0, 0.5])[np.newaxis]
+        message = r"^covariance is not positive semidefinite \(kf_predict at k=3\)$"
+        with pytest.raises(NumericError, match=message):
+            _scan(np.zeros(10_000), model, x, P, None, "kf")
+        assert len(calls) <= 256
+
     def test_gate_buffers_shrink_with_the_nodes(self):
         # 2000 nodes store both halves of 6 rows, 6 * 2 * 2000 * (2 + 4) doubles,
         # 1.1 MiB, and gate 512 beliefs at a time: a gate holding 256 steps of

@@ -288,8 +288,13 @@ def _apply(matrix: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(matrix x, matrix) for a matrix or (M, r, c) stack and one vector or
     an (M, c) batch, a DimensionError if they do not fit.  matrix x is _mv's
     sum on trial-last stacks, x read through its transpose whatever its
-    layout; a filter's step takes _mm's one reduce without their reshapes.
-    A per-trial stack comes back as the view of its trial-last copy."""
+    layout.  One state, (c,) or a filter's (1, c), with a shared matrix
+    takes _mm's one reduce without their reshapes: at most 7 terms a row,
+    summed from -0.0 in index order, the same operations in the same order
+    as the state's row of a batch.  (A term loop in float64 scalars, as
+    the tank's closed forms use, made the LKF scan slower, so one state
+    keeps the reduce.)  A per-trial stack comes back as the view of its
+    trial-last copy."""
     x = np.asarray(x)
     if matrix.shape[-1:] != x.shape[-1:]:
         raise DimensionError(f"matrix shape {matrix.shape} does not fit x {x.shape}")

@@ -22,6 +22,7 @@ from .core import (
     ConfigError,
     GaussianBelief,
     LinearModel,
+    NumericError,
     ParameterKnowledge,
     RngStreamPlan,
 )
@@ -119,14 +120,21 @@ class TankConfig:
 
 def linear_model(config: TankConfig) -> LinearModel:
     """Theta-parameterized linear tank model; the state-matrix callable
-    accepts either a single parameter vector or an (M, 1) batch."""
+    accepts either a single parameter vector or an (M, 1) batch.  For None
+    or one parameter vector it evaluates the coupling in numpy float64
+    scalars, in the batch's operations and order, so its bits and
+    floating-point warnings are the batch's."""
     dt = config.dt
+    identity = np.eye(2)
 
     def state_matrix(k, theta):
-        if theta is None:
-            th = np.asarray(config.theta, dtype=float)
-        else:
-            th = np.asarray(theta, dtype=float)[..., 0]
+        if theta is None or np.ndim(theta) == 1:  # one parameter vector
+            th = np.float64(config.theta if theta is None else theta[0])
+            w = 2.0 * np.pi * th
+            out = identity.copy()
+            out[0, 1] = w * np.cos(w * ((k - 1) * dt))
+            return out
+        th = np.asarray(theta, dtype=float)[..., 0]
         w = 2.0 * np.pi * th
         coupling = w * np.cos(w * ((k - 1) * dt))
         out = np.zeros(np.shape(th) + (2, 2))
@@ -151,9 +159,45 @@ def _augmented_closed_forms(config: TankConfig) -> dict:
     state Jacobian is filled trial axis last, (3, 3, M), and returned as its
     (M, 3, 3) transposed view, which _soa takes without a copy.
     `linearization` returns (state_fn, state_jacobian) in one call, with
-    w = 2 pi theta, u = w t, cos u, sin u and w cos u evaluated once in the
-    two's expressions and order, so its bits are theirs."""
+    w = 2 pi theta, u = w t, cos u, sin u and w cos u evaluated once
+    (`_angles`) in the two's expressions and order, so its bits are theirs.
+
+    One state, (3,) or a filter's (1, 3), takes a path of its own in numpy
+    float64 scalars, in place of some twenty calls on 1-element arrays.
+    Each callable's path makes the same operations as its batch path, and no
+    other (state_fn takes no sin), in the same order, with numpy's own cos
+    and sin called on a scalar.  So its bits and floating-point warnings
+    are those of the same state as a row of a batch of any size.  The
+    observation Jacobian is one constant row, built once and read-only.
+    """
     dt = config.dt
+    obs_row = np.array([[1.0, 0.0, 0.0]])
+    obs_row.flags.writeable = False
+    identity = np.eye(3)
+    one_state = ((3,), (1, 3))  # the shapes the scalar path takes
+
+    def _angles(th, t):  # u = w t, cos u, sin u and w cos u, with w = 2 pi theta
+        w = 2.0 * np.pi * th
+        u = w * t
+        c = np.cos(u)
+        return u, c, np.sin(u), w * c
+
+    def _row(z):  # one state, (3,) or (1, 3), as its (3,) view
+        return z[0] if z.ndim == 2 else z
+
+    def _like(z, a):  # one state's f (3,) or F (3, 3) with z's leading axes
+        return a if z.ndim == 1 else a[np.newaxis]
+
+    def _one_f(v, w_cos):
+        fx = v.copy()
+        fx[0] = v[0] + w_cos * v[1]
+        return fx
+
+    def _one_jacobian(xs, w_cos, u, c, s):
+        F = identity.copy()
+        F[0, 1] = w_cos
+        F[0, 2] = xs * 2.0 * np.pi * (c - u * s)
+        return F
 
     def _jacobian(z, xs, w_cos, u, c, s):
         out = np.zeros((3, 3) + z.shape[:-1])
@@ -164,8 +208,12 @@ def _augmented_closed_forms(config: TankConfig) -> dict:
 
     def state_fn(z, _theta, k):
         z = np.asarray(z, dtype=float)
-        th = z[..., 2]
         t = (k - 1) * dt
+        if z.shape in one_state:  # the batch's expression, which takes no sin
+            v = _row(z)
+            w = 2.0 * np.pi * v[2]
+            return _like(z, _one_f(v, w * np.cos(w * t)))
+        th = z[..., 2]
         out = z.copy(order="K")  # keeps the (M, 3) view of a (3, M) stack one
         out[..., 0] += 2.0 * np.pi * th * np.cos(2.0 * np.pi * th * t) * z[..., 1]
         return out
@@ -176,26 +224,29 @@ def _augmented_closed_forms(config: TankConfig) -> dict:
     def state_jacobian(z, _theta, k):
         z = np.asarray(z, dtype=float)
         t = (k - 1) * dt
+        if z.shape in one_state:
+            v = _row(z)
+            u, c, s, w_cos = _angles(v[2], t)
+            return _like(z, _one_jacobian(v[1], w_cos, u, c, s))
         xs = z[..., 1]
-        th = z[..., 2]
-        u = 2.0 * np.pi * th * t
-        c = np.cos(u)
-        return _jacobian(z, xs, 2.0 * np.pi * th * c, u, c, np.sin(u))
+        u, c, s, w_cos = _angles(z[..., 2], t)
+        return _jacobian(z, xs, w_cos, u, c, s)
 
     def linearization(z, _theta, k):
         z = np.asarray(z, dtype=float)
         t = (k - 1) * dt
+        if z.shape in one_state:
+            v = _row(z)
+            u, c, s, w_cos = _angles(v[2], t)
+            return _like(z, _one_f(v, w_cos)), _like(z, _one_jacobian(v[1], w_cos, u, c, s))
         xs = z[..., 1]
-        w = 2.0 * np.pi * z[..., 2]
-        u = w * t
-        c = np.cos(u)
-        w_cos = w * c
+        u, c, s, w_cos = _angles(z[..., 2], t)
         out = z.copy(order="K")
         out[..., 0] += w_cos * xs
-        return out, _jacobian(z, xs, w_cos, u, c, np.sin(u))
+        return out, _jacobian(z, xs, w_cos, u, c, s)
 
     def obs_jacobian(_z, _theta, _k):
-        return np.array([[1.0, 0.0, 0.0]])
+        return obs_row
 
     return dict(
         state_fn=state_fn,
@@ -247,12 +298,19 @@ class SimulationRecord:
     measurements: np.ndarray
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def simulate(config: TankConfig, plan: RngStreamPlan) -> SimulationRecord:
     """Iterate the discrete system; state noise enters the amplitude
     component only.  Deterministic under the plan: the noise of all steps
     is drawn in one step_normals pass per label, and the recursion runs as
     cumulative sums, which add in step order, so every bit equals that of
-    a step-by-step loop drawing normal_rows(k, label, 0, 1, 1)."""
+    a step-by-step loop drawing normal_rows(k, label, 0, 1, 1).
+
+    It runs in one np.errstate(over="ignore", invalid="ignore") scope and
+    refuses a record that is not finite, e.g. of a config whose 2 pi theta
+    x_s overflows, with a NumericError naming the first time index k and
+    its series (time, level, amplitude or measurement), so no run writes
+    or filters a record with inf or nan in it."""
     n = config.n_steps
     ks = np.arange(1, n + 1)
     two_pi = 2.0 * np.pi
@@ -262,6 +320,14 @@ def simulate(config: TankConfig, plan: RngStreamPlan) -> SimulationRecord:
     level = np.cumsum(np.concatenate(([config.L0], slope)))
     measurements = level[1:] + config.sigma * plan.step_normals(ks, "sim/obs")
     times = np.arange(n + 1) * config.dt
+    # row k holds time index k's values; no measurement is taken at k = 0
+    bad = ~np.isfinite(np.stack([times, level, amp, np.concatenate(([0.0], measurements))], 1))
+    if bad.any():
+        k, series = divmod(int(np.argmax(bad)), 4)
+        raise NumericError(
+            f"simulated {('time', 'level', 'amplitude', 'measurement')[series]} "
+            f"is not finite at time index {k}"
+        )
     return SimulationRecord(times, np.stack([level, amp], axis=1), measurements)
 
 

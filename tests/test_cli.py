@@ -510,6 +510,17 @@ class TestExitCodes:
         cfg = small_config(tmp_path, tau=0.0, sigma=0.0)
         assert run(["estimate", "lkf-known", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("argv", [["simulate"], ["estimate", "lkf-known"]])
+    def test_simulation_that_overflows_is_numeric_failure(self, tmp_path, capsys, argv):
+        cfg = small_config(tmp_path, L0=-10.18, xs=7.05e292, theta=6.70e153, tau=8.1e8,
+                           sigma=0, dt=1.6e-4, n_steps=14)
+        out = tmp_path / "out"
+        assert run(argv + ["--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "gumkf: numeric failure: simulated level is not finite at time index 1\n"
+        )
+        assert not out.exists()
+
     def test_io_failure_exit_code(self, tmp_path):
         cfg = small_config(tmp_path)
         blocker = tmp_path / "blocked"

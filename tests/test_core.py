@@ -438,18 +438,25 @@ class TestLinearModelProduct:
     def test_shared_matrices_sum_in_mv_order(self, n):
         rng = np.random.default_rng(20261020 + n)
         F, H = rng.standard_normal((n, n)), rng.standard_normal((2, n))
+        F[0, :2], H[:, 0] = (4.0, -0.0), (4.0, 0.0)  # 4 x 1e308 overflows
         model = LinearModel(F, H, np.eye(n), np.eye(2))
         for matrix, linearize in ((F, model.linearize), (H, model.linearize_obs)):
             x = rng.standard_normal(n)
-            want = _mv(_soa(matrix), x[:, np.newaxis])[:, 0]
-            fx, back = linearize(x, None, 0)
-            assert back is matrix and fx.shape == want.shape and fx.tobytes() == want.tobytes()
-            fx, _ = linearize(x[np.newaxis], None, 0)  # one filter's (1, n) state, as _scan's
-            assert fx.shape == (1,) + want.shape and fx.tobytes() == want.tobytes()
+            assert linearize(x, None, 0)[1] is matrix
             for layout, batch in self.batches(rng, n).items():
-                fx, _ = linearize(batch, None, 0)
-                want = _mv(_soa(matrix), np.ascontiguousarray(batch.T)).T
-                assert fx.shape == want.shape and fx.tobytes() == want.tobytes(), layout
+                # rows of +-0 entries, and one whose products overflow
+                batch[:3] = -0.0
+                batch[1, ::2] = batch[2, 1::2] = 0.0
+                batch[2, 0] = 1e308
+                with np.errstate(over="ignore", invalid="ignore"):
+                    fx, _ = linearize(batch, None, 0)
+                    want = _mv(_soa(matrix), np.ascontiguousarray(batch.T)).T
+                    assert fx.shape == want.shape and fx.tobytes() == want.tobytes(), layout
+                    # one state, (n,) or a filter's (1, n), sums as its row of the batch
+                    for i in range(8):
+                        for one, row in ((batch[i], i), (batch[i : i + 1], slice(i, i + 1))):
+                            got = linearize(one, None, 0)[0]
+                            assert got.shape == fx[row].shape and got.tobytes() == fx[row].tobytes()
 
     @pytest.mark.parametrize("n", [3, 4, 8, 9])
     def test_per_trial_matrices_reach_the_kernel_with_one_copy(self, n):

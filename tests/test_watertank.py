@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from gumkf import (
     ConfigError,
     McEnsemble,
+    NumericError,
     RngStreamPlan,
     SimulationRecord,
     TankConfig,
@@ -126,13 +128,19 @@ class TestLinearModel:
         np.testing.assert_array_equal(model.R(1), [[cfg.sigma**2]])
 
     def test_batched_theta_matrices(self):
+        # one parameter vector, or None for config.theta, takes the scalar
+        # path: its bits are those of the same theta as a row of a batch,
+        # also at theta = +-0 and where 2 pi theta or u = w t overflows
         cfg = TankConfig()
         model = linear_model(cfg)
-        thetas = np.array([[0.7], [0.8], [0.9]])
-        F = model.F(None, thetas, 5)
-        assert F.shape == (3, 2, 2)
-        for i, th in enumerate(thetas[:, 0]):
-            np.testing.assert_allclose(F[i], model.F(None, np.array([th]), 5), rtol=1e-15)
+        thetas = np.array([[0.7], [0.8], [0.9], [0.0], [-0.0], [1e307], [1e308]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in (1, 5, 500):
+                F = model.F(None, thetas, k)
+                assert F.shape == (7, 2, 2)
+                for i, th in enumerate(thetas):
+                    assert same_bits(model.F(None, th, k), F[i])
+                assert same_bits(model.F(None, None, k), F[1])
 
     def test_prior_and_knowledge(self):
         cfg = TankConfig()
@@ -199,12 +207,24 @@ class TestLinearization:
             assert np.shares_memory(_soa(F), F)
 
 
+# one-state edge cases: +-0 entries, theta = +-0, a theta whose w cos(u) x_s
+# overflows at t = 0 and whose u = w t overflows later, and one whose w does
+EDGE_STATES = [
+    [-0.0, 0.0, 0.8],
+    [0.0, -0.0, -0.8],
+    [-0.0, 0.01, 0.0],
+    [100.0, -0.01, -0.0],
+    [1.0, 1e300, 1e307],
+    [1.0, 1.0, 1e308],
+]
+
+
 def tank_points(cfg, layout):
-    """Augmented tank states: one vector, a C (16, 3) batch or the (16, 3)
-    view of a C (3, 16) stack."""
+    """Augmented tank states: a C (16, 3) batch or the (16, 3) view of a C
+    (3, 16) stack, whose last rows are EDGE_STATES."""
     rng = np.random.default_rng(11)
-    shape = (3,) if layout == "vector" else (16, 3)
-    z = [cfg.L0, cfg.xs, cfg.theta] + rng.standard_normal(shape) * [1.0, 0.01, 0.05]
+    z = [cfg.L0, cfg.xs, cfg.theta] + rng.standard_normal((16, 3)) * [1.0, 0.01, 0.05]
+    z[-len(EDGE_STATES) :] = EDGE_STATES
     return np.ascontiguousarray(z.T).T if layout == "stack view" else z
 
 
@@ -215,16 +235,50 @@ def same_bits(a, b):
 class TestJointLinearization:
     """The tank's `linearization`, (f(x), F) in one call."""
 
-    @pytest.mark.parametrize("layout", ["vector", "batch", "stack view"])
+    @pytest.mark.parametrize("layout", ["batch", "stack view"])
     @pytest.mark.parametrize("k", [1, 2, 500])
     def test_equals_state_fn_and_state_jacobian_bit_for_bit(self, layout, k):
         cfg = TankConfig()
         forms = _augmented_closed_forms(cfg)
         z = tank_points(cfg, layout)
-        fx, F = forms["linearization"](z, None, k)
-        assert same_bits(fx, forms["state_fn"](z, None, k))
-        assert same_bits(F, forms["state_jacobian"](z, None, k))
-        assert np.shares_memory(_soa(F), F)  # the trial-last transposed view
+        with np.errstate(over="ignore", invalid="ignore"):  # EDGE_STATES overflow
+            fx, F = forms["linearization"](z, None, k)
+            assert same_bits(fx, forms["state_fn"](z, None, k))
+            assert same_bits(F, forms["state_jacobian"](z, None, k))
+            assert np.shares_memory(_soa(F), F)  # the trial-last transposed view
+            # one state, (3,) or a filter's (1, 3), takes the scalar path: its
+            # bits are those of the same state as a row of the batch
+            for i in range(z.shape[0]):
+                for one, row in ((z[i], i), (z[i : i + 1], slice(i, i + 1))):
+                    one_fx, one_F = forms["linearization"](one, None, k)
+                    assert same_bits(one_fx, fx[row]) and same_bits(one_F, F[row])
+                    assert same_bits(forms["state_fn"](one, None, k), fx[row])
+                    assert same_bits(forms["state_jacobian"](one, None, k), F[row])
+
+    def test_one_state_warns_as_the_batch_does(self):
+        # outside any error scope an overflow in the scalar path warns as in a
+        # batch: the same RuntimeWarnings, which numpy's scalars name e.g.
+        # "overflow encountered in scalar multiply"
+        cfg = TankConfig()
+        forms = _augmented_closed_forms(cfg)
+        fns = [forms[name] for name in ("state_fn", "state_jacobian", "linearization")]
+        fns.append(lambda z, _theta, k: linear_model(cfg).F(None, z[..., 2:], k))
+
+        def messages(fn, z, k):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                fn(z, None, k)
+            assert all(w.category is RuntimeWarning for w in caught)
+            return {str(w.message).replace("scalar ", "") for w in caught}
+
+        warned = set()
+        for fn in fns:
+            for z in np.array(EDGE_STATES[-2:]):
+                for k in (1, 500):
+                    batch = messages(fn, np.stack([z, z]), k)
+                    assert messages(fn, z, k) == batch == messages(fn, z[np.newaxis], k)
+                    warned |= batch
+        assert {"overflow encountered in multiply", "invalid value encountered in sin"} <= warned
 
     def test_scan_and_mc_sequential_bits_without_it(self):
         cfg = TankConfig(n_steps=40)
@@ -323,6 +377,21 @@ class TestSimulate:
         b = simulate(cfg, RngStreamPlan(42))
         np.testing.assert_array_equal(a.states, b.states)
         np.testing.assert_array_equal(a.measurements, b.measurements)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            # 2 pi theta x_s overflows at once; TankConfig accepts every field
+            ({"L0": -10.18, "xs": 7.05e292, "theta": 6.70e153, "tau": 8.1e8, "sigma": 0,
+              "dt": 1.6e-4, "n_steps": 14}, "simulated level is not finite at time index 1"),
+            ({"dt": 1e308, "n_steps": 2}, "simulated time is not finite at time index 2"),
+        ],
+        ids=["level", "time"],
+    )
+    def test_non_finite_record_refused_naming_k_and_series(self, changes, message):
+        # a RuntimeWarning would be an error here: the refusal is the only signal
+        with pytest.raises(NumericError, match=f"^{message}$"):
+            simulate(TankConfig(**changes), RngStreamPlan(42))
 
     def test_times_and_shapes(self):
         cfg = TankConfig(n_steps=12)

@@ -19,7 +19,6 @@ from .core import (
     RngStreamPlan,
     assert_psd,
     finite_difference_jacobian,
-    mvn_sample,
     psd_sqrt,
     symmetrize,
 )
@@ -37,7 +36,6 @@ from .gum_mc import (
     McEnsemble,
     McRunResult,
     RunningMoments,
-    finalize_stats,
     mc_batch,
     mc_sequential,
     mc_step,

@@ -11,13 +11,13 @@ sums its terms in one fixed order, bit for bit alike in its two forms: one
 broadcast product and one reduce for a small stack, such as a filter's
 (M = 1), and a loop over the terms for a large one, such as a Monte Carlo
 block of 1e4 trials.  The sampling path is trial-axis-last too: a block of
-normal_rows and the draws of mvn_rows and mvn_sample are the (M, n) views
-of C (n, M) stacks; _apply, a LinearModel's f and h, reads them through
-their transpose in _mm's order.  mvn_rows, the gated draw of the Monte Carlo
-steps and the particle filter, factors each distinct covariance once
-(_factor_columns, a bounded cache of psd_sqrt keyed by its bytes) and
-draws, converts and transforms only the variates of the factor's nonzero
-columns: a third fewer for the tank's Q = diag(0, tau^2, alpha^2).
+normal_rows and the draws of mvn_rows are the (M, n) views of C (n, M)
+stacks; _apply, a LinearModel's f and h, reads them through their
+transpose in _mm's order.  mvn_rows, the one Gaussian draw, factors each
+distinct covariance once (_factor_columns, a bounded cache of psd_sqrt
+keyed by its bytes) and draws, converts and transforms only the variates
+of the factor's nonzero columns: a third fewer for the tank's
+Q = diag(0, tau^2, alpha^2).
 """
 
 from __future__ import annotations
@@ -607,11 +607,11 @@ class RngStreamPlan:
         cov is factored by _factor_columns, psd_sqrt's factor (and gate,
         NumericError naming mvn_rows) cached per distinct covariance, kept
         to its nonzero columns; only those columns' variates are drawn and
-        transformed.  The result is mvn_sample(mean, cov, normal_rows(k,
-        label, start_trial, trials, n)) bit for bit but for the sign of an
-        exactly zero entry where mean is -0.0: a skipped term is a zero
-        column times a finite variate, +-0.  It is the (trials, n) view of
-        a C (n, trials) stack."""
+        transformed.  The result is _affine(mean, psd_sqrt(cov),
+        normal_rows(k, label, start_trial, trials, n)) bit for bit but for
+        the sign of an exactly zero entry where mean is -0.0: a skipped term
+        is a zero column times a finite variate, +-0.  It is the (trials, n)
+        view of a C (n, trials) stack."""
         mean = np.atleast_1d(np.asarray(mean, dtype=float))
         cov = np.atleast_2d(np.asarray(cov, dtype=float))
         if cov.shape != (mean.shape[0], mean.shape[0]):
@@ -690,27 +690,12 @@ def _t(a: np.ndarray) -> np.ndarray:
     return a.transpose(1, 0, 2)
 
 
-def mvn_sample(mean: np.ndarray, cov: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Draws from N(mean, cov), one per row of the standard-normal block z
-    (shape (M, n), e.g. from RngStreamPlan.normal_rows); returns (M, n).
-
-    Gated by psd_sqrt, which lets semidefinite covs pass (a zero cov returns
-    the mean).  Row m depends on row m of z only, bit for bit, whatever z's
-    layout; the result is the (M, n) view of a C (n, M) stack.  The gated
-    draw RngStreamPlan.mvn_rows shares its product, _affine.
-    """
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    if cov.shape != (mean.shape[0], mean.shape[0]) or z.shape[1] != mean.shape[0]:
-        raise DimensionError("mvn_sample: cov or z shape does not match mean")
-    return _affine(mean, _named("mvn_sample", psd_sqrt, cov), z)
-
-
 def _affine(mean: np.ndarray, factor: np.ndarray, z: np.ndarray) -> np.ndarray:
     """mean + factor z for each row z of the (M, l) block z and an (n, l)
-    factor, its l terms summed in column order (_mv); the (M, n) view of a
-    C (n, M) stack.  With no columns every row is -0.0 + mean, the mean."""
+    factor, its l terms summed in column order (_mv), so row m depends on
+    row m of z only, bit for bit, whatever z's layout; the (M, n) view of a
+    C (n, M) stack, mvn_rows' draw.  With no columns every row is -0.0 +
+    mean, the mean."""
     rows = _mv(_soa(factor), z.T)
     rows += mean[:, np.newaxis]
     return rows.T

@@ -25,6 +25,7 @@ callable accepts one vector or a batch with a leading trial axis.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
@@ -87,11 +88,6 @@ class McEnsemble:
         for name, value in (("states", states), ("params", self.params), ("k", k)):
             object.__setattr__(out, name, value)
         return out
-
-    def joined(self) -> np.ndarray:
-        if self.params.shape[1]:
-            return np.hstack([self.states, self.params])
-        return self.states.copy()
 
 
 class RunningMoments:
@@ -181,24 +177,6 @@ def _mean_cov(parts: list) -> Tuple[np.ndarray, np.ndarray]:
         sums = sums + chunk_sums + np.outer(delta, delta) * (count * m / total)
         count = total
     return base + mean, sums / (count - 1)
-
-
-# overflow ends as non-finite moments, which _finite_moments refuses
-@np.errstate(over="ignore", invalid="ignore")
-def finalize_stats(
-    ensemble: McEnsemble, probs: Tuple[float, ...] = (0.025, 0.975)
-) -> Tuple[GaussianBelief, np.ndarray]:
-    """Summarize a joint ensemble: mean/covariance belief plus per-coordinate
-    empirical quantiles (nearest-rank on the sorted marginal sample)."""
-    if ensemble.trial_count < 2:
-        raise NumericError("finalize_stats requires at least 2 samples")
-    joined = ensemble.joined()
-    mean, cov = _finite_moments(_mean_cov(_chunk_moments(joined.T)), "finalize_stats")
-    m = joined.shape[0]
-    srt = np.sort(joined, axis=0)
-    idx = [min(max(int(np.ceil(p * m)), 1), m) - 1 for p in probs]
-    quantiles = srt[idx].T  # (dim, len(probs))
-    return GaussianBelief(mean, cov), quantiles
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +299,8 @@ def _run_blocks(
     The trials are cut into `n_blocks` near-equal blocks, fewer when there
     are fewer trials: mc_batch asks for one per trial, mc_sequential for one
     per thread.  At each time step the blocks are advanced by mc_step with
-    trial_start=a on `threads` threads; the calling thread joins them
+    trial_start=a on `threads` threads, but on no more than there are blocks
+    or CPUs (os.cpu_count()); the calling thread joins them
     trial-axis-last and reduces the joined ensemble over the chunks of
     _chunk_moments, combined in trial order (_mean_cov).  The chunks are
     absolute trial ranges of the joined ensemble, so the block layout does
@@ -378,7 +357,7 @@ def _run_blocks(
     where = "Monte Carlo moments of the parameters"
     param_means[:], param_covs[:] = _finite_moments(moments, where)
     store[:, :, n:] = params.T
-    workers, executor, mapper = min(threads, len(blocks)), None, map
+    workers, executor, mapper = min(threads, len(blocks), os.cpu_count() or 1), None, map
     if workers > 1:  # concurrent.futures, with logging and queue, only for threads
         from concurrent.futures import ThreadPoolExecutor
 
@@ -420,7 +399,8 @@ def mc_sequential(
 ) -> McRunResult:
     """Time-major Monte Carlo: the trials advance together, split into
     `threads` near-equal blocks (one per trial when there are fewer trials
-    than threads), run on as many threads.
+    than threads), run on as many threads but at most one per CPU; no bit
+    of the result depends on the thread count.
 
     Memory use is independent of the number of time steps unless
     store_samples is requested; the one sample store, every step with

@@ -162,42 +162,25 @@ def _augmented_closed_forms(config: TankConfig) -> dict:
     w = 2 pi theta, u = w t, cos u, sin u and w cos u evaluated once
     (`_angles`) in the two's expressions and order, so its bits are theirs.
 
-    One state, (3,) or a filter's (1, 3), takes a path of its own in numpy
-    float64 scalars, in place of some twenty calls on 1-element arrays.
-    Each callable's path makes the same operations as its batch path, and no
-    other (state_fn takes no sin), in the same order, with numpy's own cos
-    and sin called on a scalar.  So its bits and floating-point warnings
-    are those of the same state as a row of a batch of any size.  The
-    observation Jacobian is one constant row, built once and read-only.
+    `linearization`, the only one a filter step calls on one state, takes a
+    path of its own for one state, (3,) or a filter's (1, 3), in numpy
+    float64 scalars in place of some twenty calls on 1-element arrays: the
+    same operations as its batch path, in the same order, with numpy's own
+    cos and sin called on a scalar.  So its bits and floating-point
+    warnings are those of the same state as a row of a batch of any size.
+    state_fn and state_jacobian run their batch expressions on every shape.
+    The observation Jacobian is one constant row, built once and read-only.
     """
     dt = config.dt
     obs_row = np.array([[1.0, 0.0, 0.0]])
     obs_row.flags.writeable = False
     identity = np.eye(3)
-    one_state = ((3,), (1, 3))  # the shapes the scalar path takes
 
     def _angles(th, t):  # u = w t, cos u, sin u and w cos u, with w = 2 pi theta
         w = 2.0 * np.pi * th
         u = w * t
         c = np.cos(u)
         return u, c, np.sin(u), w * c
-
-    def _row(z):  # one state, (3,) or (1, 3), as its (3,) view
-        return z[0] if z.ndim == 2 else z
-
-    def _like(z, a):  # one state's f (3,) or F (3, 3) with z's leading axes
-        return a if z.ndim == 1 else a[np.newaxis]
-
-    def _one_f(v, w_cos):
-        fx = v.copy()
-        fx[0] = v[0] + w_cos * v[1]
-        return fx
-
-    def _one_jacobian(xs, w_cos, u, c, s):
-        F = identity.copy()
-        F[0, 1] = w_cos
-        F[0, 2] = xs * 2.0 * np.pi * (c - u * s)
-        return F
 
     def _jacobian(z, xs, w_cos, u, c, s):
         out = np.zeros((3, 3) + z.shape[:-1])
@@ -209,10 +192,6 @@ def _augmented_closed_forms(config: TankConfig) -> dict:
     def state_fn(z, _theta, k):
         z = np.asarray(z, dtype=float)
         t = (k - 1) * dt
-        if z.shape in one_state:  # the batch's expression, which takes no sin
-            v = _row(z)
-            w = 2.0 * np.pi * v[2]
-            return _like(z, _one_f(v, w * np.cos(w * t)))
         th = z[..., 2]
         out = z.copy(order="K")  # keeps the (M, 3) view of a (3, M) stack one
         out[..., 0] += 2.0 * np.pi * th * np.cos(2.0 * np.pi * th * t) * z[..., 1]
@@ -224,10 +203,6 @@ def _augmented_closed_forms(config: TankConfig) -> dict:
     def state_jacobian(z, _theta, k):
         z = np.asarray(z, dtype=float)
         t = (k - 1) * dt
-        if z.shape in one_state:
-            v = _row(z)
-            u, c, s, w_cos = _angles(v[2], t)
-            return _like(z, _one_jacobian(v[1], w_cos, u, c, s))
         xs = z[..., 1]
         u, c, s, w_cos = _angles(z[..., 2], t)
         return _jacobian(z, xs, w_cos, u, c, s)
@@ -235,10 +210,14 @@ def _augmented_closed_forms(config: TankConfig) -> dict:
     def linearization(z, _theta, k):
         z = np.asarray(z, dtype=float)
         t = (k - 1) * dt
-        if z.shape in one_state:
-            v = _row(z)
+        if z.shape in ((3,), (1, 3)):  # one state, as its (3,) view v
+            v = z[0] if z.ndim == 2 else z
             u, c, s, w_cos = _angles(v[2], t)
-            return _like(z, _one_f(v, w_cos)), _like(z, _one_jacobian(v[1], w_cos, u, c, s))
+            fx, F = v.copy(), identity.copy()
+            fx[0] = v[0] + w_cos * v[1]
+            F[0, 1] = w_cos
+            F[0, 2] = v[1] * 2.0 * np.pi * (c - u * s)
+            return (fx, F) if z.ndim == 1 else (fx[np.newaxis], F[np.newaxis])
         xs = z[..., 1]
         u, c, s, w_cos = _angles(z[..., 2], t)
         out = z.copy(order="K")

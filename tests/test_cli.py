@@ -257,6 +257,42 @@ class TestMain:
             assert proc.returncode == code
 
 
+    def test_config_sample_exits_0_1_or_2_without_a_traceback(self, tmp_path):
+        # simulate and each scenario on a sample of the config space, in one
+        # interpreter with warnings as errors: an accepted run (0), a refused
+        # config (1) or a numeric refusal (2), each a one-line message
+        configs = [
+            {"n_steps": 6},
+            {"tau": 1e200},
+            {"L0": -10.18, "xs": 7.05e292, "theta": 6.70e153, "tau": 8.1e8, "sigma": 0,
+             "dt": 1.6e-4, "n_steps": 14},
+            {"dt": 5e-324, "xs": 1e300, "n_steps": 6},
+            {"sigma": math.sqrt(sys.float_info.max), "L0": -1e-310, "n_steps": 6},
+            {"theta": 0.0, "u_theta": 2.5e-310, "alpha": 0.0, "n_steps": 6},
+        ]
+        argvs = []
+        for i, changes in enumerate(configs):
+            path = tmp_path / f"config{i}.json"
+            path.write_text(json.dumps({"schema_version": 1, **changes}))
+            common = ["--config", str(path), "--deterministic"]
+            argvs.append(["simulate", *common, "--out", str(tmp_path / f"{i}-simulate")])
+            for name in SCENARIOS:
+                argvs.append(["estimate", name, *common, "--trials", "8", "--particles", "8",
+                              "--out", str(tmp_path / f"{i}-{name}")])
+        code = "import json, sys, gumkf.cli; print(*map(gumkf.cli.run, json.loads(sys.argv[1])))"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", code, json.dumps(argvs)],
+            env=subprocess_env(), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+        codes = [int(c) for c in proc.stdout.split()]
+        assert len(codes) == len(argvs) and set(codes) == {0, 1, 2}
+        messages = proc.stderr.splitlines()
+        assert len(messages) == codes.count(1) + codes.count(2)
+        prefixes = ("gumkf: config error: ", "gumkf: numeric failure: ")
+        assert all(m.startswith(prefixes) for m in messages)
+
+
 class TestPdfMarginal:
     def test_two_histogram_files(self, tmp_path):
         cfg = small_config(tmp_path, n_steps=30)

@@ -26,7 +26,6 @@ from gumkf import (
     linear_model,
     mc_batch,
     mc_sequential,
-    mvn_sample,
     pf_run,
     psd_sqrt,
     simulate,
@@ -38,7 +37,7 @@ from gumkf.kalman import _scan
 from gumkf.watertank import SCENARIOS
 
 from gumkf import core, gum_mc, particle
-from gumkf.core import _label_id, _mm, _mv, _require_beliefs, _soa, _stream_keys, _t
+from gumkf.core import _affine, _label_id, _mm, _mv, _require_beliefs, _soa, _stream_keys, _t
 
 from conftest import rand_pd, rand_psd
 
@@ -162,57 +161,6 @@ class TestPsdSqrt:
             assert assert_psd(cov) is False
 
 
-class TestMvnSample:
-    def test_zero_cov_returns_mean(self):
-        plan = RngStreamPlan(7)
-        mean = np.array([3.0, -1.0])
-        out = mvn_sample(mean, np.zeros((2, 2)), plan.normal_rows(0, "t", 0, 1, 2))
-        np.testing.assert_array_equal(out, mean[np.newaxis])
-
-    def test_scalar_moments(self):
-        plan = RngStreamPlan(11)
-        draws = mvn_sample([0.0], [[1.0]], plan.normal_rows(0, "t", 0, 100_000, 1))[:, 0]
-        assert abs(draws.mean()) < 0.02
-        assert abs(draws.var() - 1.0) < 0.03
-
-    def test_bivariate_covariance(self):
-        plan = RngStreamPlan(13)
-        cov = np.array([[1.0, 0.5], [0.5, 1.0]])
-        draws = mvn_sample(np.zeros(2), cov, plan.normal_rows(0, "t", 0, 100_000, 2))
-        emp = np.cov(draws.T)
-        np.testing.assert_allclose(emp, cov, atol=0.02)
-
-    def test_shape_mismatch_raises(self):
-        plan = RngStreamPlan(1)
-        with pytest.raises(DimensionError):
-            mvn_sample(np.zeros(2), np.eye(3), plan.normal_rows(0, "t", 0, 1, 2))
-
-    def test_non_psd_raises(self):
-        plan = RngStreamPlan(1)
-        with pytest.raises(NumericError):
-            mvn_sample(np.zeros(2), np.diag([1.0, -1.0]), plan.normal_rows(0, "t", 0, 1, 2))
-
-    def test_c_ordered_rows(self):
-        # the draws are the (M, n) view of a C (n, M) stack, as the block
-        # from normal_rows is, with the values of L z + mean row by row
-        z = RngStreamPlan(2).normal_rows(0, "t", 0, 5, 3)
-        mean = np.array([1.0, -2.0, 0.5])
-        cov = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 0.5]])
-        draws = mvn_sample(mean, cov, z)
-        assert z.T.flags["C_CONTIGUOUS"] and draws.T.flags["C_CONTIGUOUS"]
-        factor = psd_sqrt(cov)
-        expected = np.add(_mv(_soa(factor), z.T).T, mean, order="C")
-        assert draws.tobytes() == expected.tobytes()
-
-    def test_zero_dimensional_draw(self):
-        assert mvn_sample(np.zeros(0), np.zeros((0, 0)), np.zeros((4, 0))).shape == (4, 0)
-
-    def test_reproducible(self):
-        a = mvn_sample(np.zeros(2), np.eye(2), RngStreamPlan(5).normal_rows(9, "x", 3, 1, 2))
-        b = mvn_sample(np.zeros(2), np.eye(2), RngStreamPlan(5).normal_rows(9, "x", 3, 1, 2))
-        np.testing.assert_array_equal(a, b)
-
-
 class TestEmptyProduct:
     """_mm's ordered reduce is also the empty product (l = 0): the empty sum,
     -0.0, so _mv and the gated draws need no branch for a factor with no
@@ -233,7 +181,7 @@ class TestEmptyProduct:
         plan = RngStreamPlan(3)
         rows = plan.mvn_rows(1, "t", 0, 7, mean, q)
         assert np.ascontiguousarray(rows).tobytes() == expected
-        draws = mvn_sample(mean, q, plan.normal_rows(1, "t", 0, 7, 3))
+        draws = _affine(mean, psd_sqrt(q), plan.normal_rows(1, "t", 0, 7, 3))
         assert np.ascontiguousarray(draws).tobytes() == expected
 
 
@@ -254,14 +202,61 @@ def gated_draw_case(seed, n, rank, zeros, mean_kind):
 class TestMvnRows:
     """RngStreamPlan.mvn_rows, the gated draw: psd_sqrt's factor cached per
     distinct covariance and kept to its nonzero columns, whose variates
-    alone are drawn.  It equals mvn_sample over normal_rows bit for bit."""
+    alone are drawn.  It equals _affine of psd_sqrt's whole factor over
+    normal_rows bit for bit."""
+
+    def test_zero_cov_returns_mean(self):
+        mean = np.array([3.0, -1.0])
+        out = RngStreamPlan(7).mvn_rows(0, "t", 0, 1, mean, np.zeros((2, 2)))
+        np.testing.assert_array_equal(out, mean[np.newaxis])
+
+    def test_scalar_moments(self):
+        draws = RngStreamPlan(11).mvn_rows(0, "t", 0, 100_000, [0.0], [[1.0]])[:, 0]
+        assert abs(draws.mean()) < 0.02
+        assert abs(draws.var() - 1.0) < 0.03
+
+    def test_bivariate_covariance(self):
+        cov = np.array([[1.0, 0.5], [0.5, 1.0]])
+        draws = RngStreamPlan(13).mvn_rows(0, "t", 0, 100_000, np.zeros(2), cov)
+        emp = np.cov(draws.T)
+        np.testing.assert_allclose(emp, cov, atol=0.02)
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(DimensionError):
+            RngStreamPlan(1).mvn_rows(0, "t", 0, 1, np.zeros(2), np.eye(3))
+
+    def test_non_psd_raises(self):
+        with pytest.raises(NumericError):
+            RngStreamPlan(1).mvn_rows(0, "t", 0, 1, np.zeros(2), np.diag([1.0, -1.0]))
+
+    def test_c_ordered_rows(self):
+        # the draws are the (M, n) view of a C (n, M) stack, as the block
+        # from normal_rows is, with the values of L z + mean row by row
+        plan = RngStreamPlan(2)
+        z = plan.normal_rows(0, "t", 0, 5, 3)
+        mean = np.array([1.0, -2.0, 0.5])
+        cov = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 0.5]])
+        draws = plan.mvn_rows(0, "t", 0, 5, mean, cov)
+        assert z.T.flags["C_CONTIGUOUS"] and draws.T.flags["C_CONTIGUOUS"]
+        factor = psd_sqrt(cov)
+        expected = np.add(_mv(_soa(factor), z.T).T, mean, order="C")
+        assert draws.tobytes() == expected.tobytes()
+
+    def test_zero_dimensional_draw(self):
+        draws = RngStreamPlan(1).mvn_rows(0, "t", 0, 4, np.zeros(0), np.zeros((0, 0)))
+        assert draws.shape == (4, 0)
+
+    def test_reproducible(self):
+        a = RngStreamPlan(5).mvn_rows(9, "x", 3, 1, np.zeros(2), np.eye(2))
+        b = RngStreamPlan(5).mvn_rows(9, "x", 3, 1, np.zeros(2), np.eye(2))
+        np.testing.assert_array_equal(a, b)
 
     @staticmethod
-    def assert_matches_mvn_sample(seed, n, rank, zeros, mean_kind, k, start, trials):
+    def assert_matches_affine(seed, n, rank, zeros, mean_kind, k, start, trials):
         mean, cov = gated_draw_case(seed, n, rank, zeros, mean_kind)
         plan = RngStreamPlan(seed)
         draws = plan.mvn_rows(k, "lbl", start, trials, mean, cov)
-        expected = mvn_sample(mean, cov, plan.normal_rows(k, "lbl", start, trials, n))
+        expected = _affine(mean, psd_sqrt(cov), plan.normal_rows(k, "lbl", start, trials, n))
         assert draws.shape == expected.shape == (trials, n)
         assert draws.T.flags["C_CONTIGUOUS"]
         assert np.ascontiguousarray(draws).tobytes() == np.ascontiguousarray(expected).tobytes()
@@ -276,9 +271,9 @@ class TestMvnRows:
         st.integers(1, 40),
     )
     @settings(max_examples=60, deadline=None)
-    def test_equals_mvn_sample_of_normal_rows(self, seed, shape, mean_kind, k, start, trials):
+    def test_equals_affine_of_normal_rows(self, seed, shape, mean_kind, k, start, trials):
         n, rank, zeros = shape
-        self.assert_matches_mvn_sample(seed, n, rank, zeros, mean_kind, k, start, trials)
+        self.assert_matches_affine(seed, n, rank, zeros, mean_kind, k, start, trials)
 
     @pytest.mark.parametrize(
         "seed, n, rank, zeros",
@@ -292,8 +287,8 @@ class TestMvnRows:
         ],
     )
     @pytest.mark.parametrize("mean_kind", ["zero", "nonzero"])
-    def test_seeded_cases_equal_mvn_sample(self, seed, n, rank, zeros, mean_kind):
-        self.assert_matches_mvn_sample(seed, n, rank, zeros, mean_kind, 7, 13, 300)
+    def test_seeded_cases_equal_affine_of_normal_rows(self, seed, n, rank, zeros, mean_kind):
+        self.assert_matches_affine(seed, n, rank, zeros, mean_kind, 7, 13, 300)
 
     def test_zero_columns_are_not_drawn(self):
         # Q = diag(0, tau^2, alpha^2): the level's column of the factor is 0,

@@ -1,6 +1,8 @@
 """Monte Carlo propagation: per-step engine, batch/sequential modes, and
 streaming statistics."""
 
+import concurrent.futures
+import os
 import tracemalloc
 
 import numpy as np
@@ -19,7 +21,6 @@ from gumkf import (
     RngStreamPlan,
     RunningMoments,
     TankConfig,
-    finalize_stats,
     frequency_knowledge,
     kf_correct,
     kf_predict,
@@ -27,7 +28,6 @@ from gumkf import (
     mc_batch,
     mc_sequential,
     mc_step,
-    mvn_sample,
     psd_sqrt,
     simulate,
     state_prior,
@@ -35,6 +35,7 @@ from gumkf import (
     ekf_correct,
 )
 from gumkf import gum_mc
+from gumkf.core import _affine
 
 from conftest import rand_pd, rand_psd, rel_err
 
@@ -132,6 +133,10 @@ class TestChunkedMoments:
         assert rel_err(cov, np.asarray(ref_cov, dtype=float)) < 1e-10
         np.testing.assert_array_equal(cov, cov.T)
 
+    def test_identical_samples_zero_cov(self):
+        _, cov = chunked_mean_cov(np.full((2, 10), 3.0))
+        np.testing.assert_allclose(cov, 0.0, atol=1e-15)
+
     def test_no_coordinates(self):
         mean, cov = chunked_mean_cov(np.zeros((0, 5)))
         assert mean.shape == (0,) and cov.shape == (0, 0)
@@ -142,36 +147,6 @@ class TestChunkedMoments:
         assert f_ordered.flags.f_contiguous and not f_ordered.flags.c_contiguous
         for got, want in zip(chunked_mean_cov(f_ordered), chunked_mean_cov(x)):
             np.testing.assert_array_equal(got, want)
-
-
-class TestFinalizeStats:
-    def test_two_scalar_samples(self):
-        ens = McEnsemble(np.array([[0.0], [2.0]]), np.zeros((2, 0)), 0)
-        belief, _ = finalize_stats(ens)
-        assert belief.mean[0] == pytest.approx(1.0)
-        assert belief.cov[0, 0] == pytest.approx(2.0)
-
-    def test_identical_samples_zero_cov(self):
-        ens = McEnsemble(np.full((10, 2), 3.0), np.zeros((10, 0)), 0)
-        belief, _ = finalize_stats(ens)
-        np.testing.assert_allclose(belief.cov, 0.0, atol=1e-15)
-
-    def test_normal_quantiles(self):
-        draws = RngStreamPlan(3).normal_rows(0, "q", 0, 100_000, 1)
-        ens = McEnsemble(draws, np.zeros((100_000, 0)), 0)
-        _, quantiles = finalize_stats(ens, probs=(0.025, 0.975))
-        assert quantiles[0, 0] == pytest.approx(-1.96, abs=0.02)
-        assert quantiles[0, 1] == pytest.approx(1.96, abs=0.02)
-
-    def test_single_sample_raises(self):
-        with pytest.raises(NumericError):
-            finalize_stats(McEnsemble(np.zeros((1, 1)), np.zeros((1, 0)), 0))
-
-    def test_overflowing_moments_name_finalize_stats(self):
-        # the squared deviations of +-1e155 overflow: a refusal, not a RuntimeWarning
-        ens = McEnsemble(np.array([[1e155], [-1e155], [0.0]]), np.zeros((3, 0)), 0)
-        with pytest.raises(NumericError, match=r"not finite \(finalize_stats\)$"):
-            finalize_stats(ens)
 
 
 class TestMcEnsemble:
@@ -192,10 +167,6 @@ class TestMcEnsemble:
             McEnsemble(states, params, 4)
         with pytest.raises(NumericError, match=r"^non-finite sample in trial 3 at time index 4$"):
             McEnsemble(states, np.zeros((5, 0)), 4)
-
-    def test_joined_keeps_pairs(self):
-        ens = McEnsemble(np.array([[1.0], [2.0]]), np.array([[10.0], [20.0]]), 0)
-        np.testing.assert_array_equal(ens.joined(), [[1.0, 10.0], [2.0, 20.0]])
 
 
 class TestMcStep:
@@ -270,11 +241,13 @@ class TestMcStep:
         else:
             model, prior, knowledge = linear_model(cfg), state_prior(cfg), frequency_knowledge(cfg)
         m, n, k = 64, prior.dim, 6
-        states = mvn_sample(prior.mean, prior.cov, rng.standard_normal((m, n)))
+        states = _affine(prior.mean, psd_sqrt(prior.cov), rng.standard_normal((m, n)))
         if knowledge is None:
             params = np.zeros((m, 0))
         else:
-            params = mvn_sample(knowledge.estimate, knowledge.cov, rng.standard_normal((m, 1)))
+            params = _affine(
+                knowledge.estimate, psd_sqrt(knowledge.cov), rng.standard_normal((m, 1))
+            )
         covs = np.stack([prior.cov + rand_psd(rng, n, 1e-4) for _ in range(m)])
         ens = McEnsemble(states, params, k - 1)
         y = record.measurements[k - 1]
@@ -636,6 +609,38 @@ class TestBatchSequentialEquivalence:
         assert serial.records.keys() == threaded.records.keys()
         for k in serial.records:
             np.testing.assert_array_equal(serial.records[k], threaded.records[k])
+
+    def test_thread_pool_holds_at_most_one_worker_per_cpu(self, monkeypatch):
+        # 16 threads on a 2-CPU host: 16 blocks, one per requested thread,
+        # run on a pool of 2 workers.  The fake pool records its size and
+        # runs map in the calling thread, so the test starts no thread.
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def map(self, fn, iterable):
+                return list(map(fn, iterable))
+
+            def shutdown(self):
+                pass
+
+        cfg = TankConfig(n_steps=3)
+        plan = RngStreamPlan(42)
+        args = (simulate(cfg, plan).measurements, linear_model(cfg), state_prior(cfg),
+                frequency_knowledge(cfg), plan, 64)
+        serial = mc_sequential(*args)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        starts = spy_block_starts(monkeypatch)
+        capped = mc_sequential(*args, threads=16)
+        assert pools == [2]
+        assert starts == {(4, a) for a in range(0, 64, 4)}
+        for name in ("state_means", "state_covs", "param_means", "param_covs"):
+            np.testing.assert_array_equal(
+                getattr(serial, name), getattr(capped, name), err_msg=name
+            )
 
     @staticmethod
     def assert_layouts_bit_identical():

@@ -1,14 +1,18 @@
 """Water-tank benchmark: configuration, simulation, and the five scenarios."""
 
 import math
+import operator
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gumkf import (
+    CapacityError,
     ConfigError,
     McEnsemble,
     NumericError,
@@ -32,7 +36,7 @@ from gumkf.core import DimensionError, _soa
 from gumkf.gum_mc import mc_sequential
 from gumkf.kalman import _scan
 from gumkf.particle import pf_run
-from gumkf.watertank import _augmented_closed_forms
+from gumkf.watertank import SCENARIOS, _augmented_closed_forms
 
 from conftest import rel_err
 
@@ -474,3 +478,68 @@ class TestScenarios:
         cfg = TankConfig(n_steps=10)
         with pytest.raises(ConfigError, match="horizon"):
             scenario("pf", cfg, RngStreamPlan(1), n_particles=100, record_at_times=(2.0,))
+
+
+SQRT_MAX = math.sqrt(sys.float_info.max)
+DEFAULTS = TankConfig()
+
+
+def config_field(name):
+    """Values of a float TankConfig field: its default, 0, a subnormal, a
+    log-uniform scale of the default, 1e100 to 1e308, a few ulps either
+    side of the noise fields' sqrt(max float) bound, or a negative scale."""
+    default = getattr(DEFAULTS, name)
+    scale = st.floats(-20.0, 20.0).map(lambda e: default * 10.0**e)
+    return st.one_of(
+        st.just(None if name in ("u_theta", "alpha") else default),
+        st.just(0.0),
+        st.floats(5e-324, 2.2e-308),
+        scale,
+        st.floats(100.0, 308.0).map(lambda e: 10.0**e),
+        st.integers(-3, 3).map(lambda i: SQRT_MAX + i * math.ulp(SQRT_MAX)),
+        scale.map(operator.neg),
+    )
+
+
+CONFIG_SPACE = st.fixed_dictionaries(
+    {f.name: config_field(f.name) for f in fields(TankConfig) if f.name != "n_steps"}
+    | {"n_steps": st.integers(1, 15)}
+)
+
+
+def all_finite(*arrays):
+    return all(a is None or np.isfinite(a).all() for a in arrays)
+
+
+class TestConfigSpace:
+    """A config TankConfig accepts ends, in simulate and in each scenario,
+    in all-finite numbers with u >= 0 or in a named refusal, never in a
+    warning (an error here) or another exception."""
+
+    # the two ways an accepted config makes simulate overflow, which the
+    # draws reach in about one config in 300: 2 pi theta x_s, and t = k dt
+    @example({"L0": -10.18, "xs": 7.05e292, "theta": 6.70e153, "tau": 8.1e8, "sigma": 0.0,
+              "dt": 1.6e-4, "n_steps": 14})
+    @example({"dt": 1e308, "n_steps": 2})
+    @given(CONFIG_SPACE)
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_finite_numbers_or_a_named_refusal(self, changes):
+        refusals = (ConfigError, NumericError, CapacityError)
+        try:
+            cfg = TankConfig(**changes)
+        except ConfigError:
+            return
+        try:
+            record = simulate(cfg, RngStreamPlan(42))
+        except refusals:
+            pass
+        else:
+            assert all_finite(record.times, record.states, record.measurements)
+        for name in SCENARIOS:
+            try:
+                rep = scenario(name, cfg, RngStreamPlan(42), trials=8, n_particles=8)
+            except refusals:
+                continue
+            assert all_finite(rep.state_est, rep.state_u, rep.theta_est, rep.theta_u), name
+            assert np.all(rep.state_u >= 0.0), name
+            assert rep.theta_u is None or np.all(rep.theta_u >= 0.0), name

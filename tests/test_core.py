@@ -320,6 +320,12 @@ class TestMvnRows:
         expected = np.ascontiguousarray(full[:, columns])
         assert np.ascontiguousarray(block).tobytes() == expected.tobytes()
 
+    def test_normal_quantiles(self):
+        draws = RngStreamPlan(3).normal_rows(0, "q", 0, 100_000, 1)
+        lo, hi = np.quantile(draws[:, 0], (0.025, 0.975))
+        assert lo == pytest.approx(-1.96, abs=0.02)
+        assert hi == pytest.approx(1.96, abs=0.02)
+
     @pytest.mark.parametrize("columns", [[3], [-1], [0, 5]])
     def test_columns_outside_the_width_refused(self, columns):
         with pytest.raises(DimensionError, match="outside width 3"):

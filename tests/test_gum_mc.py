@@ -133,6 +133,10 @@ class TestChunkedMoments:
         assert rel_err(cov, np.asarray(ref_cov, dtype=float)) < 1e-10
         np.testing.assert_array_equal(cov, cov.T)
 
+    def test_two_scalar_samples(self):
+        mean, cov = chunked_mean_cov(np.array([[0.0, 2.0]]))
+        assert mean.tolist() == [1.0] and cov.tolist() == [[2.0]]
+
     def test_identical_samples_zero_cov(self):
         _, cov = chunked_mean_cov(np.full((2, 10), 3.0))
         np.testing.assert_allclose(cov, 0.0, atol=1e-15)

@@ -131,26 +131,74 @@ def _scale(a: np.ndarray) -> float:
 
 
 def _psd(w: np.ndarray, scale: float, tol: float) -> bool:
-    """The eigenvalue test of every PSD gate: w, the eigenvalues of a matrix
-    whose largest absolute entry is `scale`, are >= -tol * scale."""
+    """The eigenvalue test of the one-matrix gates assert_psd, require_psd
+    and psd_sqrt: w, the eigenvalues of a matrix whose largest absolute
+    entry is `scale`, are >= -tol * scale.  These keep eigenvalues because
+    psd_sqrt needs the eigendecomposition for its factor anyway; the belief
+    gate, _require_beliefs, makes the same test by _pivots_positive."""
     return w.size == 0 or bool(w.min() >= -tol * max(scale, 1e-300))
+
+
+def _pivots_positive(sym: np.ndarray, scale: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each finite symmetric matrix of the (N, d, d) stack sym passes
+    the eigenvalue test of _psd, eigenvalues >= -tol * max(scale, 1e-300)
+    with scale (N,) its largest absolute entry, tested as the shifted LDL'
+    pivot test (Golub & Van Loan, Matrix Computations, sections 4.1-4.2):
+    sym / max(scale, 1e-300) + tol I has positive pivots.  Elimination
+    without pivoting runs on the trial-last (d, d, N) view, one vector
+    operation over the stack per entry block and a loop over d.  Dividing
+    by the scale first keeps every entry at most 1 in magnitude, so a
+    positive definite matrix's elimination stays bounded and no product of
+    entries near the largest float overflows.  The two tests differ only
+    where rounding decides, for a smallest eigenvalue within a few ulps of
+    the threshold.  A matrix whose pivot fails goes on with meaningless or
+    non-finite values, in its own lane, which its failed flag discards.  One
+    matrix, a GaussianBelief's, takes the same operations in the same order
+    in Python floats, stopping at its first failed pivot."""
+    n, d = sym.shape[:2]
+    a = sym / np.maximum(scale, 1e-300)[:, np.newaxis, np.newaxis]
+    if n == 1:
+        return np.array([_one_pivots_positive(a[0].tolist(), tol)])
+    a.reshape(n, d * d)[:, :: d + 1] += tol
+    a = a.transpose(1, 2, 0)
+    ok = np.ones(n, dtype=bool)
+    with np.errstate(all="ignore"):
+        for j in range(d):
+            ok &= a[j, j] > 0.0
+            if j + 1 < d:
+                a[j + 1 :, j + 1 :] -= (a[j + 1 :, j] / a[j, j])[:, np.newaxis] * a[j, j + 1 :]
+    return ok
+
+
+def _one_pivots_positive(a: list, tol: float) -> bool:
+    """_pivots_positive of one matrix, given as its list of rows."""
+    for j, row in enumerate(a):
+        row[j] += tol
+    for j, row in enumerate(a):
+        if not row[j] > 0.0:
+            return False
+        for below in a[j + 1 :]:
+            ratio = below[j] / row[j]
+            for k in range(j + 1, len(row)):
+                below[k] -= ratio * row[k]
+    return True
 
 
 def _require_beliefs(means: np.ndarray, covs: np.ndarray, where: Callable[[int], str]) -> None:
     """The gate of every belief, on the stacks means (N, d) and covs (N, d,
     d): finite mean and covariance, covariance symmetric to 1e-12 and with
-    eigenvalues >= -1e-10 relative to its largest absolute entry.  The
-    first belief that fails, i, raises naming where(i): NumericError when
-    not finite or not PSD, DimensionError when asymmetric.  The symmetry and
-    eigenvalue tests run on the beliefs before the first non-finite one."""
+    eigenvalues >= -1e-10 relative to its largest absolute entry, tested
+    without an eigendecomposition by _pivots_positive.  The first belief
+    that fails, i, raises naming where(i): NumericError when not finite or
+    not PSD, DimensionError when asymmetric.  The symmetry and PSD tests
+    run on the beliefs before the first non-finite one."""
     scale = np.abs(covs).max(axis=(1, 2), initial=0.0)  # a NaN makes scale NaN
     finite = np.isfinite(scale) & np.isfinite(means).all(axis=1)
     end = means.shape[0] if finite.all() else int(np.argmin(finite))
     covs, scale = covs[:end], scale[:end]
     with np.errstate(over="ignore"):  # an inf difference exceeds the tolerance too
         asym = np.abs(covs - covs.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0) > 1e-12 * scale
-    w = np.linalg.eigvalsh(symmetrize(covs))
-    bad = asym | ~np.all(w >= -1e-10 * np.maximum(scale, 1e-300)[:, np.newaxis], axis=1)
+    bad = asym | ~_pivots_positive(symmetrize(covs), scale, 1e-10)
     if bad.any():
         i = int(np.argmax(bad))
         if asym[i]:
@@ -170,7 +218,10 @@ def _finite_moments(moments: Tuple[np.ndarray, np.ndarray], where: str):
 
 
 def require_psd(cov: np.ndarray, tol: float = 1e-10, context: str = "") -> np.ndarray:
-    """Gate used after every filter step; raises NumericError on failure."""
+    """assert_psd's eigenvalue test of one matrix as a gate: cov, or a
+    NumericError naming `context`.  It gates ParameterKnowledge's covariance
+    and split_update's state and parameter blocks; no filter step calls it,
+    since their beliefs pass GaussianBelief's gate, _require_beliefs."""
     if not assert_psd(cov, tol):
         where = f" ({context})" if context else ""
         raise NumericError(f"covariance is not positive semidefinite{where}")
@@ -279,6 +330,20 @@ def _eval_matrix(spec: MatrixSpec, *args) -> np.ndarray:
     return np.asarray(spec, dtype=float)
 
 
+_F64 = np.dtype(np.float64)
+
+
+def _rows(out, x) -> np.ndarray:
+    """A model callable's output for the states x as float64 rows with the
+    leading axes of x, (..., -1): out itself when it already is one, else
+    np.asarray and reshape, the same values in the same memory."""
+    shape = np.shape(x)
+    if type(out) is np.ndarray and out.dtype is _F64 and out.shape[:-1] == shape[:-1]:
+        if out.ndim == len(shape):
+            return out
+    return np.asarray(out, dtype=float).reshape(shape[:-1] + (-1,))
+
+
 def _at_least_2d(a: np.ndarray) -> np.ndarray:
     """np.atleast_2d of an array, called only when it has fewer axes."""
     return a if a.ndim >= 2 else np.atleast_2d(a)
@@ -379,12 +444,10 @@ class NonlinearModel:
     linearization: Optional[Callable] = None
 
     def f(self, x: np.ndarray, theta, k: int) -> np.ndarray:
-        out = np.asarray(self.state_fn(x, theta, k), dtype=float)
-        return out.reshape(np.shape(x)[:-1] + (-1,))
+        return _rows(self.state_fn(x, theta, k), x)
 
     def h(self, x: np.ndarray, theta, k: int) -> np.ndarray:
-        out = np.asarray(self.obs_fn(x, theta, k), dtype=float)
-        return out.reshape(np.shape(x)[:-1] + (-1,))
+        return _rows(self.obs_fn(x, theta, k), x)
 
     def F(self, x: np.ndarray, theta, k: int) -> np.ndarray:
         if self.state_jacobian is not None:
@@ -400,8 +463,10 @@ class NonlinearModel:
         if self.linearization is None:
             return self.f(x, theta, k), self.F(x, theta, k)
         fx, F = self.linearization(x, theta, k)
-        fx = np.asarray(fx, dtype=float).reshape(np.shape(x)[:-1] + (-1,))
-        return fx, np.asarray(F, dtype=float)
+        if type(fx) is np.ndarray is type(F) and fx.dtype is _F64 is F.dtype:
+            if fx.shape == np.shape(x):  # what the conversions below would return, uncalled
+                return fx, F
+        return _rows(fx, x), np.asarray(F, dtype=float)
 
     def linearize_obs(self, x: np.ndarray, theta, k: int) -> Tuple[np.ndarray, np.ndarray]:
         return self.h(x, theta, k), self.H(x, theta, k)

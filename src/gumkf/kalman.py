@@ -20,7 +20,8 @@ gate is GaussianBelief's own, for kf_* and ekf_* (in `ekf`); `_scan` runs it
 over a whole record on M filters at once, the `watertank` filter scenarios
 with M = 1, and gates both halves of every step, kept in one buffer, a
 block at a time as its loop stores them, with the same check,
-`core._require_beliefs`;
+`core._require_beliefs`, whose PSD test is a shifted LDL' pivot test over
+the block rather than an eigendecomposition;
 `gum_mc.mc_step` runs it on a block of trials.  The stack functions and the kernel enter no error scope: each
 of these callers is one np.errstate(over="ignore", invalid="ignore") scope,
 `_scan` per record, `_predict`/`_correct` per step and `mc_step` per block
@@ -32,6 +33,7 @@ with numpy behind a Cholesky gate of its own.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -187,8 +189,9 @@ def _correct(predicted: GaussianBelief, y, model, theta, k: int, step: str) -> K
     return KalmanStep(predicted, K[:, :, 0], corrected, innovation[:, 0])
 
 
-# Beliefs the scan's gate checks in one batched eigendecomposition: enough
-# to share its overhead, few enough that its temporaries stay small.  The
+# Beliefs the scan's gate checks in one call, whose pivot test runs one
+# vector operation per entry block over them all: enough to share the
+# per-call overhead, few enough that its temporaries stay small.  The
 # filters (one node) gate 256 steps at a time.
 _GATE_BLOCK = 512
 
@@ -210,14 +213,16 @@ def _scan(ys, model, x, P, theta, name: str):
     halves are kept in one buffer, (K + 1, 2, M, n) and (K + 1, 2, M, n, n):
     row (k, 0) the predicted beliefs of step k, row (k, 1) the corrected
     ones, row (0, 1) the priors; the results are views of the corrected
-    rows.  The loop checks only that each half's means are finite, since the
-    model callables see only means and theta, and stops before a non-finite
-    one reaches them.  Every stored belief passes GaussianBelief's gate,
-    `_require_beliefs`, in the order predicted 1, corrected 1, predicted 2,
-    ...: each full _GATE_BLOCK of them as soon as it is stored, read from
-    the buffer, and the rest when the loop stops, at an exception too.  So
-    an error names the first belief that fails, and a failing record stops
-    within one gate block.
+    rows.  The loop checks only that each half's means are finite, on their
+    Python floats (exact, and cheaper than np.isfinite for a few filters),
+    since the model callables see only means and theta, and stops before a
+    non-finite one reaches them.  Every stored belief passes
+    GaussianBelief's gate, `_require_beliefs`, in the order predicted 1,
+    corrected 1, predicted 2, ...: each full _GATE_BLOCK of them as soon as
+    it is stored, read from the buffer, in one pivot test over the block,
+    and the rest when the loop stops, at an exception too.  So an error
+    names the first belief that fails, and a failing record stops within
+    one gate block.
     """
     ys = _normalize_measurements(ys)
     m, n = x.shape
@@ -245,7 +250,7 @@ def _scan(ys, model, x, P, theta, name: str):
             while stored - gated >= _GATE_BLOCK:
                 gate(gated, gated + _GATE_BLOCK)
                 gated += _GATE_BLOCK
-            if not np.isfinite(x).all():
+            if not all(map(math.isfinite, x.ravel().tolist())):
                 break
             x, P, _, _ = _correct_stack(x, P, ys[k - 1], model.R(k), model, theta, k, correct)
             x = x.T
@@ -254,7 +259,7 @@ def _scan(ys, model, x, P, theta, name: str):
             while stored - gated >= _GATE_BLOCK:
                 gate(gated, gated + _GATE_BLOCK)
                 gated += _GATE_BLOCK
-            if not np.isfinite(x).all():
+            if not all(map(math.isfinite, x.ravel().tolist())):
                 break
     finally:  # on an exception too: a failure before it is the one to report
         if 0 < stored - gated < _GATE_BLOCK:  # else none is left, or a full block failed first

@@ -37,7 +37,17 @@ from gumkf.kalman import _scan
 from gumkf.watertank import SCENARIOS
 
 from gumkf import core, gum_mc, particle
-from gumkf.core import _affine, _label_id, _mm, _mv, _require_beliefs, _soa, _stream_keys, _t
+from gumkf.core import (
+    _affine,
+    _label_id,
+    _mm,
+    _mv,
+    _pivots_positive,
+    _require_beliefs,
+    _soa,
+    _stream_keys,
+    _t,
+)
 
 from conftest import rand_pd, rand_psd
 
@@ -538,6 +548,65 @@ class TestBeliefGate:
         within_tol, zero = np.diag([1.0, -1e-12]), np.zeros((2, 2))
         self.gate([self.GOOD, (np.zeros(2), within_tol), (np.zeros(2), zero)])
         _require_beliefs(np.zeros((2, 0)), np.zeros((2, 0, 0)), str)
+
+
+class TestPivotGate:
+    """The belief gate's shifted LDL' pivot test, `_pivots_positive`, against
+    the eigenvalue test it replaced, eigvalsh(symmetrize(P)) >= -1e-10
+    max(scale, 1e-300) with scale P's largest absolute entry, on seeded
+    stacks whose seeds and sizes were fixed before the first run.
+
+    Per dimension n = 1..4: random PSD matrices A A', rank-deficient ones,
+    random symmetric (mostly indefinite) ones, and rotated matrices V diag(w)
+    V' whose largest eigenvalue is 1 and whose smallest sits at 0, +-1e-10
+    or +-2e-10, relative to that largest eigenvalue, which bounds the
+    largest entry from above.  Each stack is normalized to a largest entry
+    of 1 and scaled by 1, subnormal 1e-310 and 1e-320, 1e300 and sqrt(max);
+    ten zero matrices are added: 280 040 matrices in all.  The first 50 of
+    each stack are also tested alone, on the one-matrix path in Python
+    floats."""
+
+    SCALES = (1.0, 1e-310, 1e-320, 1e300, np.sqrt(BIG))
+    CASES = {"psd": 2000, "rank-deficient": 1000, "symmetric": 1000}
+    CASES |= {k: 2000 for k in (0, 1, -1, 2, -2)}  # the smallest eigenvalue, in 1e-10
+
+    @classmethod
+    def stacks(cls, n):
+        rng = np.random.default_rng([20261021, n])
+        for case, m in cls.CASES.items():
+            if case in ("psd", "rank-deficient"):
+                a = rng.standard_normal((m, n, n if case == "psd" else max(n - 1, 1)))
+                p = a @ a.transpose(0, 2, 1)
+            elif case == "symmetric":
+                p = symmetrize(rng.standard_normal((m, n, n)))
+            else:  # eigenvalues 1, uniform ones in (0, 1), and case * 1e-10
+                v = np.linalg.qr(rng.standard_normal((m, n, n)))[0]
+                middle = rng.uniform(0.0, 1.0, (m, max(n - 2, 0)))
+                w = np.hstack([np.ones((m, 1)), middle, np.full((m, 1), case * 1e-10)])
+                w = w[:, -n:]  # n = 1 keeps the smallest only
+                p = (v * w[:, np.newaxis, :]) @ v.transpose(0, 2, 1)
+            peak = np.abs(p).max(axis=(1, 2))  # 0 for n = 1 at case 0
+            p = p / np.where(peak > 0.0, peak, 1.0)[:, np.newaxis, np.newaxis]
+            for scale in cls.SCALES:
+                yield case, scale, p * scale
+        yield "zero", 0.0, np.zeros((10, n, n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_agrees_with_the_eigenvalue_test(self, n):
+        outcomes = []
+        for case, factor, p in self.stacks(n):
+            sym, scale = symmetrize(p), np.abs(p).max(axis=(1, 2))
+            want = np.linalg.eigvalsh(sym).min(axis=1) >= -1e-10 * np.maximum(scale, 1e-300)
+            got = _pivots_positive(sym, scale, 1e-10)
+            wrong = np.flatnonzero(got != want)
+            where = f"{case} at scale {factor:g}"
+            assert wrong.size == 0, f"{where}: {wrong.size} disagree, first {wrong[:5]}"
+            first = range(min(50, len(p)))
+            alone = [_pivots_positive(sym[i : i + 1], scale[i : i + 1], 1e-10)[0] for i in first]
+            assert alone == list(want[:50]), f"one matrix at a time: {where}"
+            outcomes.append(want)
+        outcomes = np.concatenate(outcomes)
+        assert outcomes.any() and not outcomes.all()  # both answers occur
 
 
 class TestParameterKnowledge:

@@ -14,8 +14,11 @@ from hypothesis import strategies as st
 from gumkf import (
     CapacityError,
     ConfigError,
+    GaussianBelief,
+    LinearModel,
     McEnsemble,
     NumericError,
+    ParameterKnowledge,
     RngStreamPlan,
     SimulationRecord,
     TankConfig,
@@ -32,7 +35,7 @@ from gumkf import (
     simulate,
     state_prior,
 )
-from gumkf.core import DimensionError, _soa
+from gumkf.core import DimensionError, _soa, symmetrize
 from gumkf.gum_mc import mc_sequential
 from gumkf.kalman import _scan
 from gumkf.particle import pf_run
@@ -511,6 +514,61 @@ def all_finite(*arrays):
     return all(a is None or np.isfinite(a).all() for a in arrays)
 
 
+def library_entry():
+    """An entry of a library input: 0, a log-uniform magnitude of 0.1 to 10,
+    a subnormal, a log-uniform magnitude of 1e-300 to 1e300, 1e100 to 1e308,
+    or a few ulps either side of sqrt(max float), of either sign."""
+    magnitude = st.one_of(
+        st.just(0.0),
+        st.floats(-1.0, 1.0).map(lambda e: 10.0**e),
+        st.floats(5e-324, 2.2e-308),
+        st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+        st.floats(100.0, 308.0).map(lambda e: 10.0**e),
+        st.integers(-3, 3).map(lambda i: SQRT_MAX + i * math.ulp(SQRT_MAX)),
+    )
+    return st.tuples(magnitude, st.sampled_from([1.0, -1.0])).map(lambda t: t[0] * t[1])
+
+
+def entries(n):
+    return st.lists(library_entry(), min_size=n, max_size=n).map(np.array)
+
+
+# a two-state linear system with one observation: the prior's mean
+# and standard deviations with their correlation, F, H, Q's and R's standard
+# deviations, and three measurements
+LIBRARY_SPACE = st.fixed_dictionaries(
+    {
+        "mean": entries(2),
+        "std": entries(2),
+        "rho": st.sampled_from([0.0, 0.5, -1.0, 1.0]),
+        "F": entries(4),
+        "H": entries(2),
+        "q": entries(2),
+        "r": entries(1),
+        "ys": entries(3),
+    }
+)
+
+
+def covariance(std, rho=0.0):
+    """[[s0^2, rho s0 s1], [rho s0 s1, s1^2]] of |std|, or the 1 x 1 [[s0^2]];
+    a standard deviation above sqrt(max) squares to inf, an input to refuse."""
+    s = np.abs(std)
+    with np.errstate(over="ignore"):
+        if s.size == 1:
+            return np.array([[s[0] * s[0]]])
+        off = rho * s[0] * s[1]
+        return np.array([[s[0] * s[0], off], [off, s[1] * s[1]]])
+
+
+def outcome(call):
+    """(None, result) of call(), or (type, message) of its named refusal."""
+    try:
+        return None, call()
+    except (NumericError, DimensionError) as exc:
+        return (type(exc), str(exc)), None
+
+
 class TestConfigSpace:
     """A config TankConfig accepts ends, in simulate and in each scenario,
     in all-finite numbers with u >= 0 or in a named refusal, never in a
@@ -543,3 +601,46 @@ class TestConfigSpace:
             assert all_finite(rep.state_est, rep.state_u, rep.theta_est, rep.theta_u), name
             assert np.all(rep.state_u >= 0.0), name
             assert rep.theta_u is None or np.all(rep.theta_u >= 0.0), name
+
+    @given(LIBRARY_SPACE)
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_library_entry_points_end_finite_or_refused(self, draw):
+        """GaussianBelief, ParameterKnowledge, a LinearModel's matrices and
+        the filter (`_scan` and the kf_* steps) on entries that are huge,
+        tiny, subnormal or near sqrt(max): finite numbers or a named
+        NumericError or DimensionError, never a warning (an error here).
+        A belief is accepted exactly when the eigenvalue test accepts it,
+        and the scan ends as the one-step loop does, bit for bit or with its
+        error."""
+        mean, cov = draw["mean"], covariance(draw["std"], draw["rho"])
+        error, belief = outcome(lambda: GaussianBelief(mean, cov))
+        scale = np.abs(cov).max()
+        psd = bool(np.isfinite(scale)) and (
+            np.linalg.eigvalsh(symmetrize(cov)).min() >= -1e-10 * max(scale, 1e-300)
+        )
+        assert (error is None) == psd, error
+        error, knowledge = outcome(lambda: ParameterKnowledge(mean, cov))
+        assert error is not None or all_finite(knowledge.estimate, knowledge.cov)
+        if belief is None:
+            return
+        F, H = draw["F"].reshape(2, 2), draw["H"].reshape(1, 2)
+        model = LinearModel(F, H, covariance(draw["q"]), covariance(draw["r"]))
+        ys = draw["ys"]
+        prior = belief.mean[np.newaxis], belief.cov[np.newaxis]
+        scanned = outcome(lambda: _scan(ys, model, *prior, None, "kf"))
+
+        def steps():
+            b, means, covs = belief, [belief.mean], [belief.cov]
+            for k in range(1, ys.size + 1):
+                b = kf_correct(kf_predict(b, model, k=k), ys[k - 1], model, k=k).corrected
+                means.append(b.mean)
+                covs.append(b.cov)
+            return np.array(means), np.array(covs)
+
+        stepped = outcome(steps)
+        assert scanned[0] == stepped[0]
+        if scanned[0] is None:
+            (means, covs), (step_means, step_covs) = scanned[1], stepped[1]
+            assert all_finite(means, covs)
+            assert means[:, 0].tobytes() == step_means.tobytes()
+            assert covs[:, 0].tobytes() == step_covs.tobytes()

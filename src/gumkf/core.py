@@ -171,7 +171,9 @@ def _pivots_positive(sym: np.ndarray, scale: np.ndarray, tol: float) -> np.ndarr
 
 
 def _one_pivots_positive(a: list, tol: float) -> bool:
-    """_pivots_positive of one matrix, given as its list of rows."""
+    """_pivots_positive of one matrix, given as its list of rows: the
+    one-step kf_* and ekf_* functions gate one belief at a time, where the
+    vector operations' fixed cost would make the gate slower than eigvalsh."""
     for j, row in enumerate(a):
         row[j] += tol
     for j, row in enumerate(a):
@@ -463,9 +465,6 @@ class NonlinearModel:
         if self.linearization is None:
             return self.f(x, theta, k), self.F(x, theta, k)
         fx, F = self.linearization(x, theta, k)
-        if type(fx) is np.ndarray is type(F) and fx.dtype is _F64 is F.dtype:
-            if fx.shape == np.shape(x):  # what the conversions below would return, uncalled
-                return fx, F
         return _rows(fx, x), np.asarray(F, dtype=float)
 
     def linearize_obs(self, x: np.ndarray, theta, k: int) -> Tuple[np.ndarray, np.ndarray]:

@@ -109,12 +109,15 @@ def assert_psd(cov: np.ndarray, tol: float = 1e-10) -> bool:
     """Check positive semidefiniteness of a symmetric matrix.
 
     Returns True iff every entry is finite and the smallest eigenvalue is
-    >= -tol * ||cov||.
+    >= -tol * ||cov||, tested without an eigendecomposition by
+    _pivots_positive.
     Raises DimensionError for non-square or significantly asymmetric input.
     """
     a = np.asarray(cov, dtype=float)
     scale = _scale(a)
-    return bool(np.isfinite(scale)) and _psd(np.linalg.eigvalsh(symmetrize(a)), scale, tol)
+    return bool(np.isfinite(scale)) and bool(
+        _pivots_positive(symmetrize(a)[np.newaxis], np.array([scale]), tol)[0]
+    )
 
 
 def _scale(a: np.ndarray) -> float:
@@ -130,31 +133,26 @@ def _scale(a: np.ndarray) -> float:
     return scale
 
 
-def _psd(w: np.ndarray, scale: float, tol: float) -> bool:
-    """The eigenvalue test of the one-matrix gates assert_psd, require_psd
-    and psd_sqrt: w, the eigenvalues of a matrix whose largest absolute
-    entry is `scale`, are >= -tol * scale.  These keep eigenvalues because
-    psd_sqrt needs the eigendecomposition for its factor anyway; the belief
-    gate, _require_beliefs, makes the same test by _pivots_positive."""
-    return w.size == 0 or bool(w.min() >= -tol * max(scale, 1e-300))
-
-
 def _pivots_positive(sym: np.ndarray, scale: np.ndarray, tol: float) -> np.ndarray:
-    """Whether each finite symmetric matrix of the (N, d, d) stack sym passes
-    the eigenvalue test of _psd, eigenvalues >= -tol * max(scale, 1e-300)
-    with scale (N,) its largest absolute entry, tested as the shifted LDL'
-    pivot test (Golub & Van Loan, Matrix Computations, sections 4.1-4.2):
-    sym / max(scale, 1e-300) + tol I has positive pivots.  Elimination
-    without pivoting runs on the trial-last (d, d, N) view, one vector
-    operation over the stack per entry block and a loop over d.  Dividing
-    by the scale first keeps every entry at most 1 in magnitude, so a
-    positive definite matrix's elimination stays bounded and no product of
-    entries near the largest float overflows.  The two tests differ only
-    where rounding decides, for a smallest eigenvalue within a few ulps of
-    the threshold.  A matrix whose pivot fails goes on with meaningless or
-    non-finite values, in its own lane, which its failed flag discards.  One
-    matrix, a GaussianBelief's, takes the same operations in the same order
-    in Python floats, stopping at its first failed pivot."""
+    """The one positive (semi)definiteness test of gumkf: whether each
+    symmetric matrix of the (N, d, d) stack sym has eigenvalues >= -tol *
+    max(scale, 1e-300), with scale (N,) its largest absolute entry, tested
+    as the shifted LDL' pivot test (Golub & Van Loan, Matrix Computations,
+    sections 4.1-4.2): sym / max(scale, 1e-300) + tol I has positive
+    pivots.  At tol = 0 it is the positive definiteness test of a Cholesky
+    factorization.  A matrix with an inf or NaN entry fails: divided by its
+    scale, inf or NaN, it has a NaN entry, which reaches a pivot.
+    Elimination without pivoting runs on the trial-last (d, d, N) view, one
+    vector operation over the stack per entry block and a loop over d.
+    Dividing by the scale first keeps every entry at most 1 in magnitude,
+    so a positive definite matrix's elimination stays bounded and no
+    product of entries near the largest float overflows.  The test and an
+    eigenvalue test differ only where rounding decides, for a smallest
+    eigenvalue within a few ulps of the threshold.  A matrix whose pivot
+    fails goes on with meaningless or non-finite values, in its own lane,
+    which its failed flag discards.  One matrix, a GaussianBelief's, takes
+    the same operations in the same order in Python floats, stopping at its
+    first failed pivot."""
     n, d = sym.shape[:2]
     a = sym / np.maximum(scale, 1e-300)[:, np.newaxis, np.newaxis]
     if n == 1:
@@ -173,7 +171,7 @@ def _pivots_positive(sym: np.ndarray, scale: np.ndarray, tol: float) -> np.ndarr
 def _one_pivots_positive(a: list, tol: float) -> bool:
     """_pivots_positive of one matrix, given as its list of rows: the
     one-step kf_* and ekf_* functions gate one belief at a time, where the
-    vector operations' fixed cost would make the gate slower than eigvalsh."""
+    vector operations' fixed cost would make the gate slower."""
     for j, row in enumerate(a):
         row[j] += tol
     for j, row in enumerate(a):
@@ -220,31 +218,29 @@ def _finite_moments(moments: Tuple[np.ndarray, np.ndarray], where: str):
 
 
 def require_psd(cov: np.ndarray, tol: float = 1e-10, context: str = "") -> np.ndarray:
-    """assert_psd's eigenvalue test of one matrix as a gate: cov, or a
-    NumericError naming `context`.  It gates ParameterKnowledge's covariance
-    and split_update's state and parameter blocks; no filter step calls it,
-    since their beliefs pass GaussianBelief's gate, _require_beliefs."""
+    """assert_psd's test of one matrix as a gate: cov, or a NumericError
+    naming `context`, which says whether cov is not finite or not positive
+    semidefinite.  It gates ParameterKnowledge's covariance, split_update's
+    state and parameter blocks and psd_sqrt; no filter step calls it, since
+    their beliefs pass GaussianBelief's gate, _require_beliefs."""
     if not assert_psd(cov, tol):
+        finite = np.isfinite(np.asarray(cov, dtype=float)).all()
+        what = "positive semidefinite" if finite else "finite"
         where = f" ({context})" if context else ""
-        raise NumericError(f"covariance is not positive semidefinite{where}")
+        raise NumericError(f"covariance is not {what}{where}")
     return cov
 
 
 def psd_sqrt(cov: np.ndarray) -> np.ndarray:
     """Square-root factor L with L @ L.T == cov for PSD cov.
 
-    One eigendecomposition serves the factor and require_psd's gate (1e-10,
-    NumericError naming psd_sqrt, as also for a non-finite cov); the
-    eigenvalues that pass it below zero are clamped, so exactly singular
-    covariances (zero rows/columns) work.
+    require_psd's gate (1e-10, NumericError naming psd_sqrt) runs first;
+    the eigendecomposition then only builds the factor, and its eigenvalues
+    below zero, which the gate let through, are clamped, so exactly
+    singular covariances (zero rows/columns) work.
     """
-    a = np.asarray(cov, dtype=float)
-    scale = _scale(a)
-    if not np.isfinite(scale):
-        raise NumericError("covariance is not finite (psd_sqrt)")
-    w, v = np.linalg.eigh(symmetrize(a))
-    if not _psd(w, scale, 1e-10):
-        raise NumericError("covariance is not positive semidefinite (psd_sqrt)")
+    require_psd(cov, 1e-10, "psd_sqrt")
+    w, v = np.linalg.eigh(symmetrize(cov))
     return v * np.sqrt(np.maximum(w, 0.0))  # np.clip's own ufunc, without its wrapper
 
 

@@ -326,7 +326,7 @@ def _run_blocks(
     slot = {k: i for i, k in enumerate(stored)}
     store = np.empty((len(stored), trials, n + n_t))
 
-    cuts = np.rint(np.linspace(0, trials, n_blocks + 1)).astype(int).tolist()
+    cuts = np.rint(np.linspace(0, trials, min(n_blocks, trials) + 1)).astype(int).tolist()
     state_means = np.empty((n_steps + 1, n))
     state_covs = np.empty((n_steps + 1, n, n))
     param_means = np.empty((n_steps + 1, n_t))

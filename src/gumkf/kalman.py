@@ -52,6 +52,7 @@ from .core import (
     _mv,
     _named,
     _normalize_measurements,
+    _pivots_positive,
     _require_beliefs,
     _soa,
     _t,
@@ -69,31 +70,14 @@ class KalmanStep:
     innovation: np.ndarray
 
 
-def _pd(s_mat: np.ndarray) -> bool:
-    """Whether every matrix of the (..., p, p) stack is finite and accepted by
-    np.linalg.cholesky, which returns NaN factors of a NaN matrix."""
-    if not np.isfinite(s_mat).all():
-        return False
-    try:
-        np.linalg.cholesky(s_mat)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def _first_bad(s_mat: np.ndarray) -> int:
-    """Index of the first matrix of the (M, p, p) stack that `_pd` refuses,
-    tried one at a time: only a failed batched check pays for it."""
-    return next(m for m, s in enumerate(s_mat) if not _pd(s))
-
-
 def _update(x, P, y, h, H, R, k: int, trial_start=None):
     """Correction of the stacks x (n, M) and P (n, n, M) by measurements y
     with predicted observations h (p, M), H (p, n, .) and R (p, p, .);
     returns (x, P, gain, innovation).
 
-    The gain is H P / s for p = 1 and a batched solve after a finiteness and
-    Cholesky check of S for p > 1.  A failed check names k and, unless
+    The gain is H P / s for p = 1 and a batched solve for p > 1, after a
+    check that s, or S by `core._pivots_positive` at tol 0, is finite and
+    positive definite.  A failed check names k and, unless
     `trial_start` is None, the trial.  The kernel, like `_predict_stack`,
     enters no error scope of its own: its callers run it under
     np.errstate(over="ignore", invalid="ignore"), one scope per loop or
@@ -120,8 +104,9 @@ def _update(x, P, y, h, H, R, k: int, trial_start=None):
         gain = _t(hp / s)  # (n, 1, M)
     else:
         s_mat = s_mat.transpose(2, 0, 1)
-        if not _pd(s_mat):
-            trial = "" if trial_start is None else f"in trial {trial_start + _first_bad(s_mat)} "
+        ok = _pivots_positive(s_mat, np.abs(s_mat).max(axis=(1, 2)), 0.0)
+        if not ok.all():
+            trial = "" if trial_start is None else f"in trial {trial_start + int(np.argmin(ok))} "
             raise NumericError(
                 f"innovation covariance is not positive definite {trial}at time index {k}"
             )

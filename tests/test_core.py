@@ -47,6 +47,7 @@ from gumkf.core import (
     _soa,
     _stream_keys,
     _t,
+    require_psd,
 )
 
 from conftest import rand_pd, rand_psd
@@ -158,7 +159,7 @@ class TestPsdSqrt:
         np.testing.assert_allclose(l_fac @ l_fac.T, cov, atol=1e-15)
 
     def test_gates_like_require_psd(self):
-        # the factor's own eigenvalues are the gate: no clamped indefinite cov
+        # require_psd's gate runs before the factor: no clamped indefinite cov
         with pytest.raises(NumericError, match=r"not positive semidefinite \(psd_sqrt\)"):
             psd_sqrt(np.diag([1.0, -1.0]))
         with pytest.raises(DimensionError, match="asymmetric"):
@@ -564,7 +565,8 @@ class TestPivotGate:
     of 1 and scaled by 1, subnormal 1e-310 and 1e-320, 1e300 and sqrt(max);
     ten zero matrices are added: 280 040 matrices in all.  The first 50 of
     each stack are also tested alone, on the one-matrix path in Python
-    floats."""
+    floats, and by the one-matrix gates assert_psd, require_psd and
+    psd_sqrt, which decide by the same test."""
 
     SCALES = (1.0, 1e-310, 1e-320, 1e300, np.sqrt(BIG))
     CASES = {"psd": 2000, "rank-deficient": 1000, "symmetric": 1000}
@@ -604,9 +606,28 @@ class TestPivotGate:
             first = range(min(50, len(p)))
             alone = [_pivots_positive(sym[i : i + 1], scale[i : i + 1], 1e-10)[0] for i in first]
             assert alone == list(want[:50]), f"one matrix at a time: {where}"
+            gates = [self.one_matrix_gates(p[i]) for i in first]
+            assert gates == [[w] * 3 for w in want[:50]], f"one-matrix gates: {where}"
             outcomes.append(want)
         outcomes = np.concatenate(outcomes)
         assert outcomes.any() and not outcomes.all()  # both answers occur
+
+    @staticmethod
+    def one_matrix_gates(p):
+        """The decisions of assert_psd, require_psd and psd_sqrt on p; a
+        refusal must name p as not positive semidefinite and an accepted
+        p's factor must be finite."""
+        decisions = [assert_psd(p)]
+        for gate in (require_psd, psd_sqrt):
+            try:
+                out = gate(p)
+            except NumericError as exc:
+                assert str(exc).startswith("covariance is not positive semidefinite"), exc
+                decisions.append(False)
+            else:
+                assert np.isfinite(out).all()
+                decisions.append(True)
+        return decisions
 
 
 class TestParameterKnowledge:
@@ -618,6 +639,16 @@ class TestParameterKnowledge:
     def test_non_finite_estimate_raises(self, value):
         with pytest.raises(NumericError, match=r"^estimate is not finite \(ParameterKnowledge\)$"):
             ParameterKnowledge(np.array([value]), np.array([[1e-4]]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cov_raises_as_not_finite(self, value):
+        match = r"^covariance is not finite \(ParameterKnowledge\)$"
+        with pytest.raises(NumericError, match=match):
+            ParameterKnowledge([0.8], [[value]])
+        with pytest.raises(NumericError, match=match):
+            ParameterKnowledge([0.8, 0.1], [[1.0, value], [value, 1.0]])
+        with pytest.raises(NumericError, match=r"^covariance is not finite$"):
+            require_psd(np.array([[value]]))
 
     def test_indefinite_cov_raises(self):
         match = r"^covariance is not positive semidefinite \(ParameterKnowledge\)$"

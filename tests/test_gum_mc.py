@@ -513,6 +513,26 @@ def spy_block_starts(monkeypatch):
     return starts
 
 
+def record_pool_sizes(monkeypatch, cpus):
+    """Patch the thread pool to record its max_workers and run map in the
+    calling thread, on a host of `cpus` CPUs, so a test starts no thread."""
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def map(self, fn, iterable):
+            return list(map(fn, iterable))
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return pools
+
+
 class TestBatchSequentialEquivalence:
     def test_bit_identical_trials(self):
         cfg = TankConfig(n_steps=25)
@@ -616,27 +636,13 @@ class TestBatchSequentialEquivalence:
 
     def test_thread_pool_holds_at_most_one_worker_per_cpu(self, monkeypatch):
         # 16 threads on a 2-CPU host: 16 blocks, one per requested thread,
-        # run on a pool of 2 workers.  The fake pool records its size and
-        # runs map in the calling thread, so the test starts no thread.
-        pools = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def map(self, fn, iterable):
-                return list(map(fn, iterable))
-
-            def shutdown(self):
-                pass
-
+        # run on a pool of 2 workers
         cfg = TankConfig(n_steps=3)
         plan = RngStreamPlan(42)
         args = (simulate(cfg, plan).measurements, linear_model(cfg), state_prior(cfg),
                 frequency_knowledge(cfg), plan, 64)
         serial = mc_sequential(*args)
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        pools = record_pool_sizes(monkeypatch, 2)
         starts = spy_block_starts(monkeypatch)
         capped = mc_sequential(*args, threads=16)
         assert pools == [2]
@@ -645,6 +651,26 @@ class TestBatchSequentialEquivalence:
             np.testing.assert_array_equal(
                 getattr(serial, name), getattr(capped, name), err_msg=name
             )
+
+    def test_thread_count_far_above_the_trial_count(self, monkeypatch):
+        # 2**62 threads for 8 trials cut 8 one-trial blocks, not 2**62
+        # empty ones, and run them on one worker per CPU
+        cfg = TankConfig(n_steps=5)
+        plan = RngStreamPlan(42)
+        aug, belief0 = augmented_model(cfg)
+        args = (simulate(cfg, plan).measurements, aug.model, belief0, None, plan, 8)
+        kwargs = dict(store_samples=True, record_at=(0, 2, cfg.n_steps))
+        serial = mc_sequential(*args, **kwargs)
+        pools = record_pool_sizes(monkeypatch, 2)
+        starts = spy_block_starts(monkeypatch)
+        threaded = mc_sequential(*args, threads=2**62, **kwargs)
+        assert pools == [2]
+        assert starts == {(1, a) for a in range(8)}
+        for name in ("state_means", "state_covs", "param_means", "param_covs", "samples_states"):
+            assert getattr(serial, name).tobytes() == getattr(threaded, name).tobytes(), name
+        assert serial.records.keys() == threaded.records.keys()
+        for k in serial.records:
+            assert serial.records[k].tobytes() == threaded.records[k].tobytes()
 
     @staticmethod
     def assert_layouts_bit_identical():

@@ -26,6 +26,7 @@ from gumkf import (
     propagate_linear_gum,
     simulate,
     state_prior,
+    symmetrize,
 )
 from gumkf.kalman import _scan, _update
 
@@ -245,6 +246,103 @@ class TestUpdateKernel:
         bad = [j for j in range(m) if not assert_psd(cov[:, :, j], tol=1e-10)]
         assert bad == []
 
+
+
+def cholesky_accepts(s):
+    """The innovation-covariance gate `_update` had before the pivot test:
+    every entry finite and np.linalg.cholesky succeeds."""
+    if not np.isfinite(s).all():
+        return False
+    try:
+        np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def update_with_s(s_stack, k=1, trial_start=None):
+    """`_update` of a zero (2, 2) covariance, so that its innovation
+    covariance S = H P H' + R is R = s_stack (M, p, p) bit for bit, under
+    the error scope its callers run it in."""
+    m, p = s_stack.shape[:2]
+    rng = np.random.default_rng(7)
+    H = rng.standard_normal((p, 2, m))
+    R = np.ascontiguousarray(s_stack.transpose(1, 2, 0))
+    zeros = np.zeros((p, m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _update(np.zeros((2, m)), np.zeros((2, 2, m)), zeros, zeros, H, R, k, trial_start)
+
+
+class TestInnovationCovarianceGate:
+    """The p > 1 gate of `_update`, `core._pivots_positive` at tol 0 on S,
+    against np.linalg.cholesky on seeded stacks whose seeds and sizes were
+    fixed before the first run: 50 matrices per case and p = 2, 3, each
+    gated alone (the one-matrix path) and as one stack."""
+
+    @staticmethod
+    def stack(case, p):
+        rng = np.random.default_rng([20261021, p, len(case)])
+        a = rng.standard_normal((50, p, p))
+        pd = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(p)
+        if case == "positive definite":
+            return pd
+        if case == "indefinite":  # V diag(w) V', one w in [-1, -0.1], the others in [0.1, 1]
+            v = np.linalg.qr(a)[0]
+            w = rng.uniform(0.1, 1.0, (50, p)) * np.where(np.arange(p) == 0, -1.0, 1.0)
+            return symmetrize((v * w[:, np.newaxis, :]) @ v.transpose(0, 2, 1))
+        rows = np.arange(50)
+        j = rng.integers(0, p, 50)
+        if case == "exactly singular":  # a zero row and column: a pivot of exactly 0
+            pd[rows, j, :] = 0.0
+            pd[rows, :, j] = 0.0
+            return pd
+        # non-finite: one diagonal entry or one symmetric pair of inf, -inf or nan
+        i = (j + rng.integers(0, 2, 50)) % p
+        value = rng.choice([np.inf, -np.inf, np.nan], 50)
+        pd[rows, i, j] = value
+        pd[rows, j, i] = value
+        return pd
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize(
+        "case", ["positive definite", "indefinite", "exactly singular", "non-finite"]
+    )
+    def test_agrees_with_cholesky(self, case, p):
+        s_stack = self.stack(case, p)
+        want = [cholesky_accepts(s) for s in s_stack]
+        for s, accepted in zip(s_stack, want):
+            if accepted:
+                update_with_s(s[np.newaxis])
+            else:
+                with pytest.raises(NumericError, match="^innovation covariance is not positive"):
+                    update_with_s(s[np.newaxis])
+        if all(want):
+            update_with_s(s_stack, trial_start=0)
+        else:
+            first = want.index(False)
+            with pytest.raises(NumericError, match=rf" in trial {100 + first} at time index 5$"):
+                update_with_s(s_stack, k=5, trial_start=100)
+        assert want == [case == "positive definite"] * len(want)
+
+    def test_rank_one_matrices_are_refused(self):
+        # c 11' is exactly singular: its second pivot is exactly 0, where
+        # Cholesky's rounding of sqrt(c) accepts some of them
+        c = np.random.default_rng(20261021).uniform(0.1, 10.0, 50)
+        for s in c[:, np.newaxis, np.newaxis] * np.ones((50, 2, 2)):
+            with pytest.raises(NumericError, match="^innovation covariance is not positive"):
+                update_with_s(s[np.newaxis])
+
+    def test_names_the_first_failing_trial(self):
+        s_stack = np.stack([np.eye(2) * (1.0 + m) for m in range(8)])
+        s_stack[3] = np.diag([1.0, -1.0])
+        s_stack[6, 0, 1] = s_stack[6, 1, 0] = np.nan
+        with pytest.raises(NumericError, match=r" in trial 1003 at time index 4$"):
+            update_with_s(s_stack, k=4, trial_start=1000)
+        s_stack[3] = np.eye(2)
+        with pytest.raises(NumericError, match=r" in trial 1006 at time index 4$"):
+            update_with_s(s_stack, k=4, trial_start=1000)
+        with pytest.raises(NumericError, match=r"^innovation covariance is not positive definite at time index 4$"):
+            update_with_s(s_stack, k=4)
 
 def tank_nodes(cfg, m):
     """m distinct frequencies and priors of the linear and augmented tank:

@@ -510,6 +510,36 @@ CONFIG_SPACE = st.fixed_dictionaries(
 )
 
 
+# the scenario options: gamma, mostly in (0, 1]; record_at_times as up to
+# three fractions of the horizon, its edges 0 and 1 included, and now and
+# then a time the scenario refuses, "past" (the next float after the
+# horizon) or "again" (the previous time, on the same step); threads
+OPTIONS_SPACE = st.fixed_dictionaries(
+    {
+        "gamma": st.one_of(
+            st.sampled_from([5e-324, 1.0]),
+            st.floats(0.0, 1.0, exclude_min=True),
+            st.floats(0.0, 1.0, exclude_min=True),
+            st.sampled_from([0.0, math.nan]),
+            st.floats(-2.0, 0.0, exclude_max=True),
+        ),
+        "spots": st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), max_size=3),
+        "refused": st.sampled_from([None, None, None, "past", "again"]),
+        "threads": st.sampled_from([1, 2, 3, 2**62]),
+    }
+)
+
+
+def record_times(cfg, spots, refused):
+    horizon = cfg.n_steps * cfg.dt
+    times = [spot * horizon for spot in spots]
+    if refused == "past":
+        times.append(math.nextafter(horizon, math.inf))
+    elif refused == "again":
+        times.append(times[-1] if times else 0.0)
+    return tuple(times)
+
+
 def all_finite(*arrays):
     return all(a is None or np.isfinite(a).all() for a in arrays)
 
@@ -570,23 +600,27 @@ def outcome(call):
 
 
 class TestConfigSpace:
-    """A config TankConfig accepts ends, in simulate and in each scenario,
-    in all-finite numbers with u >= 0 or in a named refusal, never in a
-    warning (an error here) or another exception."""
+    """A config TankConfig accepts ends, in simulate and in each scenario
+    under any gamma, record_at_times and threads, in all-finite numbers
+    with u >= 0 or in a named refusal, never in a warning (an error here)
+    or another exception."""
 
     # the two ways an accepted config makes simulate overflow, which the
     # draws reach in about one config in 300: 2 pi theta x_s, and t = k dt
     @example({"L0": -10.18, "xs": 7.05e292, "theta": 6.70e153, "tau": 8.1e8, "sigma": 0.0,
-              "dt": 1.6e-4, "n_steps": 14})
-    @example({"dt": 1e308, "n_steps": 2})
-    @given(CONFIG_SPACE)
+              "dt": 1.6e-4, "n_steps": 14}, {"gamma": 0.9, "spots": [], "refused": None, "threads": 1})
+    @example({"dt": 1e308, "n_steps": 2}, {"gamma": 0.9, "spots": [1.0], "refused": None, "threads": 1})
+    @example({"n_steps": 3}, {"gamma": 5e-324, "spots": [0.0, 1.0], "refused": None, "threads": 2**62})
+    @given(CONFIG_SPACE, OPTIONS_SPACE)
     @settings(max_examples=300, derandomize=True, deadline=None)
-    def test_finite_numbers_or_a_named_refusal(self, changes):
+    def test_finite_numbers_or_a_named_refusal(self, changes, options):
         refusals = (ConfigError, NumericError, CapacityError)
         try:
             cfg = TankConfig(**changes)
         except ConfigError:
             return
+        gamma, threads = options["gamma"], options["threads"]
+        times = record_times(cfg, options["spots"], options["refused"])
         try:
             record = simulate(cfg, RngStreamPlan(42))
         except refusals:
@@ -595,10 +629,14 @@ class TestConfigSpace:
             assert all_finite(record.times, record.states, record.measurements)
         for name in SCENARIOS:
             try:
-                rep = scenario(name, cfg, RngStreamPlan(42), trials=8, n_particles=8)
+                rep = scenario(
+                    name, cfg, RngStreamPlan(42), trials=8, n_particles=8, gamma=gamma,
+                    record_at_times=times, threads=threads,
+                )
             except refusals:
                 continue
             assert all_finite(rep.state_est, rep.state_u, rep.theta_est, rep.theta_u), name
+            assert all(all_finite(*marginal) for marginal in rep.marginals.values()), name
             assert np.all(rep.state_u >= 0.0), name
             assert rep.theta_u is None or np.all(rep.theta_u >= 0.0), name
 

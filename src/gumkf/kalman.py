@@ -77,7 +77,9 @@ def _update(x, P, y, h, H, R, k: int, trial_start=None):
 
     The gain is H P / s for p = 1 and a batched solve for p > 1, after a
     check that s, or S by `core._pivots_positive` at tol 0, is finite and
-    positive definite.  A failed check names k and, unless
+    positive definite; S is tested on its lower triangle, as a Cholesky
+    factorization reads it, so an asymmetric R cannot pass by its upper
+    one.  A failed check names k and, unless
     `trial_start` is None, the trial.  The kernel, like `_predict_stack`,
     enters no error scope of its own: its callers run it under
     np.errstate(over="ignore", invalid="ignore"), one scope per loop or
@@ -104,7 +106,8 @@ def _update(x, P, y, h, H, R, k: int, trial_start=None):
         gain = _t(hp / s)  # (n, 1, M)
     else:
         s_mat = s_mat.transpose(2, 0, 1)
-        ok = _pivots_positive(s_mat, np.abs(s_mat).max(axis=(1, 2)), 0.0)
+        lower = np.tril(s_mat) + np.triu(s_mat.transpose(0, 2, 1), 1)
+        ok = _pivots_positive(lower, np.abs(s_mat).max(axis=(1, 2)), 0.0)
         if not ok.all():
             trial = "" if trial_start is None else f"in trial {trial_start + int(np.argmin(ok))} "
             raise NumericError(

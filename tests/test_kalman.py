@@ -332,6 +332,39 @@ class TestInnovationCovarianceGate:
             with pytest.raises(NumericError, match="^innovation covariance is not positive"):
                 update_with_s(s[np.newaxis])
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_asymmetric_s_is_decided_by_its_lower_triangle(self, p):
+        # the positive definite and indefinite stacks with their upper
+        # triangles replaced by N(0, 3^2) draws, so that the upper triangle
+        # alone, or the symmetric part, would decide otherwise for some
+        rng = np.random.default_rng([20261021, p, 99])
+        s_stack = np.concatenate([self.stack("positive definite", p), self.stack("indefinite", p)])
+        upper = np.triu(np.ones((p, p), dtype=bool), 1)
+        s_stack[:, upper] = 3.0 * rng.standard_normal((100, upper.sum()))
+        want = [cholesky_accepts(s) for s in s_stack]
+        for s, accepted in zip(s_stack, want):
+            if accepted:
+                update_with_s(s[np.newaxis])
+            else:
+                with pytest.raises(NumericError, match="^innovation covariance is not positive"):
+                    update_with_s(s[np.newaxis])
+        assert want == [True] * 50 + [False] * 50
+
+    @pytest.mark.parametrize(
+        "r", [[[1.0, 5.0], [-5.0, -1.0]], [[0.0, 0.0], [1.9, 0.0]], [[1.0, np.nan], [0.0, 1.0]]]
+    )
+    def test_asymmetric_r_refused_as_by_cholesky(self, r):
+        # P = I, H = I: S = I + R; the first S, [[2, 5], [-5, 0]], has
+        # positive elimination pivots 2 and 12.5 but an indefinite lower
+        # triangle; the second's symmetric part is positive definite; the
+        # third is not finite in its upper triangle only
+        with pytest.raises(NumericError, match="^innovation covariance is not positive definite"):
+            kf_correct(
+                GaussianBelief(np.zeros(2), np.eye(2)),
+                np.zeros(2),
+                LinearModel(np.eye(2), np.eye(2), np.zeros((2, 2)), np.array(r)),
+            )
+
     def test_names_the_first_failing_trial(self):
         s_stack = np.stack([np.eye(2) * (1.0 + m) for m in range(8)])
         s_stack[3] = np.diag([1.0, -1.0])

@@ -17,16 +17,21 @@ Joseph-form correction that stays PSD under rounding, evaluated as rank-p
 corrections of P at O(n^2 p) per trial rather than as O(n^3) products with
 I - K H.  `_predict` and `_correct` run the step on one belief, whose one
 gate is GaussianBelief's own, for kf_* and ekf_* (in `ekf`); `_scan` runs it
-over a whole record on M filters at once, the `watertank` filter scenarios
-with M = 1, and gates both halves of every step, kept in one buffer, a
-block at a time as its loop stores them, with the same check,
-`core._require_beliefs`, whose PSD test is a shifted LDL' pivot test over
-the block rather than an eigendecomposition;
-`gum_mc.mc_step` runs it on a block of trials.  The stack functions and the kernel enter no error scope: each
-of these callers is one np.errstate(over="ignore", invalid="ignore") scope,
-`_scan` per record, `_predict`/`_correct` per step and `mc_step` per block
-step, so an overflow, in a model callable too, ends as non-finite values
-for the gates.  `kf_gain` and `joseph_update` keep the matrix formulas for the
+over a whole record on M filters at once and gates both halves of every
+step, kept in one buffer, a block at a time as its loop stores them, with
+the same check, `core._require_beliefs`, whose PSD test is a shifted LDL'
+pivot test over the block rather than an eigendecomposition.  For one
+filter with one measurement a step, the `watertank` filter scenarios,
+`_scan` runs the step's operations in their order on Python floats
+(`_float_halves`): a one-term product of `_mm` is a * b and a longer one
+is summed from -0.0 in `_mm`'s order (`_dot`), so its bits are the stack
+step's, without the numpy dispatch that bounds a step on 1-element
+stacks.  `gum_mc.mc_step` runs the stack step on a block of trials.  The
+stack functions and the kernel enter no error scope: each of these callers
+is one np.errstate(over="ignore", invalid="ignore") scope, `_scan` per
+record, `_predict`/`_correct` per step and `mc_step` per block step, so an
+overflow, in a model callable too, ends as non-finite values for the
+gates.  `kf_gain` and `joseph_update` keep the matrix formulas for the
 analytic propagations, the filters' independent references; `kf_gain` solves
 with numpy behind a Cholesky gate of its own.
 """
@@ -192,19 +197,25 @@ def _scan(ys, model, x, P, theta, name: str):
     n) and covariances (K + 1, M, n, n) of the corrected beliefs, row 0 the
     priors.
 
-    Each step k runs `_predict_stack` and `_correct_stack` on the (n, M) and
-    (n, n, M) stacks, named "{name}_predict at k={k}" and "{name}_correct at
-    k={k}" as kf_*/ekf_* name theirs, so a node's values are those of the
-    one-step functions bit for bit.  The whole scan, its gate too, is one
-    error scope, np.errstate(over="ignore", invalid="ignore"), so overflow
-    in a model callable or the kernel ends as non-finite values.  Both
-    halves are kept in one buffer, (K + 1, 2, M, n) and (K + 1, 2, M, n, n):
-    row (k, 0) the predicted beliefs of step k, row (k, 1) the corrected
-    ones, row (0, 1) the priors; the results are views of the corrected
-    rows.  The loop checks only that each half's means are finite, on their
-    Python floats (exact, and cheaper than np.isfinite for a few filters),
-    since the model callables see only means and theta, and stops before a
-    non-finite one reaches them.  Every stored belief passes
+    Each step k runs the step pair chosen once per scan.  One filter with
+    one measurement a step (M = p = 1), the `watertank` filter scenarios,
+    takes `_float_halves`: the stack step's operations in its order on
+    Python floats, since on 1-element stacks the step's cost is numpy's
+    per-call dispatch, not its arithmetic.  Every other scan, a bank of
+    filters or p > 1, takes `_stack_halves`, `_predict_stack` and
+    `_correct_stack` on the (n, M) and (n, n, M) stacks.  Both name their
+    halves "{name}_predict at k={k}" and "{name}_correct at k={k}" as
+    kf_*/ekf_* name theirs, and a node's values are those of the one-step
+    functions bit for bit.  The whole scan, its gate too, is one error
+    scope, np.errstate(over="ignore", invalid="ignore"), so overflow in a
+    model callable or the kernel ends as non-finite values; Python float
+    arithmetic overflows to inf without an error too.  Both halves are kept
+    in one buffer, (K + 1, 2, M, n) and (K + 1, 2, M, n, n): row (k, 0)
+    the predicted beliefs of step k, row (k, 1) the corrected ones, row
+    (0, 1) the priors; the results are views of the corrected rows.  The
+    loop checks only that each half's means are finite, since the model
+    callables see only means and theta, and stops before a non-finite one
+    reaches them.  Every stored belief passes
     GaussianBelief's gate, `_require_beliefs`, in the order predicted 1,
     corrected 1, predicted 2, ...: each full _GATE_BLOCK of them as soon as
     it is stored, read from the buffer, in one pivot test over the block,
@@ -229,30 +240,114 @@ def _scan(ys, model, x, P, theta, name: str):
         _require_beliefs(gated_x[start:stop], gated_p[start:stop], lambda i: where(start + i))
 
     stored = gated = 0  # beliefs stored after the priors, and gated
-    P = _soa(P)
+    floats = m == 1 and ys.shape[1] == 1
+    P, predict_half, correct_half, finite = (_float_halves if floats else _stack_halves)(
+        ys, model, theta, ps[0, 1], predict, correct
+    )
     try:
         for k in range(1, ys.shape[0] + 1):
-            x, _, P = _predict_stack(x, P, model.Q(k), model, theta, k, predict)
-            xs[k, 0], ps[k, 0] = x, P.transpose(2, 0, 1)
+            x, P = predict_half(x, P, k)
+            xs[k, 0], ps[k, 0] = x, P
             stored += m
             while stored - gated >= _GATE_BLOCK:
                 gate(gated, gated + _GATE_BLOCK)
                 gated += _GATE_BLOCK
-            if not all(map(math.isfinite, x.ravel().tolist())):
+            if not finite(x):
                 break
-            x, P, _, _ = _correct_stack(x, P, ys[k - 1], model.R(k), model, theta, k, correct)
-            x = x.T
-            xs[k, 1], ps[k, 1] = x, P.transpose(2, 0, 1)
+            x, P = correct_half(x, P, k)
+            xs[k, 1], ps[k, 1] = x, P
             stored += m
             while stored - gated >= _GATE_BLOCK:
                 gate(gated, gated + _GATE_BLOCK)
                 gated += _GATE_BLOCK
-            if not all(map(math.isfinite, x.ravel().tolist())):
+            if not finite(x):
                 break
     finally:  # on an exception too: a failure before it is the one to report
         if 0 < stored - gated < _GATE_BLOCK:  # else none is left, or a full block failed first
             gate(gated, stored)
     return xs[:, 1], ps[:, 1]
+
+
+def _stack_halves(ys, model, theta, P, predict: str, correct: str):
+    """`_scan`'s step pair on stacks, for M > 1 filters or p > 1: (the prior
+    P as the loop carries it, the predicted half, the corrected half, the
+    finiteness test of a half's means).  A half maps (x, P, k) to (x, P),
+    x (M, n) and P the (M, n, n) view of an (n, n, M) stack, as the buffers
+    store them."""
+
+    def predict_half(x, P, k):
+        x, _, P = _predict_stack(x, P.transpose(1, 2, 0), model.Q(k), model, theta, k, predict)
+        return x, P.transpose(2, 0, 1)
+
+    def correct_half(x, P, k):
+        x, P, _, _ = _correct_stack(
+            x, P.transpose(1, 2, 0), ys[k - 1], model.R(k), model, theta, k, correct
+        )
+        return x.T, P.transpose(2, 0, 1)
+
+    return _soa(P).transpose(2, 0, 1), predict_half, correct_half, lambda x: np.isfinite(x).all()
+
+
+def _dot(u, v):
+    """The sum of u[l] v[l] from -0.0 in order of l, `core._mm`'s sum: -0.0
+    + t is t for every t, so it equals the sum from the first term."""
+    s = -0.0
+    for a, b in zip(u, v):
+        s = s + a * b
+    return s
+
+
+def _float_halves(ys, model, theta, P, predict: str, correct: str):
+    """`_stack_halves` for one filter and one measurement a step (M = p = 1)
+    on Python floats: x is the (1, n) array the model takes and returns, P
+    a list of rows.  Each entry is the stack step's expression, with its
+    operands in its order: a one-term product of `_mm` is a * b, a longer
+    one `_dot`, and s, the gain, (I - K H) P, the halved Joseph sum and its
+    symmetrization are `_update`'s.  So its bits are the stack step's, and
+    its shape and s checks raise `_predict_stack`'s and `_update`'s errors.
+    No step divides by zero: s is finite and positive before the gain."""
+    ys = ys[:, 0].tolist()
+
+    def predict_half(x, P, k):
+        n, Q = len(P), _at_least_2d(model.Q(k))
+        fx, F = model.linearize(x, theta, k)
+        if fx.shape != x.shape or F.shape not in ((n, n), (1, n, n)) or Q.shape != (n, n):
+            raise DimensionError(
+                f"f {fx.shape}, F {F.shape} or Q {Q.shape} do not fit n={n} ({predict} at k={k})"
+            )
+        F, cols = F.reshape(n, n).tolist(), list(zip(*P))
+        fp = [[_dot(row, col) for col in cols] for row in F]  # F P
+        return fx, [[_dot(a, b) + q for b, q in zip(F, qs)] for a, qs in zip(fp, Q.tolist())]
+
+    def correct_half(x, P, k):
+        n, R = len(P), _at_least_2d(model.R(k))
+        hx, H = model.linearize_obs(x, theta, k)
+        if hx.shape != (1, 1) or H.shape not in ((1, n), (1, 1, n)) or R.shape != (1, 1):
+            raise DimensionError(
+                f"h {hx.shape}, H {H.shape} or R {R.shape} do not fit p=1, n={n} "
+                f"({correct} at k={k})"
+            )
+        h, r = H.reshape(n).tolist(), R.item()
+        hp = [_dot(h, col) for col in zip(*P)]  # H P
+        s = _dot(hp, h) + r
+        if not 0.0 < s < math.inf:  # NaN fails both bounds
+            raise NumericError(
+                f"innovation variance {s:g} is not finite and positive at time index {k}"
+            )
+        gain, e = [v / s for v in hp], ys[k - 1] - hx.item()
+        ap = [[a - g * b for a, b in zip(row, hp)] for g, row in zip(gain, P)]  # (I - K H) P
+        kr = [g * r - _dot(row, h) for g, row in zip(gain, ap)]  # K R - A P H'
+        cov = [[(a * g + b) / 2.0 for g, b in zip(gain, row)] for a, row in zip(kr, ap)]
+        mean = [g * e + v for g, v in zip(gain, x.ravel().tolist())]
+        return np.array([mean]), [[a + b for a, b in zip(*rc)] for rc in zip(cov, zip(*cov))]
+
+    return P[0].tolist(), predict_half, correct_half, _finite
+
+
+def _finite(x) -> bool:
+    """Whether every entry of one filter's state is finite, tested on its
+    Python floats: exact, and cheaper than np.isfinite for one state."""
+    return all(map(math.isfinite, x.ravel().tolist()))
 
 
 def _require_index(k, signature: str) -> None:

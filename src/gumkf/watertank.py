@@ -391,9 +391,11 @@ def scenario(
     at least 1 (else ConfigError), whether or not the scenario uses them.
     All scenarios under the same plan consume the identical SimulationRecord,
     so cross-scenario comparisons are paired.  lkf-known and ekf-augmented
-    run `kalman._scan` over the record with one filter, whose means and
-    variances are those of a kf_*/ekf_* loop bit for bit and whose gate
-    refuses what theirs refuses, with the same message.
+    run `kalman._scan` over the record with one filter and one measurement
+    a step, which it runs on Python floats: the stack step's operations in
+    its order, sums from -0.0 term by term, so the means and variances are
+    those of a kf_*/ekf_* loop bit for bit, and its gate refuses what
+    theirs refuses, with the same message.
     """
     if name not in SCENARIOS:
         raise ConfigError(f"unknown scenario {name!r}; choose from {SCENARIOS}")

@@ -11,6 +11,7 @@ from gumkf import (
     DimensionError,
     GaussianBelief,
     LinearModel,
+    NonlinearModel,
     NumericError,
     RngStreamPlan,
     TankConfig,
@@ -392,6 +393,62 @@ def tank_nodes(cfg, m):
     return theta, x, P, xa, Pa
 
 
+def order_sensitive_filter(rng, n, p, flavour, nonlinear):
+    """A one-node filter problem, (model, prior, record of 6 steps), whose
+    sums depend on their order and whose signed zeros count: states
+    correlated at 1e16 that F and H difference ("cancel"), -0.0 in the
+    prior, Q, F and H and zero rows ("zeros"), a state whose variance and
+    noise are subnormal ("subnormal"), or values near sqrt(max float)
+    ("huge").  The nonlinear model has the linear one's f and h and a state
+    Jacobian that moves with x, a (1, n, n) stack for a (1, n) state."""
+    F, H = rng.standard_normal((n, n)), rng.standard_normal((p, n))
+    Q, R = 1e-2 * rand_psd(rng, n), rand_pd(rng, p)
+    x, P, ys = rng.standard_normal(n), rand_pd(rng, n, 1e-3), rng.standard_normal((6, p))
+    i = rng.integers(n)
+    if flavour == "cancel":
+        v = rng.choice([-1.0, 1.0], n)
+        P = P + 1e16 * np.outer(v, v)
+        F[0] -= (F[0] @ v) / n * v
+        H[0] -= (H[0] @ v) / n * v
+    elif flavour == "zeros":
+        signs = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        P[i, :], P[:, i], x[i] = signs, signs, -0.0
+        Q = np.where(np.eye(n, dtype=bool), Q, -0.0)
+        Q[i, :] = Q[:, i] = -0.0
+        F[np.abs(F) < 0.5], H[np.abs(H) < 0.5] = -0.0, -0.0
+        F[rng.integers(n)] = rng.choice([-0.0, 0.0])
+    elif flavour == "subnormal":
+        d = np.ones(n)
+        d[i] = 1e-155
+        P, Q = P * np.outer(d, d), Q * np.outer(d, d)
+    else:
+        d = np.ones(n)
+        d[i] = 1e77
+        P, x, ys = P * np.outer(d, d), x * 1e153, ys * 1e153
+    lin = LinearModel(F, H, Q, R)
+    if not nonlinear:
+        return lin, GaussianBelief(x, P), ys
+    scale = rng.standard_normal(n)
+
+    def state_jacobian(z, th, k):
+        return F * (1.0 + scale * np.tanh(z))[..., np.newaxis, :]
+
+    model = NonlinearModel(
+        lin.f, lin.h, Q, R, state_jacobian=state_jacobian, obs_jacobian=lambda z, th, k: H
+    )
+    return model, GaussianBelief(x, P), ys
+
+
+def outcome(run):
+    """run()'s (means, covs) as bytes, so signed zeros count, or the type and
+    message of the exception it raises."""
+    try:
+        means, covs = run()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return np.asarray(means).tobytes(), np.asarray(covs).tobytes()
+
+
 class TestScan:
     """`_scan`, the filters' loop over a record on (n, M) stacks."""
 
@@ -432,6 +489,37 @@ class TestScan:
             belief = correct(predicted, ys[k - 1 : k], model, theta=theta, k=k).corrected
             np.testing.assert_array_equal(means[k, 0], belief.mean)
             np.testing.assert_array_equal(covs[k, 0], belief.cov)
+
+    @pytest.mark.parametrize("flavour", ["cancel", "zeros", "subnormal", "huge"])
+    @pytest.mark.parametrize("nonlinear", [False, True])
+    def test_one_node_is_the_one_step_loop_on_order_sensitive_sums(self, flavour, nonlinear):
+        # n = 1..4 and p = 1 (the scan's float step) and p = 2 (its stack step)
+        rng = np.random.default_rng([20261022, nonlinear, len(flavour)])
+        predict, correct, step = (ekf_predict, ekf_correct, "ekf") if nonlinear else (
+            kf_predict, kf_correct, "kf")
+        finished = 0
+        for n in range(1, 5):
+            for p in (1, 2):
+                for _ in range(6):
+                    model, prior, ys = order_sensitive_filter(rng, n, p, flavour, nonlinear)
+
+                    def loop():
+                        beliefs = [prior]
+                        for k in range(1, ys.shape[0] + 1):
+                            predicted = predict(beliefs[-1], model, k=k)
+                            beliefs.append(correct(predicted, ys[k - 1], model, k=k).corrected)
+                        return [b.mean for b in beliefs], [b.cov for b in beliefs]
+
+                    def scan():
+                        means, covs = _scan(
+                            ys, model, prior.mean[np.newaxis], prior.cov[np.newaxis], None, step
+                        )
+                        return means[:, 0], covs[:, 0]
+
+                    expected = outcome(loop)
+                    assert outcome(scan) == expected, (n, p)
+                    finished += isinstance(expected[0], bytes)
+        assert finished >= 8
 
     def test_failure_named_in_a_later_gate_slice(self):
         # belief 1499 in gate order, predicted k=3 of node 299, is in the third
